@@ -31,6 +31,7 @@ from .vanishing import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VIOLATION = 3
+MAX_WORKERS = 64  # --workers ceiling; a sweep also clamps to its cell and CPU counts
 
 _CONFIG_KEYS = {
     "field_p",
@@ -107,8 +108,8 @@ class RunConfig:
             raise ConfigError(f"field_p must be prime, got {self.field_p}")
         if self.max_degree < 1:
             raise ConfigError(f"max_degree must be >= 1, got {self.max_degree}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must be in [1,{MAX_WORKERS}], got {self.workers}")
         if self.algebra is not None:
             self._validate_algebra(self.algebra)
         if self.pair is not None:
@@ -249,6 +250,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         cfg.max_degree,
         field_p=cfg.field_p,
         workers=cfg.workers,
+        tail=cfg.tail,
     )
     _emit(cfg, _json_payload(agg))
     return EXIT_OK
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field-p", dest="field_p", type=int, help="prime field characteristic (default 101)")
         p.add_argument("--max-degree", dest="max_degree", type=int, help="degree bound B (default 40)")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--workers", type=int, help="parallel workers for sweep cells")
+        p.add_argument("--workers", type=int, help=f"parallel workers for sweep cells, at most {MAX_WORKERS}")
         if name == "resolve":
             p.add_argument("--module", help=f"module specifier; grammar: {GRAMMAR}")
         if name in ("ext", "gaps", "symmetry"):

@@ -32,7 +32,7 @@ class Resolution:
     For each degree d it stores the labeled projective term, the cover
     surjection onto the d-th syzygy, the inclusion of the next syzygy,
     and the differential term(d) -> term(d-1).  Syzygy degree 0 is the
-    module itself.
+    module itself.  `extend` grows the degree bound in place.
     """
 
     def __init__(self, module: QuiverModule, max_degree: int):
@@ -40,24 +40,27 @@ class Resolution:
             raise ValueError(f"degree bound must be >= 0, got {max_degree}")
         self.module = module
         self.algebra = module.algebra
-        self.max_degree = max_degree
+        self.max_degree = -1
         self.terms: list[LabeledProjective] = []
         self.covers: list[ModuleMap] = []  # term(d).module ->> syzygy(d)
         self.diffs: list[ModuleMap | None] = [None]  # diffs[d]: term(d) -> term(d-1), d >= 1
         self._syzygies: list[QuiverModule] = [module]
         self._syz_incl: list[ModuleMap | None] = [None]  # syzygy(d) -> term(d-1).module, d >= 1
-        current = module
-        for d in range(max_degree + 1):
-            cover = projective_cover(current)
+        self.extend(max_degree)
+
+    def extend(self, max_degree: int) -> None:
+        """Grow the resolution in place through the given degree; a lower bound is a no-op."""
+        for d in range(self.max_degree + 1, max_degree + 1):
+            cover = projective_cover(self._syzygies[d])
             self.terms.append(cover.P)
             self.covers.append(cover.surjection)
             if d >= 1:
                 self.diffs.append(self._syz_incl[d].compose(cover.surjection))
             syz, incl = kernel(cover.surjection)
-            syz.name = f"syzygy:{d + 1}:{module.describe()}"
+            syz.name = f"syzygy:{d + 1}:{self.module.describe()}"
             self._syzygies.append(syz)
             self._syz_incl.append(incl)
-            current = syz
+            self.max_degree = d
 
     @property
     def augmentation(self) -> ModuleMap:
@@ -111,13 +114,12 @@ class Resolution:
 
 
 def minimal_resolution(module: QuiverModule, max_degree: int) -> Resolution:
-    """Build (or reuse a cached) minimal resolution of at least the given degree."""
-    cached: Resolution | None = getattr(module, "_resolution_cache", None)
-    if cached is not None and cached.max_degree >= max_degree:
-        return cached
-    res = Resolution(module, max_degree)
-    module._resolution_cache = res
-    return res
+    """The module's cached minimal resolution, built or extended to at least the given degree."""
+    if module._resolution_cache is None:
+        module._resolution_cache = Resolution(module, max_degree)
+    else:
+        module._resolution_cache.extend(max_degree)
+    return module._resolution_cache
 
 
 def syzygy(module: QuiverModule) -> QuiverModule:

@@ -42,6 +42,7 @@ class QuiverModule:
         self.arrow_maps = tuple(np.asarray(m, dtype=np.int64) % algebra.field.p for m in arrow_maps)
         self.name = name
         self._path_cache: dict[PathWord, np.ndarray] = {}
+        self._resolution_cache = None  # grown in place by homology.minimal_resolution
         if check:
             self._validate()
 

@@ -9,8 +9,10 @@ Nakayama report and the sweep harness.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .algebra import nakayama_algebra
@@ -125,8 +127,12 @@ def symmetry_scan(m: QuiverModule, n: QuiverModule, max_degree: int, tail: int) 
     """
     if tail < 1 or tail > max_degree:
         raise ValueError(f"tail window {tail} outside [1,{max_degree}]")
-    fwd = ext_table(m, n, max_degree)
-    bwd = ext_table(n, m, max_degree)
+    return _classify_tails(ext_table(m, n, max_degree), ext_table(n, m, max_degree), tail)
+
+
+def _classify_tails(fwd: ExtTable, bwd: ExtTable, tail: int) -> SymmetryReport:
+    """The symmetry verdict of a pair from its two Ext tables M->N and N->M."""
+    m, n, max_degree = fwd.source, fwd.target, fwd.max_degree
     lo = max_degree - tail + 1
     wit_fwd = [i for i in range(lo, max_degree + 1) if fwd.dim(i) != 0]
     wit_bwd = [i for i in range(lo, max_degree + 1) if bwd.dim(i) != 0]
@@ -162,12 +168,14 @@ def nakayama_report(t: int, n: int, max_degree: int, field: GF | None = None, ta
     Verifies the double-syzygy vertex shift and its even powers, emits
     the complete simple-pair Ext matrix with symmetry classifications,
     and, when t >= 3 and r = t-1, checks the explicit asymmetry witness
-    pair (S_1, S_2).
+    pair (S_1, S_2).  Each ordered simple pair's Ext table is computed once.
     """
     alg = nakayama_algebra(t, n, field)
     r = alg.r
     if tail is None:
         tail = min(2 * t, max_degree)
+    if tail < 1 or tail > max_degree:
+        raise ValueError(f"tail window {tail} outside [1,{max_degree}]")
     simples = [simple(alg, i) for i in range(1, t + 1)]
 
     def expect_simple(i: int) -> list[tuple[int, int]]:
@@ -186,29 +194,31 @@ def nakayama_report(t: int, n: int, max_degree: int, field: GF | None = None, ta
     if not (square_ok and even_ok):
         raise FalsificationError(f"double-syzygy vertex shift failed for cell t={t}, n={n}")
 
+    tables = {
+        (i, j): ext_table(simples[i - 1], simples[j - 1], max_degree)
+        for i in range(1, t + 1)
+        for j in range(1, t + 1)
+    }
     pairs = []
     asymmetric_pairs = 0
-    for i in range(1, t + 1):
-        for j in range(1, t + 1):
-            rep = symmetry_scan(simples[i - 1], simples[j - 1], max_degree, tail)
-            table = ext_table(simples[i - 1], simples[j - 1], max_degree)
-            if rep.verdict == "asymmetric":
-                asymmetric_pairs += 1
-            pairs.append(
-                {
-                    "from": i,
-                    "to": j,
-                    "dims": list(table.dims),
-                    "verdict": rep.verdict,
-                    "vanishing_direction": rep.vanishing_direction,
-                    "witness_degrees": rep.witness_degrees,
-                }
-            )
+    for (i, j), table in tables.items():
+        rep = _classify_tails(table, tables[j, i], tail)
+        if rep.verdict == "asymmetric":
+            asymmetric_pairs += 1
+        pairs.append(
+            {
+                "from": i,
+                "to": j,
+                "dims": list(table.dims),
+                "verdict": rep.verdict,
+                "vanishing_direction": rep.vanishing_direction,
+                "witness_degrees": rep.witness_degrees,
+            }
+        )
 
     witness = None
     if t >= 3 and r == t - 1:
-        fwd = ext_table(simples[0], simples[1], max_degree)
-        bwd = ext_table(simples[1], simples[0], max_degree)
+        fwd, bwd = tables[1, 2], tables[2, 1]
         odd_nonzero = all(fwd.dim(i) != 0 for i in range(1, max_degree + 1, 2))
         back_zero = all(d == 0 for d in bwd.dims)
         if not (odd_nonzero and back_zero):
@@ -282,9 +292,9 @@ class SweepError(RuntimeError):
     """A sweep cell failed; the whole sweep aborts and names the cell."""
 
 
-def _sweep_cell(args: tuple[int, int, int, int]) -> dict:
-    t, n, max_degree, p = args
-    return nakayama_report(t, n, max_degree, GF(p))
+def _sweep_cell(args: tuple[int, int, int, int, int | None]) -> dict:
+    t, n, max_degree, p, tail = args
+    return nakayama_report(t, n, max_degree, GF(p), tail=tail)
 
 
 def run_sweep(
@@ -293,27 +303,25 @@ def run_sweep(
     max_degree: int,
     field_p: int = 101,
     workers: int = 1,
+    tail: int | None = None,
 ) -> dict:
-    """Run nakayama_report over a (t, n) grid, cells in parallel, sorted output."""
+    """Run nakayama_report over a (t, n) grid on min(workers, cells, CPUs) processes, sorted output."""
     cells = [
-        (t, n, max_degree, field_p)
+        (t, n, max_degree, field_p, tail)
         for t in range(t_range[0], t_range[1] + 1)
         for n in range(n_range[0], n_range[1] + 1)
     ]
     if not cells:
         raise ValueError("empty sweep grid")
+    workers = min(workers, len(cells), os.cpu_count() or 1)
     results: list[dict] = []
-    if workers <= 1:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        reports = map(_sweep_cell, cells) if pool is None else pool.map(_sweep_cell, cells)
         for c in cells:
-            results.append(_run_cell_guarded(c))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(c, pool.submit(_sweep_cell, c)) for c in cells]
-            for c, fut in futures:
-                try:
-                    results.append(fut.result())
-                except Exception as e:  # noqa: BLE001 - named cell failure aborts the sweep
-                    raise SweepError(f"sweep cell t={c[0]}, n={c[1]} failed: {e}") from e
+            try:
+                results.append(next(reports))
+            except Exception as e:  # noqa: BLE001 - named cell failure aborts the sweep
+                raise SweepError(f"sweep cell t={c[0]}, n={c[1]} failed: {e}") from e
     results.sort(key=lambda rep: (rep["t"], rep["n"]))
     symmetric = sum(1 for rep in results if rep["symmetric_algebra"])
     asym_cells = sum(1 for rep in results if rep["asymmetric_pairs"] > 0)
@@ -326,13 +334,6 @@ def run_sweep(
             "total_asymmetric_pairs": sum(rep["asymmetric_pairs"] for rep in results),
         },
     }
-
-
-def _run_cell_guarded(c: tuple[int, int, int, int]) -> dict:
-    try:
-        return _sweep_cell(c)
-    except Exception as e:  # noqa: BLE001
-        raise SweepError(f"sweep cell t={c[0]}, n={c[1]} failed: {e}") from e
 
 
 # -- gap/cone property suite over one cell -----------------------------------------
@@ -351,26 +352,20 @@ def sample_uniserial_pairs(t: int, n: int, count: int) -> list[tuple[tuple[int, 
 def simple_pair_ext_matrix(args: tuple[int, int, int, int]) -> dict:
     """All ordered simple-pair Ext tables of one cell, by both dimension routes.
 
-    Returns {"i,j": dims} from the Hom-complex route after asserting it
-    agrees with the Betti-multiplicity route in every degree.  Shaped for
-    ProcessPoolExecutor.map, so the argument is a single tuple.
+    Returns {"i,j": dims} from the Hom-complex route; ext_dims asserts it
+    agrees with the Betti-multiplicity route in every degree, as every target
+    is simple.  Shaped for ProcessPoolExecutor.map: one tuple argument.
     """
-    from .homology import betti_ext_dims, ext_dims
+    from .homology import ext_dims
 
     t, n, max_degree, p = args
     alg = nakayama_algebra(t, n, GF(p))
     simples = [simple(alg, i) for i in range(1, t + 1)]
-    out = {}
-    for i in range(1, t + 1):
-        for j in range(1, t + 1):
-            dims = ext_dims(simples[i - 1], simples[j - 1], max_degree)
-            betti = betti_ext_dims(simples[i - 1], j, max_degree)
-            if dims != betti:
-                raise FalsificationError(
-                    f"Ext oracle disagreement for cell t={t}, n={n}, pair ({i},{j})"
-                )
-            out[f"{i},{j}"] = dims
-    return out
+    return {
+        f"{i},{j}": ext_dims(simples[i - 1], simples[j - 1], max_degree)
+        for i in range(1, t + 1)
+        for j in range(1, t + 1)
+    }
 
 
 def gap_suite_cell(t: int, n: int, max_degree: int, field_p: int, uniserial_pair_count: int) -> dict:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from quiverhom.cli import EXIT_CONFIG, EXIT_OK, main
+import quiverhom.vanishing as vanishing
+from quiverhom.cli import EXIT_CONFIG, EXIT_OK, MAX_WORKERS, main
 
 ALG32 = '{"kind":"circular_nakayama","t":3,"n":2}'
 
@@ -205,3 +206,24 @@ def test_outputs_byte_identical_on_repeat(capsys, tmp_path):
     second = run(args + ["--out", str(tmp_path / "b.json")], capsys)
     assert first[0] == second[0] == EXIT_OK
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("tail_args, tail", [(["--tail", "3"], 3), ([], 6)])
+def test_sweep_tail_flag_reaches_every_cell(capsys, tail_args, tail):
+    code, out, _ = run(
+        ["sweep", "--sweep-t", "3", "3", "--sweep-n", "2", "2", "--max-degree", "8"] + tail_args, capsys
+    )
+    assert code == EXIT_OK
+    assert [c["tail"] for c in json.loads(out)["cells"]] == [tail]
+
+
+def test_sweep_rejects_workers_above_ceiling_without_a_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(vanishing, "ProcessPoolExecutor", no_pool)
+    code, _, err = run(
+        ["sweep", "--sweep-t", "2", "3", "--sweep-n", "1", "2", "--workers", str(MAX_WORKERS + 1)], capsys
+    )
+    assert code == EXIT_CONFIG
+    assert "workers" in err

@@ -3,6 +3,7 @@ import pytest
 
 from quiverhom.algebra import nakayama_algebra
 from quiverhom.homology import (
+    Resolution,
     betti_ext_dims,
     detect_period,
     ext_dim,
@@ -191,3 +192,43 @@ def test_detect_period_witness_iso_sources(a32):
 def test_ext_csv_format(a32):
     table = ext_table(simple(a32, 1), simple(a32, 2), 3)
     assert table.to_csv() == "degree,dim\n1,1\n2,0\n3,1"
+
+
+@pytest.mark.parametrize("t, n", [(3, 2), (4, 3)])
+@pytest.mark.parametrize(
+    "make",
+    [lambda a: simple(a, 1), lambda a: uniserial(a, 2, 2), lambda a: projective(a, 3)],
+    ids=["simple", "uniserial", "projective"],
+)
+def test_extended_resolution_equals_fresh_build(t, n, make):
+    alg = nakayama_algebra(t, n)
+    m = make(alg)
+    grown = Resolution(m, 3)
+    grown.extend(9)
+    fresh = Resolution(m, 9)
+    assert grown.max_degree == fresh.max_degree == 9
+    for d in range(10):
+        assert grown.betti(d) == fresh.betti(d)
+        assert grown.term_dim(d) == fresh.term_dim(d)
+        a, b = grown.syzygy(d + 1), fresh.syzygy(d + 1)
+        assert a.dims == b.dims and a.name == b.name
+        assert all(np.array_equal(x, y) for x, y in zip(a.arrow_maps, b.arrow_maps, strict=True))
+        if d >= 1:
+            for v in range(1, t + 1):
+                assert np.array_equal(grown.diff(d).block(v), fresh.diff(d).block(v))
+    assert grown.is_minimal()
+
+
+def test_minimal_resolution_grows_the_cached_object(a32):
+    m = simple(a32, 2)
+    res = minimal_resolution(m, 3)
+    assert minimal_resolution(m, 9) is res
+    assert res.max_degree == 9
+    assert minimal_resolution(m, 5) is res and res.max_degree == 9
+
+
+def test_ext_dims_raises_when_betti_route_disagrees(a32, monkeypatch):
+    honest = Resolution.betti_multiplicity
+    monkeypatch.setattr(Resolution, "betti_multiplicity", lambda self, d, j: honest(self, d, j) + (d == 3))
+    with pytest.raises(AssertionError, match="Ext oracle mismatch at degree 3"):
+        ext_dims(simple(a32, 1), simple(a32, 2), 4)

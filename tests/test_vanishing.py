@@ -1,5 +1,7 @@
 import pytest
 
+import quiverhom.homology as homology
+import quiverhom.vanishing as vanishing
 from quiverhom.algebra import nakayama_algebra
 from quiverhom.homology import ext_table
 from quiverhom.koszul import build_periodicity_tower
@@ -150,3 +152,49 @@ def test_run_sweep_small_grid():
     assert r0["asymmetric_pairs"] == 0
     witness_cell = next(c for c in cells if c["t"] == 3 and c["n"] == 2)
     assert witness_cell["asymmetric_pairs"] >= 1
+
+
+def test_nakayama_report_computes_each_pair_once(monkeypatch):
+    calls = {"builds": 0, "ext_dims": 0}
+    init, ext_dims = homology.Resolution.__init__, homology.ext_dims
+
+    def counting_init(self, *args):
+        calls["builds"] += 1
+        init(self, *args)
+
+    def counting_ext_dims(*args):
+        calls["ext_dims"] += 1
+        return ext_dims(*args)
+
+    monkeypatch.setattr(homology.Resolution, "__init__", counting_init)
+    monkeypatch.setattr(homology, "ext_dims", counting_ext_dims)
+    rep = nakayama_report(4, 3, 12)
+    assert rep["witness"]["verdict"] == "confirmed"
+    assert calls == {"builds": 4, "ext_dims": 16}
+
+
+def test_run_sweep_passes_tail_to_every_cell_serial_and_pooled():
+    serial = run_sweep((3, 4), (2, 2), 8, workers=1, tail=3)
+    assert [c["tail"] for c in serial["cells"]] == [3, 3]
+    assert run_sweep((3, 4), (2, 2), 8, workers=2, tail=3) == serial
+
+
+def test_run_sweep_starts_no_pool_for_one_cell(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(vanishing, "ProcessPoolExecutor", no_pool)
+    agg = run_sweep((2, 2), (1, 1), 6, workers=8)
+    assert agg["summary"]["cell_count"] == 1
+
+
+def test_run_sweep_names_the_failing_cell(monkeypatch):
+    def fail_on_t3(args):
+        if args[0] == 3:
+            raise ValueError("boom")
+        return real_cell(args)
+
+    real_cell = vanishing._sweep_cell
+    monkeypatch.setattr(vanishing, "_sweep_cell", fail_on_t3)
+    with pytest.raises(vanishing.SweepError, match="t=3, n=1 failed: boom"):
+        run_sweep((2, 3), (1, 1), 6)
