@@ -1,4 +1,4 @@
-"""Quivers, path words, and monomial bound quiver algebras.
+"""Quivers, path words, and truncated path algebras kQ/J^N.
 
 Vertices are 1-based everywhere.  A path word lists its arrows in
 traversal order: the path ``(a1, a2)`` starts at the source of ``a1``
@@ -92,27 +92,19 @@ class ZeroProduct(enum.Enum):
 
 
 class BoundQuiverAlgebra:
-    """A path algebra modulo a monomial ideal, with an explicit path basis.
+    """A path algebra truncated at a nilpotency degree, kQ/J^N, with an explicit path basis.
 
-    The basis consists of all paths of length < nilpotency that avoid
-    every forbidden path as a contiguous subword.  Only the circular
-    Nakayama constructor below is exercised by the full test surface;
-    other monomial truncations are accepted on a best-effort basis.
+    The basis consists of all paths of length < N.  Serial structure,
+    isomorphism, stable Hom, periodicity and complexity are defined only
+    for the circular Nakayama algebras built by nakayama_algebra().
     """
 
-    def __init__(
-        self,
-        quiver: Quiver,
-        nilpotency: int,
-        field: GF | None = None,
-        forbidden: tuple[PathWord, ...] = (),
-    ):
+    def __init__(self, quiver: Quiver, nilpotency: int, field: GF | None = None):
         if nilpotency < 1:
             raise ValueError(f"nilpotency degree must be >= 1, got {nilpotency}")
         self.quiver = quiver
         self.nilpotency = nilpotency
         self.field = field if field is not None else GF(DEFAULT_FIELD_P)
-        self._forbidden_words = frozenset(p.arrows for p in forbidden)
         self.path_basis = tuple(sorted(self._enumerate_basis(), key=PathWord.sort_key))
         self._basis_index = {p: i for i, p in enumerate(self.path_basis)}
         # Circular Nakayama metadata; set by nakayama_algebra().
@@ -127,25 +119,9 @@ class BoundQuiverAlgebra:
         frontier = [self.quiver.trivial_path(v) for v in range(1, self.quiver.vertex_count + 1)]
         basis = list(frontier)
         for _ in range(1, self.nilpotency):
-            nxt = []
-            for p in frontier:
-                for a in self.quiver.arrows_from[p.end]:
-                    q = self.quiver.extend(p, a)
-                    if self._allowed(q):
-                        nxt.append(q)
-            basis.extend(nxt)
-            frontier = nxt
+            frontier = [self.quiver.extend(p, a) for p in frontier for a in self.quiver.arrows_from[p.end]]
+            basis.extend(frontier)
         return basis
-
-    def _allowed(self, p: PathWord) -> bool:
-        if not self._forbidden_words:
-            return True
-        w = p.arrows
-        for f in self._forbidden_words:
-            k = len(f)
-            if any(w[i : i + k] == f for i in range(len(w) - k + 1)):
-                return False
-        return True
 
     @property
     def dimension(self) -> int:
@@ -158,18 +134,15 @@ class BoundQuiverAlgebra:
         return [p for p in self.path_basis if p.start == v]
 
     def relation_generators(self) -> list[PathWord]:
-        """Forbidden paths plus every composable word of length = nilpotency."""
-        gens = []
+        """Every composable word of length = nilpotency."""
         frontier = [self.quiver.trivial_path(v) for v in range(1, self.quiver.vertex_count + 1)]
         for _ in range(self.nilpotency):
             frontier = [
                 self.quiver.extend(p, a)
                 for p in frontier
                 for a in self.quiver.arrows_from[p.end]
-                if self._allowed(p)
             ]
-        gens.extend(frontier)
-        return gens
+        return frontier
 
     def multiply(self, p: PathWord, q: PathWord) -> PathWord | ZeroProduct:
         """Product of two basis paths: a basis path, or a zero indicator."""
@@ -180,7 +153,7 @@ class BoundQuiverAlgebra:
         if p.end != q.start:
             return ZeroProduct.NON_COMPOSABLE
         word = PathWord(p.start, p.arrows + q.arrows, q.end)
-        if word.length >= self.nilpotency or not self._allowed(word):
+        if word.length >= self.nilpotency:
             return ZeroProduct.TRUNCATED
         return word
 

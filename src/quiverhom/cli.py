@@ -75,27 +75,13 @@ class RunConfig:
             unknown = set(data) - _CONFIG_KEYS
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls()
-        for key in _CONFIG_KEYS:
-            if key in data:
-                setattr(cfg, key, data[key])
+        cfg = cls(**data)
         # Flags override file values.
-        if getattr(args, "field_p", None) is not None:
-            cfg.field_p = args.field_p
+        for key in _CONFIG_KEYS - {"algebra", "sweep"}:
+            if getattr(args, key, None) is not None:
+                setattr(cfg, key, getattr(args, key))
         if getattr(args, "algebra", None) is not None:
             cfg.algebra = _parse_algebra_flag(args.algebra)
-        if getattr(args, "max_degree", None) is not None:
-            cfg.max_degree = args.max_degree
-        if getattr(args, "module", None) is not None:
-            cfg.module = args.module
-        if getattr(args, "pair", None) is not None:
-            cfg.pair = tuple(args.pair)
-        if getattr(args, "out", None) is not None:
-            cfg.out = args.out
-        if getattr(args, "workers", None) is not None:
-            cfg.workers = args.workers
-        if getattr(args, "tail", None) is not None:
-            cfg.tail = args.tail
         if getattr(args, "sweep_t", None) is not None or getattr(args, "sweep_n", None) is not None:
             if args.sweep_t is None or args.sweep_n is None:
                 raise ConfigError("sweep needs both --sweep-t and --sweep-n ranges")
@@ -104,6 +90,10 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        for key in ("field_p", "max_degree", "workers", "tail"):
+            value = getattr(self, key)
+            if not (_is_int(value) or (key == "tail" and value is None)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if not is_prime(self.field_p):
             raise ConfigError(f"field_p must be prime, got {self.field_p}")
         if self.max_degree < 1:
@@ -124,7 +114,7 @@ class RunConfig:
                 if (
                     not isinstance(rng, (list, tuple))
                     or len(rng) != 2
-                    or not all(isinstance(x, int) for x in rng)
+                    or not all(_is_int(x) for x in rng)
                     or rng[0] > rng[1]
                 ):
                     raise ConfigError(f"sweep.{key} must be an increasing [lo, hi] pair of integers")
@@ -141,15 +131,20 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown algebra keys: {sorted(unknown)}")
         t, n = spec.get("t"), spec.get("n")
-        if not isinstance(t, int) or t < 2:
+        if not _is_int(t) or t < 2:
             raise ConfigError(f"algebra t must be an integer >= 2, got {t}")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ConfigError(f"algebra n must be an integer >= 1, got {n}")
 
     def build_algebra(self):
         if self.algebra is None:
             raise ConfigError("an algebra spec is required (--algebra or config)")
         return nakayama_algebra(self.algebra["t"], self.algebra["n"], GF(self.field_p))
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; rejects booleans, which Python counts as ints."""
+    return type(value) is int
 
 
 def _parse_algebra_flag(text: str) -> dict:

@@ -239,7 +239,7 @@ def omega_map(f: ModuleMap) -> ModuleMap:
     term_m = res_m.term(0)
     for s in range(len(term_m.summands)):
         j = term_m.summands[s]
-        w = (f.block(j) @ res_m.augmentation.block(j) @ term_m.generator_vector(s)) % fld.p
+        w = fld.matmul(fld.matmul(f.block(j), res_m.augmentation.block(j)), term_m.generator_vector(s))
         y = fld.solve(res_n.augmentation.block(j), w)
         if y is None:
             raise AssertionError("cover surjection failed to lift a generator image")

@@ -15,6 +15,7 @@ from .homology import Resolution, detect_period, minimal_resolution
 from .modules import (
     ModuleMap,
     QuiverModule,
+    UnsupportedOperation,
     cokernel,
     direct_sum,
     is_projective,
@@ -99,57 +100,34 @@ def _sum2(a: QuiverModule, b: QuiverModule):
 
 @dataclass
 class ComplexityEstimate:
-    """Growth class of the resolution term sizes: 0, 1, or a fitted degree."""
+    """Growth class of the resolution term sizes: 0 (projective) or 1."""
 
     value: int
-    exact: bool
     window: int
     term_sizes: tuple[int, ...]
 
 
 def minimum_window(algebra) -> int:
     """Degrees needed before the growth verdict is trusted (one full syzygy cycle)."""
-    if algebra.is_selfinjective_nakayama:
-        return 2 * algebra.t * (algebra.n + 1)
-    return 6
+    if not algebra.is_selfinjective_nakayama:
+        raise UnsupportedOperation("complexity requires a circular Nakayama algebra")
+    return 2 * algebra.t * (algebra.n + 1)
 
 
 def complexity_estimate(m: QuiverModule, max_degree: int) -> ComplexityEstimate:
     """Betti-growth degree of M's minimal resolution over degrees 0..max_degree.
 
-    Exact over circular Nakayama algebras (0 for the projectives, 1 for
-    everything else); elsewhere the boundedness/growth verdict is a
-    windowed heuristic and is flagged as such.
+    Over circular Nakayama algebras non-projective modules have bounded,
+    eventually periodic Betti sizes, so the complexity is exactly 0 for
+    the projectives and 1 for everything else.
     """
     window = minimum_window(m.algebra)
     if max_degree < window:
         raise ValueError(f"degree bound {max_degree} below minimum window {window}")
     res = minimal_resolution(m, max_degree)
     sizes = tuple(res.term_dim(d) for d in range(max_degree + 1))
-    if any(s == 0 for s in sizes):
-        return ComplexityEstimate(value=0, exact=True, window=max_degree, term_sizes=sizes)
-    if m.algebra.is_selfinjective_nakayama:
-        # Non-projective modules over this family have bounded, eventually
-        # periodic Betti sizes: complexity exactly 1.
-        return ComplexityEstimate(value=1, exact=True, window=max_degree, term_sizes=sizes)
-    half = len(sizes) // 2
-    if max(sizes[half:]) <= max(sizes[:half]):
-        return ComplexityEstimate(value=1, exact=False, window=max_degree, term_sizes=sizes)
-    degree = _fit_growth_degree(sizes)
-    return ComplexityEstimate(value=degree + 1, exact=False, window=max_degree, term_sizes=sizes)
-
-
-def _fit_growth_degree(sizes: tuple[int, ...]) -> int:
-    import math
-
-    tail = [(d, s) for d, s in enumerate(sizes) if d >= 2 and s > 0]
-    if len(tail) < 2:
-        return 1
-    (d0, s0), (d1, s1) = tail[len(tail) // 2], tail[-1]
-    if d1 == d0 or s1 <= s0:
-        return 1
-    slope = (math.log(s1) - math.log(s0)) / (math.log(d1) - math.log(d0))
-    return max(1, round(slope))
+    value = 0 if any(s == 0 for s in sizes) else 1
+    return ComplexityEstimate(value=value, window=max_degree, term_sizes=sizes)
 
 
 # -- reduction towers --------------------------------------------------------

@@ -9,28 +9,15 @@ exactly and is validated on construction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, PathWord
 
-# One global seed drives every randomized fallback; it is recorded in
-# reports so "undecided" outcomes are reproducible.
-RANDOM_SEED = 1729
-
 
 class UnsupportedOperation(RuntimeError):
     """Raised when an operation requires structure the algebra lacks."""
-
-
-class IsomorphismUndecided(RuntimeError):
-    """The generic isomorphism search exhausted its budget with no verdict.
-
-    Dimension vectors match but no invertible map was found; this is
-    surfaced rather than coerced to a negative answer.
-    """
 
 
 class QuiverModule:
@@ -223,28 +210,31 @@ def simple(algebra: BoundQuiverAlgebra, i: int) -> QuiverModule:
     return QuiverModule(algebra, dims, maps, name=f"simple:{i}", check=False)
 
 
-def _path_basis_module(algebra: BoundQuiverAlgebra, i: int, max_length: int, name: str) -> QuiverModule:
-    """Module with basis the paths from i of length < max_length, arrows acting by extension."""
+def _path_basis(algebra: BoundQuiverAlgebra, tops: tuple[int, ...], max_length: int):
+    """The path basis of a sum of truncated projectives, with arrows acting by extension.
+
+    Summand s contributes the basis paths from tops[s] of length < max_length.
+    Returns (dims, arrow matrices, basis keys (s, path) grouped by end vertex,
+    position of each key inside its vertex space).
+    """
     q = algebra.quiver
-    paths = [p for p in algebra.paths_from(i) if p.length < max_length]
-    by_vertex: dict[int, list[PathWord]] = {v: [] for v in range(1, q.vertex_count + 1)}
-    for p in paths:
-        by_vertex[p.end].append(p)
-    pos = {}
-    for v, plist in by_vertex.items():
-        for k, p in enumerate(plist):
-            pos[p] = (v, k)
+    by_vertex: dict[int, list[tuple[int, PathWord]]] = {v: [] for v in range(1, q.vertex_count + 1)}
+    for s, j in enumerate(tops):
+        for p in algebra.paths_from(j):
+            if p.length < max_length:
+                by_vertex[p.end].append((s, p))
+    pos = {key: k for items in by_vertex.values() for k, key in enumerate(items)}
     dims = [len(by_vertex[v]) for v in range(1, q.vertex_count + 1)]
     maps = []
     for a in range(len(q.arrows)):
         u, v = q.source(a), q.target(a)
         m = np.zeros((dims[v - 1], dims[u - 1]), dtype=np.int64)
-        for p in by_vertex[u]:
+        for s, p in by_vertex[u]:
             ext = PathWord(p.start, p.arrows + (a,), v)
             if ext.length < max_length and algebra.is_basis_path(ext):
-                m[pos[ext][1], pos[p][1]] = 1
+                m[pos[(s, ext)], pos[(s, p)]] = 1
         maps.append(m)
-    return QuiverModule(algebra, dims, maps, name=name)
+    return dims, maps, by_vertex, pos
 
 
 def projective(algebra: BoundQuiverAlgebra, i: int) -> QuiverModule:
@@ -252,7 +242,8 @@ def projective(algebra: BoundQuiverAlgebra, i: int) -> QuiverModule:
     q = algebra.quiver
     if not (1 <= i <= q.vertex_count):
         raise ValueError(f"vertex {i} outside [1,{q.vertex_count}]")
-    return _path_basis_module(algebra, i, algebra.nilpotency, name=f"projective:{i}")
+    dims, maps, _, _ = _path_basis(algebra, (i,), algebra.nilpotency)
+    return QuiverModule(algebra, dims, maps, name=f"projective:{i}")
 
 
 def uniserial(algebra: BoundQuiverAlgebra, i: int, length: int) -> QuiverModule:
@@ -264,7 +255,8 @@ def uniserial(algebra: BoundQuiverAlgebra, i: int, length: int) -> QuiverModule:
     q = algebra.quiver
     if not (1 <= i <= q.vertex_count):
         raise ValueError(f"vertex {i} outside [1,{q.vertex_count}]")
-    return _path_basis_module(algebra, i, length, name=f"uniserial:{i}:{length}")
+    dims, maps, _, _ = _path_basis(algebra, (i,), length)
+    return QuiverModule(algebra, dims, maps, name=f"uniserial:{i}:{length}")
 
 
 # -- labeled projectives ----------------------------------------------
@@ -280,26 +272,7 @@ class LabeledProjective:
     def __init__(self, algebra: BoundQuiverAlgebra, summands: tuple[int, ...]):
         self.algebra = algebra
         self.summands = tuple(int(j) for j in summands)
-        q = algebra.quiver
-        by_vertex: dict[int, list[tuple[int, PathWord]]] = {v: [] for v in range(1, q.vertex_count + 1)}
-        for s, j in enumerate(self.summands):
-            for p in algebra.paths_from(j):
-                by_vertex[p.end].append((s, p))
-        self._basis = by_vertex
-        self._pos = {}
-        for v, items in by_vertex.items():
-            for k, key in enumerate(items):
-                self._pos[key] = k
-        dims = [len(by_vertex[v]) for v in range(1, q.vertex_count + 1)]
-        maps = []
-        for a in range(len(q.arrows)):
-            u, v = q.source(a), q.target(a)
-            m = np.zeros((dims[v - 1], dims[u - 1]), dtype=np.int64)
-            for s, p in by_vertex[u]:
-                ext = PathWord(p.start, p.arrows + (a,), v)
-                if algebra.is_basis_path(ext):
-                    m[self._pos[(s, ext)], self._pos[(s, p)]] = 1
-            maps.append(m)
+        dims, maps, self._basis, self._pos = _path_basis(algebra, self.summands, algebra.nilpotency)
         label = "+".join(f"P{j}" for j in self.summands) or "0"
         self.module = QuiverModule(algebra, dims, maps, name=label, check=False)
 
@@ -405,7 +378,7 @@ def cokernel(f: ModuleMap) -> tuple[QuiverModule, ModuleMap]:
     maps = []
     for a in range(len(q.arrows)):
         u, v = q.source(a), q.target(a)
-        maps.append((proj_blocks[v - 1] @ N.arrow_maps[a] @ section_blocks[u - 1]) % field.p)
+        maps.append(field.matmul(field.matmul(proj_blocks[v - 1], N.arrow_maps[a]), section_blocks[u - 1]))
     coker = QuiverModule(N.algebra, dims, maps, name=f"coker({f.source.describe()})", check=False)
     return coker, ModuleMap(N, coker, proj_blocks)
 
@@ -548,7 +521,7 @@ def hom_basis(m: QuiverModule, n: QuiverModule) -> list[ModuleMap]:
     return basis
 
 
-# -- serial structure (circular Nakayama fast path) ---------------------
+# -- serial structure and isomorphism (circular Nakayama family) --------
 
 
 @dataclass
@@ -562,7 +535,7 @@ class SerialSummand:
 
 def _require_nakayama(m: QuiverModule):
     if not m.algebra.is_selfinjective_nakayama:
-        raise UnsupportedOperation("serial decomposition requires a circular Nakayama algebra")
+        raise UnsupportedOperation("serial decomposition and isomorphism require a circular Nakayama algebra")
 
 
 def serial_summands(m: QuiverModule) -> list[SerialSummand]:
@@ -630,8 +603,10 @@ def decompose_serial(m: QuiverModule) -> list[tuple[int, int]]:
     return sorted((s.top, s.length) for s in serial_summands(m))
 
 
-def find_isomorphism_serial(m: QuiverModule, n: QuiverModule) -> ModuleMap | None:
-    """An explicit isomorphism matching uniserial summands, or None if types differ."""
+def find_isomorphism(m: QuiverModule, n: QuiverModule) -> ModuleMap | None:
+    """An explicit isomorphism M -> N matching uniserial summands, or None if types differ."""
+    if m.algebra is not n.algebra:
+        raise ValueError("modules live over different algebras")
     _require_nakayama(m)
     if m.dims != n.dims:
         return None
@@ -667,66 +642,9 @@ def find_isomorphism_serial(m: QuiverModule, n: QuiverModule) -> ModuleMap | Non
     return ModuleMap(m, n, blocks)
 
 
-# -- isomorphism testing -------------------------------------------------
-
-
-def _generic_isomorphism(m: QuiverModule, n: QuiverModule) -> ModuleMap | None:
-    basis = hom_basis(m, n)
-    if not basis:
-        return None
-    for f in basis:
-        if f.is_invertible():
-            return f
-    for k in (2, 3):
-        for combo in itertools.combinations(basis, k):
-            f = combo[0]
-            for g in combo[1:]:
-                f = f + g
-            if f.is_invertible():
-                return f
-    rng = np.random.default_rng(RANDOM_SEED)
-    p = m.field.p
-    for _ in range(64):
-        coeffs = rng.integers(0, p, size=len(basis))
-        f = ModuleMap.zero(m, n)
-        for c, g in zip(coeffs, basis):
-            if c:
-                f = f + g.scale(int(c))
-        if f.is_invertible():
-            return f
-    return None
-
-
-def find_isomorphism(m: QuiverModule, n: QuiverModule) -> ModuleMap | None:
-    """An explicit isomorphism M -> N, or None when provably non-isomorphic.
-
-    Raises IsomorphismUndecided when the generic random search gives up
-    with matching dimension vectors (never silently returns a negative).
-    """
-    if m.algebra is not n.algebra:
-        raise ValueError("modules live over different algebras")
-    if m.dims != n.dims:
-        return None
-    if m.is_zero:
-        return ModuleMap.zero(m, n)
-    if m.algebra.is_selfinjective_nakayama:
-        return find_isomorphism_serial(m, n)
-    f = _generic_isomorphism(m, n)
-    if f is None:
-        raise IsomorphismUndecided(
-            f"no invertible map found between {m.describe()} and {n.describe()} "
-            f"(dimension vectors match; search seed {RANDOM_SEED})"
-        )
-    return f
-
-
 def is_isomorphic(m: QuiverModule, n: QuiverModule) -> bool:
+    """Same dimension vector and the same uniserial summands."""
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
-    if m.dims != n.dims:
-        return False
-    if m.is_zero:
-        return True
-    if m.algebra.is_selfinjective_nakayama:
-        return decompose_serial(m) == decompose_serial(n)
-    return find_isomorphism(m, n) is not None
+    _require_nakayama(m)
+    return m.dims == n.dims and decompose_serial(m) == decompose_serial(n)

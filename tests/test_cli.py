@@ -177,6 +177,17 @@ def test_config_unknown_keys_rejected(capsys, tmp_path):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize(
+    "doc", [{"workers": "4"}, {"tail": "2"}, {"field_p": 101.0}, {"max_degree": True}]
+)
+def test_config_values_must_be_integers(capsys, tmp_path, doc):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(["resolve", "--config", str(cfg), "--algebra", ALG32, "--module", "simple:1"], capsys)
+    assert code == EXIT_CONFIG
+    assert f"{next(iter(doc))} must be an integer" in err
+
+
 def test_sweep_aggregation(capsys, tmp_path):
     out_path = tmp_path / "sweep.json"
     code, _, _ = run(
@@ -227,3 +238,12 @@ def test_sweep_rejects_workers_above_ceiling_without_a_pool(capsys, monkeypatch)
     )
     assert code == EXIT_CONFIG
     assert "workers" in err
+
+
+def test_sweep_tail_shorter_than_period_is_reported_over_symmetric_cell(capsys):
+    # (3, 3) is symmetric; a 3-degree window is shorter than the 2t = 6 period.
+    code, out, _ = run(
+        ["sweep", "--sweep-t", "3", "3", "--sweep-n", "3", "3", "--max-degree", "8", "--tail", "3"], capsys
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["cells"][0]["asymmetric_pairs"] > 0

@@ -14,6 +14,7 @@ from quiverhom.homology import (
     stable_hom_dim,
     syzygy,
 )
+from quiverhom.koszul import build_periodicity_tower
 from quiverhom.linalg import GF
 from quiverhom.modules import (
     ModuleMap,
@@ -137,6 +138,18 @@ def test_two_prime_stability_spot():
         a = nakayama_algebra(3, 2, GF(p))
         assert ext_dims(simple(a, 1), simple(a, 2), 12) == [1, 0] * 6
         assert ext_dims(simple(a, 2), simple(a, 1), 12) == [0] * 12
+
+
+def test_largest_field_matches_gf101_on_uniserial_pairs():
+    # p = 1048573 is the largest prime <= GF.MAX_CHARACTERISTIC; chained
+    # products with entries near p must still reduce exactly.
+    algs = [nakayama_algebra(3, 2, GF(p)) for p in (101, 1048573)]
+    mods = [[uniserial(a, i, l) for i in range(1, 4) for l in range(1, 4)] for a in algs]
+    for small, big in zip(*mods):
+        for n_small, n_big in zip(*mods):
+            assert ext_dims(small, n_small, 6) == ext_dims(big, n_big, 6)
+        assert omega_map(ModuleMap.identity(big).scale(-1)).is_invertible()
+        assert (build_periodicity_tower(big, 6) is None) == (build_periodicity_tower(small, 6) is None)
 
 
 def test_omega_map_of_identity_is_iso(a32):

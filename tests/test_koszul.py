@@ -1,6 +1,6 @@
 import pytest
 
-from quiverhom.algebra import nakayama_algebra
+from quiverhom.algebra import BoundQuiverAlgebra, Quiver, nakayama_algebra
 from quiverhom.homology import detect_period, ext_table, minimal_resolution
 from quiverhom.koszul import (
     build_periodicity_tower,
@@ -10,6 +10,7 @@ from quiverhom.koszul import (
 )
 from quiverhom.modules import (
     ModuleMap,
+    UnsupportedOperation,
     decompose_serial,
     is_projective,
     projective,
@@ -95,21 +96,18 @@ def test_cone_rejects_wrong_source(a32):
 def test_complexity_of_projective_is_zero(a32):
     est = complexity_estimate(projective(a32, 2), 20)
     assert est.value == 0
-    assert est.exact
 
 
 def test_complexity_of_simple_is_one(a32):
     assert minimum_window(a32) == 18
     est = complexity_estimate(simple(a32, 1), 20)
     assert est.value == 1
-    assert est.exact
 
 
 def test_complexity_of_uniserial_over_symmetric_cell():
     a = nakayama_algebra(4, 4)
     est = complexity_estimate(uniserial(a, 1, 2), 40)
     assert est.value == 1
-    assert est.exact
 
 
 def test_complexity_window_enforced(a32):
@@ -117,29 +115,12 @@ def test_complexity_window_enforced(a32):
         complexity_estimate(simple(a32, 1), 10)
 
 
-def test_complexity_heuristic_growth_off_family():
-    # Two nilpotent loops: the simple's Betti sizes double every degree, so
-    # the windowed estimator must flag its growth verdict as heuristic.
-    from quiverhom.algebra import BoundQuiverAlgebra, Quiver
-
-    alg = BoundQuiverAlgebra(Quiver(1, [(1, 1), (1, 1)]), nilpotency=2)
-    est = complexity_estimate(simple(alg, 1), 6)
-    assert est.value >= 2
-    assert not est.exact
-    assert est.term_sizes[:3] == (3, 6, 12)
-
-
-def test_complexity_heuristic_bounded_off_family():
-    # One nilpotent loop (a local uniserial algebra outside the circular
-    # family): the simple is periodic, sizes stay flat, verdict 1 but
-    # flagged heuristic since the exact fast path does not apply.
-    from quiverhom.algebra import BoundQuiverAlgebra, Quiver
-
+def test_complexity_unsupported_off_family():
     alg = BoundQuiverAlgebra(Quiver(1, [(1, 1)]), nilpotency=3)
-    est = complexity_estimate(simple(alg, 1), 8)
-    assert est.value == 1
-    assert not est.exact
-    assert set(est.term_sizes) == {3}
+    with pytest.raises(UnsupportedOperation):
+        minimum_window(alg)
+    with pytest.raises(UnsupportedOperation):
+        complexity_estimate(simple(alg, 1), 8)
 
 
 def test_tower_for_periodic_simple(a32):

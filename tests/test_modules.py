@@ -3,7 +3,7 @@ import pytest
 
 from quiverhom.algebra import BoundQuiverAlgebra, Quiver, nakayama_algebra
 from quiverhom.modules import (
-    IsomorphismUndecided,
+    LabeledProjective,
     ModuleMap,
     QuiverModule,
     UnsupportedOperation,
@@ -178,15 +178,14 @@ def test_cover_kernel_lies_in_radical(a32):
 
 
 def test_serial_reconstruction_via_generic_search(a32):
-    # The named uniserials reassemble to the module, certified by the
-    # generic hom-space search rather than the serial fast path.
-    from quiverhom.modules import _generic_isomorphism
-
+    # The named uniserials reassemble to the module, certified by an
+    # explicit, validated, invertible module map.
     cover = projective_cover(simple(a32, 1))
     m, _ = kernel(cover.surjection)  # rad P_1
     rebuilt, _, _ = direct_sum([uniserial(a32, top, length) for top, length in decompose_serial(m)])
-    iso = _generic_isomorphism(m, rebuilt)
+    iso = find_isomorphism(m, rebuilt)
     assert iso is not None and iso.is_invertible()
+    ModuleMap(iso.source, iso.target, iso.blocks)  # re-validates the intertwining equations
 
 
 def test_cover_of_zero_module(a32):
@@ -269,16 +268,25 @@ def test_find_isomorphism_is_explicit(a32):
     assert f.is_invertible()
 
 
-def test_generic_isomorphism_search_off_family():
+def test_isomorphism_unsupported_off_family():
     q = Quiver(2, [(1, 2)])
     alg = BoundQuiverAlgebra(q, nilpotency=2)
     p1 = QuiverModule(alg, (1, 1), [np.array([[1]])], name="P1")
     s1s2 = QuiverModule(alg, (1, 1), [np.array([[0]])], name="S1+S2")
-    assert is_isomorphic(p1, p1)
-    # Same dimension vector, genuinely non-isomorphic: the random search
-    # cannot certify absence and must surface "undecided".
-    with pytest.raises(IsomorphismUndecided):
+    with pytest.raises(UnsupportedOperation):
         is_isomorphic(p1, s1s2)
+    with pytest.raises(UnsupportedOperation):
+        find_isomorphism(p1, p1)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_path_basis_builder_agrees_across_constructors(t, n):
+    alg = nakayama_algebra(t, n)
+    for i in range(1, t + 1):
+        assert projective(alg, i).structurally_equal(LabeledProjective(alg, (i,)).module)
+        for length in range(1, n + 2):
+            assert decompose_serial(uniserial(alg, i, length)) == [(i, length)]
 
 
 def test_module_validation_rejects_broken_relations(a32):

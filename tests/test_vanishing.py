@@ -3,10 +3,11 @@ import pytest
 import quiverhom.homology as homology
 import quiverhom.vanishing as vanishing
 from quiverhom.algebra import nakayama_algebra
-from quiverhom.homology import ext_table
+from quiverhom.homology import ExtTable, ext_table
 from quiverhom.koszul import build_periodicity_tower
 from quiverhom.modules import projective, simple, uniserial
 from quiverhom.vanishing import (
+    FalsificationError,
     auslander_scan,
     gap_check,
     gap_suite_cell,
@@ -78,6 +79,19 @@ def test_symmetric_cell_has_no_asymmetric_pairs():
         for j in (1, 2):
             rep = symmetry_scan(simple(a, i), simple(a, j), 20, 4)
             assert rep.verdict == "neither-vanishes"
+
+
+def test_short_tail_asymmetry_is_reported_and_full_period_tail_raises():
+    # Over the symmetric cell (2, 2) the Ext period divides 2t = 4.
+    a = nakayama_algebra(2, 2)
+    s1, s2 = simple(a, 1), simple(a, 2)
+    fwd = ExtTable(source=s1, target=s2, max_degree=4, dims=(0, 0, 0, 0), field_p=101)
+    bwd = ExtTable(source=s2, target=s1, max_degree=4, dims=(1, 0, 1, 0), field_p=101)
+    rep = vanishing._classify_tails(fwd, bwd, 3)
+    assert rep.verdict == "asymmetric"
+    assert rep.vanishing_direction == "m-to-n"
+    with pytest.raises(FalsificationError):
+        vanishing._classify_tails(fwd, bwd, 4)
 
 
 def test_nakayama_report_witness_cell():
