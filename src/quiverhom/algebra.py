@@ -114,6 +114,10 @@ class BoundQuiverAlgebra:
         self.n: int | None = None
         self.r: int | None = None
         self._path_by_start_length: dict[tuple[int, int], PathWord] = {}
+        # Memos keyed by a module's exact content (QuiverModule.content_key); they
+        # live as long as the algebra and hold only results already checked.
+        self._resolution_steps: dict[tuple, tuple] = {}  # see homology.Resolution.extend
+        self._serial_types: dict[tuple, tuple[tuple[int, int], ...]] = {}  # see modules.decompose_serial
 
     def _enumerate_basis(self):
         frontier = [self.quiver.trivial_path(v) for v in range(1, self.quiver.vertex_count + 1)]

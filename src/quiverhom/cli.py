@@ -96,6 +96,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         if not is_prime(self.field_p):
             raise ConfigError(f"field_p must be prime, got {self.field_p}")
+        if self.field_p > GF.MAX_CHARACTERISTIC:
+            raise ConfigError(f"field_p must be at most {GF.MAX_CHARACTERISTIC}, got {self.field_p}")
         if self.max_degree < 1:
             raise ConfigError(f"max_degree must be >= 1, got {self.max_degree}")
         if not 1 <= self.workers <= MAX_WORKERS:

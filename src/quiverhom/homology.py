@@ -49,17 +49,34 @@ class Resolution:
         self.extend(max_degree)
 
     def extend(self, max_degree: int) -> None:
-        """Grow the resolution in place through the given degree; a lower bound is a no-op."""
+        """Grow the resolution in place through the given degree; a lower bound is a no-op.
+
+        The cover and kernel of a syzygy are computed and checked once per
+        algebra and module content (``QuiverModule.content_key``); every
+        resolution gets its own syzygy and map objects built from them.
+        """
+        steps = self.algebra._resolution_steps
         for d in range(self.max_degree + 1, max_degree + 1):
-            cover = projective_cover(self._syzygies[d])
-            self.terms.append(cover.P)
-            self.covers.append(cover.surjection)
+            syz = self._syzygies[d]
+            key = syz.content_key()
+            step = steps.get(key)
+            if step is None:
+                cover = projective_cover(syz)
+                ker, incl = kernel(cover.surjection)
+                step = steps[key] = (
+                    cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, incl.blocks
+                )
+            P, surj_blocks, ker_dims, ker_maps, incl_blocks = step
+            surj = ModuleMap(P.module, syz, surj_blocks, check=False)
+            nxt = QuiverModule(
+                self.algebra, ker_dims, ker_maps, name=f"syzygy:{d + 1}:{self.module.describe()}", check=False
+            )
+            self.terms.append(P)
+            self.covers.append(surj)
             if d >= 1:
-                self.diffs.append(self._syz_incl[d].compose(cover.surjection))
-            syz, incl = kernel(cover.surjection)
-            syz.name = f"syzygy:{d + 1}:{self.module.describe()}"
-            self._syzygies.append(syz)
-            self._syz_incl.append(incl)
+                self.diffs.append(self._syz_incl[d].compose(surj))
+            self._syzygies.append(nxt)
+            self._syz_incl.append(ModuleMap(nxt, P.module, incl_blocks, check=False))
             self.max_degree = d
 
     @property

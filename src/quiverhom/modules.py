@@ -30,6 +30,7 @@ class QuiverModule:
         self.name = name
         self._path_cache: dict[PathWord, np.ndarray] = {}
         self._resolution_cache = None  # grown in place by homology.minimal_resolution
+        self._content_key = None  # set by content_key()
         if check:
             self._validate()
 
@@ -90,6 +91,12 @@ class QuiverModule:
 
     def describe(self) -> str:
         return self.name or f"module(dims={list(self.dims)})"
+
+    def content_key(self) -> tuple:
+        """The exact content (dims and arrow matrix bytes), the key of the algebra's memos."""
+        if self._content_key is None:
+            self._content_key = (self.dims, tuple(a.tobytes() for a in self.arrow_maps))
+        return self._content_key
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -599,8 +606,17 @@ def serial_summands(m: QuiverModule) -> list[SerialSummand]:
 
 
 def decompose_serial(m: QuiverModule) -> list[tuple[int, int]]:
-    """The multiset of (top vertex, length) of the uniserial summands, sorted."""
-    return sorted((s.top, s.length) for s in serial_summands(m))
+    """The multiset of (top vertex, length) of the uniserial summands, sorted.
+
+    Memoized on the algebra by the module's exact content; each call
+    returns a new list.
+    """
+    memo = m.algebra._serial_types
+    key = m.content_key()
+    types = memo.get(key)
+    if types is None:
+        types = memo[key] = tuple(sorted((s.top, s.length) for s in serial_summands(m)))
+    return list(types)
 
 
 def find_isomorphism(m: QuiverModule, n: QuiverModule) -> ModuleMap | None:

@@ -53,9 +53,8 @@ def parse_module_spec(algebra: BoundQuiverAlgebra, text: str) -> QuiverModule:
                 raise SpecifierError(text, "syzygy needs a count and an inner specifier")
             k = _int_field(text, k_str, "syzygy count")
             base = parse_module_spec(algebra, inner)
-            mod = minimal_resolution(base, k).syzygy(k)
-            mod.name = text
-            return mod
+            syz = minimal_resolution(base, k).syzygy(k)
+            return QuiverModule(algebra, syz.dims, syz.arrow_maps, name=text, check=False)
     except SpecifierError:
         raise
     except ValueError as e:

@@ -152,6 +152,67 @@ def test_nonprime_field_rejected(capsys):
     assert "prime" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", "--algebra", ALG32, "--module", "simple:1"],
+        ["sweep", "--sweep-t", "2", "2", "--sweep-n", "1", "1"],
+    ],
+    ids=["resolve", "sweep"],
+)
+def test_prime_field_above_exact_bound_rejected(capsys, argv):
+    # 1048583 is the first prime above GF.MAX_CHARACTERISTIC = 2**20.
+    code, out, err = run(argv + ["--field-p", "1048583"], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "field_p must be at most 1048576" in err
+
+
+ALG43 = '{"kind":"circular_nakayama","t":4,"n":3}'
+
+
+# Outputs recorded before syzygy specifiers returned named copies.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            [
+                "gaps", "--algebra", ALG32,
+                "--pair", "syzygy:1:simple:2", "syzygy:3:simple:1",
+                "--max-degree", "12",
+            ],
+            '{\n  "gap_length": 2,\n  "gap_start": 1,\n  "max_degree": 12,\n  "pair": [\n'
+            '    "syzygy:1:simple:2",\n    "syzygy:3:simple:1"\n  ],\n  "seed": 1729,\n'
+            '  "verdict": "gap-implies-all-zero-verified"\n}\n',
+        ),
+        (
+            [
+                "symmetry", "--algebra", ALG32,
+                "--pair", "syzygy:2:uniserial:1:2", "syzygy:1:simple:2",
+                "--max-degree", "12",
+            ],
+            '{\n  "max_degree": 12,\n  "pair": [\n    "syzygy:2:uniserial:1:2",\n    "syzygy:1:simple:2"\n'
+            '  ],\n  "seed": 1729,\n  "tail": 6,\n  "vanishing_direction": "m-to-n",\n'
+            '  "verdict": "asymmetric",\n  "witness_degrees": {\n    "m_to_n": [],\n'
+            '    "n_to_m": [\n      7,\n      9,\n      11\n    ]\n  }\n}\n',
+        ),
+        (
+            [
+                "ext", "--algebra", ALG43,
+                "--pair", "syzygy:1:simple:1", "syzygy:3:uniserial:2:2",
+                "--max-degree", "8",
+            ],
+            "degree,dim\n1,1\n2,0\n3,1\n4,0\n5,1\n6,0\n7,1\n8,0\n",
+        ),
+    ],
+    ids=["gaps", "symmetry", "ext"],
+)
+def test_syzygy_specifier_outputs_unchanged(capsys, argv, expected):
+    code, out, _ = run(argv, capsys)
+    assert code == EXIT_OK
+    assert out == expected
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(

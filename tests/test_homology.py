@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import quiverhom.homology as homology
 from quiverhom.algebra import nakayama_algebra
 from quiverhom.homology import (
     Resolution,
@@ -22,7 +23,10 @@ from quiverhom.modules import (
     direct_sum,
     hom_basis,
     is_isomorphic,
+    kernel,
     projective,
+    projective_cover,
+    serial_summands,
     simple,
     uniserial,
 )
@@ -218,7 +222,7 @@ def test_extended_resolution_equals_fresh_build(t, n, make):
     m = make(alg)
     grown = Resolution(m, 3)
     grown.extend(9)
-    fresh = Resolution(m, 9)
+    fresh = Resolution(make(nakayama_algebra(t, n)), 9)  # its own algebra, so its own memos
     assert grown.max_degree == fresh.max_degree == 9
     for d in range(10):
         assert grown.betti(d) == fresh.betti(d)
@@ -230,6 +234,57 @@ def test_extended_resolution_equals_fresh_build(t, n, make):
             for v in range(1, t + 1):
                 assert np.array_equal(grown.diff(d).block(v), fresh.diff(d).block(v))
     assert grown.is_minimal()
+
+
+def _unmemoized_chain(m, degree):
+    """Terms, syzygies and differentials from covers and kernels iterated by hand."""
+    terms, syzygies, diffs, incl = [], [m], [None], None
+    for d in range(degree + 1):
+        cover = projective_cover(syzygies[d])
+        terms.append(cover.P)
+        if d >= 1:
+            diffs.append(incl.compose(cover.surjection))
+        ker, incl = kernel(cover.surjection)
+        syzygies.append(ker)
+    return terms, syzygies, diffs
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_memoized_resolutions_match_unmemoized_chains(t, monkeypatch):
+    top = 2 * t + 2
+    for n in range(1, 6):
+        alg, isolated = nakayama_algebra(t, n), nakayama_algebra(t, n)
+        types = [(i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+        warm = [minimal_resolution(uniserial(alg, *ty), top) for ty in types]
+        steps = dict(alg._resolution_steps)
+        assert steps and nakayama_algebra(t, n)._resolution_steps == {}
+
+        def no_cover(m):
+            raise AssertionError("a warm memo recomputed a resolution step")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(homology, "projective_cover", no_cover)
+            again = [Resolution(uniserial(alg, *ty), top) for ty in types]
+        assert alg._resolution_steps == steps
+        for (i, length), res in zip(types, again):
+            terms, syzygies, diffs = _unmemoized_chain(uniserial(isolated, i, length), top)
+            for d in range(top + 1):
+                assert res.term(d).summands == terms[d].summands  # hence equal Betti numbers
+                a, b = res.syzygy(d + 1), syzygies[d + 1]
+                assert a.dims == b.dims
+                assert all(np.array_equal(x, y) for x, y in zip(a.arrow_maps, b.arrow_maps, strict=True))
+                assert a.name == f"syzygy:{d + 1}:uniserial:{i}:{length}"
+                if d >= 1:
+                    for v in range(1, t + 1):
+                        assert np.array_equal(res.diff(d).block(v), diffs[d].block(v))
+            got = decompose_serial(res.syzygy(2))
+            want = sorted((s.top, s.length) for s in serial_summands(syzygies[2]))
+            assert got == want
+            got.append((0, 0))
+            assert decompose_serial(res.syzygy(2)) == want
+        syzygy_ids = [id(r.syzygy(d)) for r in warm + again for d in range(top + 2)]
+        assert len(set(syzygy_ids)) == len(syzygy_ids)
+        assert isolated._resolution_steps == {} and isolated._serial_types == {}
 
 
 def test_minimal_resolution_grows_the_cached_object(a32):

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
+import quiverhom.specifiers as specifiers
 from quiverhom.algebra import nakayama_algebra
+from quiverhom.homology import minimal_resolution
 from quiverhom.modules import decompose_serial
 from quiverhom.specifiers import SpecifierError, parse_module_spec
 
@@ -30,6 +33,21 @@ def test_parse_syzygy_recursive(a32):
     m2 = parse_module_spec(a32, "syzygy:2:simple:1")
     assert decompose_serial(m2) == [(1, 1)]
     assert m2.name == "syzygy:2:simple:1"
+
+
+def test_syzygy_spec_returns_a_copy_and_renames_nothing(a32, monkeypatch):
+    seen = []
+
+    def capture(module, k):
+        seen.append(minimal_resolution(module, k))
+        return seen[-1]
+
+    monkeypatch.setattr(specifiers, "minimal_resolution", capture)
+    m = parse_module_spec(a32, "syzygy:2:uniserial:1:2")
+    inner = seen[0].syzygy(2)
+    assert m is not inner and m.name == "syzygy:2:uniserial:1:2"
+    assert m.dims == inner.dims
+    assert all(np.array_equal(x, y) for x, y in zip(m.arrow_maps, inner.arrow_maps, strict=True))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import pytest
 
 import quiverhom.homology as homology
+import quiverhom.modules as modules
 import quiverhom.vanishing as vanishing
 from quiverhom.algebra import nakayama_algebra
 from quiverhom.homology import ExtTable, ext_table
@@ -169,22 +170,32 @@ def test_run_sweep_small_grid():
 
 
 def test_nakayama_report_computes_each_pair_once(monkeypatch):
-    calls = {"builds": 0, "ext_dims": 0}
-    init, ext_dims = homology.Resolution.__init__, homology.ext_dims
+    calls = dict.fromkeys(("builds", "ext_dims", "projective_cover", "serial_summands"), 0)
+    init = homology.Resolution.__init__
 
     def counting_init(self, *args):
         calls["builds"] += 1
         init(self, *args)
 
-    def counting_ext_dims(*args):
-        calls["ext_dims"] += 1
-        return ext_dims(*args)
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
 
     monkeypatch.setattr(homology.Resolution, "__init__", counting_init)
-    monkeypatch.setattr(homology, "ext_dims", counting_ext_dims)
-    rep = nakayama_report(4, 3, 12)
-    assert rep["witness"]["verdict"] == "confirmed"
-    assert calls == {"builds": 4, "ext_dims": 16}
+    monkeypatch.setattr(homology, "ext_dims", counting("ext_dims", homology.ext_dims))
+    monkeypatch.setattr(homology, "projective_cover", counting("projective_cover", homology.projective_cover))
+    monkeypatch.setattr(modules, "serial_summands", counting("serial_summands", modules.serial_summands))
+    # Omega^2 S_i = S_i over (4, 3): the 4 simples and their 4 first syzygies are
+    # the only modules resolved, and every even syzygy is one of the 4 simples.
+    want = {"builds": 4, "ext_dims": 16, "projective_cover": 8, "serial_summands": 4}
+    for _ in range(2):  # each report builds its own algebra, whose memos start empty
+        calls.update(dict.fromkeys(calls, 0))
+        rep = nakayama_report(4, 3, 12)
+        assert rep["witness"]["verdict"] == "confirmed"
+        assert calls == want
 
 
 def test_run_sweep_passes_tail_to_every_cell_serial_and_pooled():
