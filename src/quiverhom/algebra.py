@@ -113,11 +113,13 @@ class BoundQuiverAlgebra:
         self.t: int | None = None
         self.n: int | None = None
         self.r: int | None = None
+        # Memos, filled on first use; those keyed by a module's exact content
+        # (QuiverModule.content_key) hold only results already checked.
         self._path_by_start_length: dict[tuple[int, int], PathWord] = {}
-        # Memos keyed by a module's exact content (QuiverModule.content_key); they
-        # live as long as the algebra and hold only results already checked.
+        self._relation_generators: tuple[PathWord, ...] | None = None
         self._resolution_steps: dict[tuple, tuple] = {}  # see homology.Resolution.extend
-        self._serial_types: dict[tuple, tuple[tuple[int, int], ...]] = {}  # see modules.decompose_serial
+        self._serial_summands: dict[tuple, tuple] = {}  # see modules._serial_memo
+        self._hom_complex_ranks: dict[tuple, int] = {}  # (syzygy key, target key); see homology.ext_dims
 
     def _enumerate_basis(self):
         frontier = [self.quiver.trivial_path(v) for v in range(1, self.quiver.vertex_count + 1)]
@@ -137,16 +139,14 @@ class BoundQuiverAlgebra:
     def paths_from(self, v: int) -> list[PathWord]:
         return [p for p in self.path_basis if p.start == v]
 
-    def relation_generators(self) -> list[PathWord]:
-        """Every composable word of length = nilpotency."""
-        frontier = [self.quiver.trivial_path(v) for v in range(1, self.quiver.vertex_count + 1)]
-        for _ in range(self.nilpotency):
-            frontier = [
-                self.quiver.extend(p, a)
-                for p in frontier
-                for a in self.quiver.arrows_from[p.end]
-            ]
-        return frontier
+    def relation_generators(self) -> tuple[PathWord, ...]:
+        """Every composable word of length = nilpotency (computed on first use)."""
+        if self._relation_generators is None:
+            frontier = [self.quiver.trivial_path(v) for v in range(1, self.quiver.vertex_count + 1)]
+            for _ in range(self.nilpotency):
+                frontier = [self.quiver.extend(p, a) for p in frontier for a in self.quiver.arrows_from[p.end]]
+            self._relation_generators = tuple(frontier)
+        return self._relation_generators
 
     def multiply(self, p: PathWord, q: PathWord) -> PathWord | ZeroProduct:
         """Product of two basis paths: a basis path, or a zero indicator."""

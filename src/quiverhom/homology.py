@@ -8,7 +8,9 @@ cross-asserted on every simple-target computation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,13 +28,26 @@ from .modules import (
 )
 
 
+class _Step(NamedTuple):
+    """The checked cover and kernel of one syzygy, shared by every resolution over the algebra."""
+
+    term: LabeledProjective
+    surj_blocks: tuple  # term.module ->> this syzygy
+    ker_dims: tuple
+    ker_maps: tuple
+    incl_blocks: tuple  # next syzygy -> term.module
+    next_key: tuple  # content key of the next syzygy
+
+
 class Resolution:
     """A minimal projective resolution of a module up to a degree bound.
 
-    For each degree d it stores the labeled projective term, the cover
-    surjection onto the d-th syzygy, the inclusion of the next syzygy,
-    and the differential term(d) -> term(d-1).  Syzygy degree 0 is the
-    module itself.  `extend` grows the degree bound in place.
+    Degree d refers to the algebra's memo step of the d-th syzygy (degree
+    0 is the module itself): its labeled projective term, the cover
+    surjection onto the syzygy, the inclusion of the next syzygy, and
+    the differential term(d) -> term(d-1).  Syzygy and map objects are
+    built on first access and kept, named for this resolution's module.
+    `extend` grows the degree bound in place.
     """
 
     def __init__(self, module: QuiverModule, max_degree: int):
@@ -41,88 +56,89 @@ class Resolution:
         self.module = module
         self.algebra = module.algebra
         self.max_degree = -1
-        self.terms: list[LabeledProjective] = []
-        self.covers: list[ModuleMap] = []  # term(d).module ->> syzygy(d)
-        self.diffs: list[ModuleMap | None] = [None]  # diffs[d]: term(d) -> term(d-1), d >= 1
-        self._syzygies: list[QuiverModule] = [module]
-        self._syz_incl: list[ModuleMap | None] = [None]  # syzygy(d) -> term(d-1).module, d >= 1
+        self._steps: list[_Step] = []
+        self._keys: list[tuple] = [module.content_key()]  # _keys[d]: content key of syzygy(d)
+        self._objects: dict[tuple[str, int], object] = {}
         self.extend(max_degree)
 
     def extend(self, max_degree: int) -> None:
         """Grow the resolution in place through the given degree; a lower bound is a no-op.
 
-        The cover and kernel of a syzygy are computed and checked once per
-        algebra and module content (``QuiverModule.content_key``); every
-        resolution gets its own syzygy and map objects built from them.
+        A syzygy's cover and kernel are computed and checked once per algebra and content.
         """
         steps = self.algebra._resolution_steps
         for d in range(self.max_degree + 1, max_degree + 1):
-            syz = self._syzygies[d]
-            key = syz.content_key()
-            step = steps.get(key)
+            step = steps.get(self._keys[d])
             if step is None:
-                cover = projective_cover(syz)
+                cover = projective_cover(self.syzygy(d))
                 ker, incl = kernel(cover.surjection)
-                step = steps[key] = (
-                    cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, incl.blocks
+                step = steps[self._keys[d]] = _Step(
+                    cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, incl.blocks, ker.content_key()
                 )
-            P, surj_blocks, ker_dims, ker_maps, incl_blocks = step
-            surj = ModuleMap(P.module, syz, surj_blocks, check=False)
-            nxt = QuiverModule(
-                self.algebra, ker_dims, ker_maps, name=f"syzygy:{d + 1}:{self.module.describe()}", check=False
-            )
-            self.terms.append(P)
-            self.covers.append(surj)
-            if d >= 1:
-                self.diffs.append(self._syz_incl[d].compose(surj))
-            self._syzygies.append(nxt)
-            self._syz_incl.append(ModuleMap(nxt, P.module, incl_blocks, check=False))
+            self._steps.append(step)
+            self._keys.append(step.next_key)
             self.max_degree = d
+
+    def _built(self, kind: str, d: int, cls, *args):
+        """This resolution's object of the given kind in degree d: cls(*args, check=False), built once."""
+        obj = self._objects.get((kind, d))
+        if obj is None:
+            obj = self._objects[kind, d] = cls(*args, check=False)
+        return obj
 
     @property
     def augmentation(self) -> ModuleMap:
-        return self.covers[0]
+        return self.cover_surjection(0)
 
     def term(self, d: int) -> LabeledProjective:
-        return self.terms[d]
+        return self._steps[d].term
+
+    def syzygy_key(self, d: int) -> tuple:
+        """The content key of syzygy(d), read without building the syzygy."""
+        return self._keys[d]
 
     def diff(self, d: int) -> ModuleMap:
+        """term(d) ->> syzygy(d) -> term(d-1), composed from the two steps' blocks."""
         if d < 1:
             raise ValueError("differentials are indexed from degree 1")
-        return self.diffs[d]
+        lo, up, p = self._steps[d - 1], self._steps[d], self.algebra.field.p
+        blocks = ((a @ b) % p for a, b in zip(lo.incl_blocks, up.surj_blocks))
+        return self._built("diff", d, ModuleMap, up.term.module, lo.term.module, blocks)
 
     def syzygy(self, d: int) -> QuiverModule:
-        return self._syzygies[d]
+        if d == 0:
+            return self.module
+        s, name = self._steps[d - 1], f"syzygy:{d}:{self.module.describe()}"
+        return self._built("syzygy", d, QuiverModule, self.algebra, s.ker_dims, s.ker_maps, name)
 
     def syzygy_inclusion(self, d: int) -> ModuleMap:
         if d < 1:
             raise ValueError("syzygy inclusions are indexed from degree 1")
-        return self._syz_incl[d]
+        s = self._steps[d - 1]
+        return self._built("incl", d, ModuleMap, self.syzygy(d), s.term.module, s.incl_blocks)
 
     def cover_surjection(self, d: int) -> ModuleMap:
-        return self.covers[d]
+        s = self._steps[d]
+        return self._built("cover", d, ModuleMap, s.term.module, self.syzygy(d), s.surj_blocks)
 
     def betti(self, d: int) -> list[tuple[int, int]]:
         """Sorted (projective index, multiplicity) pairs in degree d."""
-        counts: dict[int, int] = {}
-        for j in self.terms[d].summands:
-            counts[j] = counts.get(j, 0) + 1
-        return sorted(counts.items())
+        return sorted(Counter(self.term(d).summands).items())
 
     def betti_multiplicity(self, d: int, j: int) -> int:
-        return sum(1 for s in self.terms[d].summands if s == j)
+        return self.term(d).summands.count(j)
 
     def term_dim(self, d: int) -> int:
-        return self.terms[d].total_dim
+        return self.term(d).total_dim
 
     def is_minimal(self) -> bool:
         """Every differential must land in the radical, i.e. induce zero on tops."""
         f = self.algebra.field
         for d in range(1, self.max_degree + 1):
-            target = self.terms[d - 1].module
+            target = self.term(d - 1).module
             for v in range(1, self.algebra.quiver.vertex_count + 1):
                 rad = radical_matrix(target, v)
-                blk = self.diffs[d].block(v)
+                blk = self.diff(d).block(v)
                 if blk.shape[1] == 0:
                     continue
                 if f.rank(np.hstack([rad, blk])) != f.rank(rad):
@@ -198,9 +214,15 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
     if max_degree < 1:
         raise ValueError("Ext degrees start at 1; use hom_basis for degree 0")
     res = minimal_resolution(m, max_degree + 1)
-    f = m.field
     hom_dims = [res.term(d).hom_dim(n) for d in range(max_degree + 2)]
-    ranks = [f.rank(_hom_complex_matrix(res, n, d)) for d in range(max_degree + 1)]
+    # Memoized per algebra: the degree-d matrix is fixed by N and by syzygy(d)'s memo step and its successor.
+    memo, target_key = m.algebra._hom_complex_ranks, n.content_key()
+    ranks = []
+    for d in range(max_degree + 1):
+        key = (res.syzygy_key(d), target_key)
+        if key not in memo:
+            memo[key] = m.field.rank(_hom_complex_matrix(res, n, d))
+        ranks.append(memo[key])
     out = []
     for i in range(1, max_degree + 1):
         out.append(hom_dims[i] - ranks[i] - ranks[i - 1])

@@ -605,18 +605,27 @@ def serial_summands(m: QuiverModule) -> list[SerialSummand]:
     return summands
 
 
+def _serial_memo(m: QuiverModule) -> tuple[tuple[int, int, tuple[np.ndarray, ...]], ...]:
+    """serial_summands(m), checked once per algebra and module content, as sorted read-only triples."""
+    memo = m.algebra._serial_summands
+    key = m.content_key()
+    hit = memo.get(key)
+    if hit is None:
+        found = sorted(serial_summands(m), key=lambda s: (s.top, s.length))
+        for s in found:
+            for vec in s.chain:
+                vec.flags.writeable = False
+        hit = memo[key] = tuple((s.top, s.length, tuple(s.chain)) for s in found)
+    return hit
+
+
 def decompose_serial(m: QuiverModule) -> list[tuple[int, int]]:
     """The multiset of (top vertex, length) of the uniserial summands, sorted.
 
     Memoized on the algebra by the module's exact content; each call
     returns a new list.
     """
-    memo = m.algebra._serial_types
-    key = m.content_key()
-    types = memo.get(key)
-    if types is None:
-        types = memo[key] = tuple(sorted((s.top, s.length) for s in serial_summands(m)))
-    return list(types)
+    return [(top, length) for top, length, _ in _serial_memo(m)]
 
 
 def find_isomorphism(m: QuiverModule, n: QuiverModule) -> ModuleMap | None:
@@ -628,21 +637,17 @@ def find_isomorphism(m: QuiverModule, n: QuiverModule) -> ModuleMap | None:
         return None
     alg = m.algebra
     field = m.field
-    sm = serial_summands(m)
-    sn = serial_summands(n)
-    key = lambda s: (s.top, s.length)
-    sm.sort(key=key)
-    sn.sort(key=key)
-    if [key(s) for s in sm] != [key(s) for s in sn]:
+    sm, sn = _serial_memo(m), _serial_memo(n)
+    if [s[:2] for s in sm] != [s[:2] for s in sn]:
         return None
     t = alg.t
     xcols: dict[int, list[np.ndarray]] = {v: [] for v in range(1, t + 1)}
     ycols: dict[int, list[np.ndarray]] = {v: [] for v in range(1, t + 1)}
-    for a, b in zip(sm, sn):
-        for d in range(a.length):
-            v = alg.wrap(a.top + d)
-            xcols[v].append(a.chain[d])
-            ycols[v].append(b.chain[d])
+    for (top, length, xchain), (_, _, ychain) in zip(sm, sn):
+        for d in range(length):
+            v = alg.wrap(top + d)
+            xcols[v].append(xchain[d])
+            ycols[v].append(ychain[d])
     blocks = []
     for v in range(1, t + 1):
         dim = m.dims[v - 1]

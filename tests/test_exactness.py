@@ -68,3 +68,58 @@ def test_library_keeps_no_process_wide_cache():
         assert not imported & {"cache", "lru_cache"}, f"{path.name} imports {imported}"
         memos = _module_level_memos(tree)
         assert not memos, f"{path.name} has module-level memos {memos}"
+
+
+def _declared_in_init(tree: ast.Module, cls: str) -> set[str]:
+    body = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls).body
+    init = next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    return {
+        t.attr
+        for node in ast.walk(init)
+        for t in (node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)])
+        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self"
+    }
+
+
+def _algebra_state(alg) -> dict:
+    return {k: (id(v), len(v) if hasattr(v, "__len__") else None) for k, v in vars(alg).items()}
+
+
+def test_algebra_memos_are_declared_in_init_and_start_empty():
+    from quiverhom.algebra import nakayama_algebra
+    from quiverhom.homology import detect_period, ext_dims, stable_hom_dim
+    from quiverhom.koszul import build_periodicity_tower
+    from quiverhom.modules import uniserial
+
+    algebra_py = Path(quiverhom.__file__).parent / "algebra.py"
+    declared = _declared_in_init(ast.parse(algebra_py.read_text(encoding="utf-8")), "BoundQuiverAlgebra")
+    fresh = vars(nakayama_algebra(3, 2))
+    memos = {k for k, v in fresh.items() if k.startswith("_") and not v}
+    alg = nakayama_algebra(3, 2)
+    before = _algebra_state(alg)
+    mods = [uniserial(alg, i, length) for i in range(1, 4) for length in range(1, 4)]
+    for m in mods:
+        build_periodicity_tower(m, 6)
+        for n in mods:
+            ext_dims(m, n, 4)
+            stable_hom_dim(m, n)
+    detect_period(mods[0], 6)
+    after = _algebra_state(alg)
+    # Every attribute, memos included, is declared in __init__; the work grows
+    # exactly the attributes that a fresh algebra holds empty.
+    assert set(fresh) == set(after) == declared
+    assert {k for k in after if after[k] != before[k]} == memos
+    assert {"_resolution_steps", "_serial_summands", "_hom_complex_ranks", "_relation_generators"} <= memos
+
+
+NAMED_ACCESS = {"getattr", "setattr", "hasattr", "delattr"}
+
+
+def test_no_memo_is_reached_by_attribute_name():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) in NAMED_ACCESS):
+                continue
+            obj, name = node.args[0], node.args[1]
+            assert not (isinstance(name, ast.Constant) and str(name.value).startswith("_")), ast.unparse(node)
+            assert "alg" not in ast.unparse(obj), f"{path.name}: {ast.unparse(node)}"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import quiverhom.homology as homology
+import quiverhom.modules as modules
 from quiverhom.algebra import nakayama_algebra
 from quiverhom.homology import (
     Resolution,
@@ -19,6 +20,7 @@ from quiverhom.koszul import build_periodicity_tower
 from quiverhom.linalg import GF
 from quiverhom.modules import (
     ModuleMap,
+    QuiverModule,
     decompose_serial,
     direct_sum,
     hom_basis,
@@ -284,7 +286,7 @@ def test_memoized_resolutions_match_unmemoized_chains(t, monkeypatch):
             assert decompose_serial(res.syzygy(2)) == want
         syzygy_ids = [id(r.syzygy(d)) for r in warm + again for d in range(top + 2)]
         assert len(set(syzygy_ids)) == len(syzygy_ids)
-        assert isolated._resolution_steps == {} and isolated._serial_types == {}
+        assert isolated._resolution_steps == {} and isolated._serial_summands == {}
 
 
 def test_minimal_resolution_grows_the_cached_object(a32):
@@ -295,8 +297,117 @@ def test_minimal_resolution_grows_the_cached_object(a32):
     assert minimal_resolution(m, 5) is res and res.max_degree == 9
 
 
-def test_ext_dims_raises_when_betti_route_disagrees(a32, monkeypatch):
+def _no_matrix(*args):
+    raise AssertionError("a warm memo rebuilt a Hom-complex matrix")
+
+
+def test_ext_dims_raises_when_betti_route_disagrees(monkeypatch):
+    alg = nakayama_algebra(3, 2)
     honest = Resolution.betti_multiplicity
     monkeypatch.setattr(Resolution, "betti_multiplicity", lambda self, d, j: honest(self, d, j) + (d == 3))
-    with pytest.raises(AssertionError, match="Ext oracle mismatch at degree 3"):
-        ext_dims(simple(a32, 1), simple(a32, 2), 4)
+    for warm in (False, True):
+        assert bool(alg._hom_complex_ranks) is warm
+        with pytest.raises(AssertionError, match="Ext oracle mismatch at degree 3"):
+            ext_dims(simple(alg, 1), simple(alg, 2), 4)
+        monkeypatch.setattr(homology, "_hom_complex_matrix", _no_matrix)
+
+
+def _closed_form_ext(t, n, source, target, degree):
+    """Ext^k(M, N) = stHom(Omega^k M, N) over uniserials M(i, a), N(j, b), from ROADMAP item 3.
+
+    Omega M(i, a) = M(i + a, n + 1 - a), and dim stHom(M(i, a), M(j, b)) counts the
+    c with max(1, a + b - n) <= c <= min(a, b) and c = j + b - i (mod t).  A
+    projective (length n + 1) gives empty ranges, so it reads as Ext = 0.
+    """
+    (i, a), (j, b) = source, target
+    out = []
+    for _ in range(degree):
+        i, a = (i + a - 1) % t + 1, n + 1 - a
+        out.append(sum(1 for c in range(max(1, a + b - n), min(a, b) + 1) if (c - (j + b - i)) % t == 0))
+    return out
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_hom_complex_rank_memo_matches_direct_ranks_and_closed_form(t, monkeypatch):
+    top = 2 * t + 2
+    for n in range(1, 6):
+        alg, untouched = nakayama_algebra(t, n), nakayama_algebra(t, n)
+        types = [(i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+
+        def tables():
+            mods = {ty: uniserial(alg, *ty) for ty in types}  # new objects, so new resolutions
+            return {(x, y): ext_dims(mods[x], mods[y], top) for x in types for y in types}
+
+        warm = tables()
+        ranks = dict(alg._hom_complex_ranks)
+        assert ranks and untouched._hom_complex_ranks == {}
+        f = untouched.field
+        for x in types:
+            res = Resolution(uniserial(untouched, *x), top + 1)
+            for y in types:
+                target = uniserial(untouched, *y)
+                direct = [f.rank(homology._hom_complex_matrix(res, target, d)) for d in range(top + 1)]
+                dims = [res.term(i).hom_dim(target) - direct[i] - direct[i - 1] for i in range(1, top + 1)]
+                assert warm[x, y] == dims == _closed_form_ext(t, n, x, y, top), (t, n, x, y)
+        with monkeypatch.context() as mp:
+            mp.setattr(homology, "_hom_complex_matrix", _no_matrix)
+            assert tables() == warm
+        assert alg._hom_complex_ranks == ranks
+        assert untouched._hom_complex_ranks == {} and nakayama_algebra(t, n)._hom_complex_ranks == {}
+
+
+@pytest.mark.parametrize("t, n", [(3, 2), (4, 3)])
+def test_resolution_objects_are_built_lazily_and_kept(t, n, monkeypatch):
+    alg = nakayama_algebra(t, n)
+    minimal_resolution(uniserial(alg, 2, 2), 40)  # warms the step memo
+    m = uniserial(alg, 2, 2)
+    built = []
+    for cls in (ModuleMap, QuiverModule):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    res = Resolution(m, 40)
+    assert built == []
+    monkeypatch.undo()
+    assert res.augmentation is res.cover_surjection(0) and res.syzygy(0) is m
+    for d in range(41):
+        syz, cover = res.syzygy(d), res.cover_surjection(d)
+        assert res.syzygy(d) is syz and res.cover_surjection(d) is cover
+        assert cover.target is syz and cover.source is res.term(d).module
+        syz._validate()
+        cover._validate()
+        assert cover.is_surjective()
+        if d == 0:
+            continue
+        assert syz.name == f"syzygy:{d}:uniserial:2:2"
+        incl, diff = res.syzygy_inclusion(d), res.diff(d)
+        assert res.syzygy_inclusion(d) is incl and res.diff(d) is diff
+        assert incl.source is syz and incl.target is res.term(d - 1).module
+        incl._validate()
+        diff._validate()
+        assert incl.is_injective()
+        want = incl.compose(cover)
+        assert all(np.array_equal(a, b) for a, b in zip(diff.blocks, want.blocks, strict=True))
+
+
+def test_detect_period_reads_chains_from_the_serial_memo(monkeypatch):
+    alg = nakayama_algebra(3, 2)
+    types = [(i, length) for i in range(1, 4) for length in range(1, 3)]
+    cold = [detect_period(uniserial(alg, *ty), 6) for ty in types]
+    for chains in alg._serial_summands.values():
+        assert all(not vec.flags.writeable for _, _, chain in chains for vec in chain)
+
+    def no_chains(m):
+        raise AssertionError("a warm memo recomputed serial chains")
+
+    monkeypatch.setattr(modules, "serial_summands", no_chains)
+    for ty, w in zip(types, cold):
+        again = detect_period(uniserial(alg, *ty), 6)
+        assert again.period == w.period
+        again.iso._validate()
+        assert again.iso.is_invertible() and again.iso.source is again.resolution.syzygy(again.period)
+        assert all(np.array_equal(a, b) for a, b in zip(again.iso.blocks, w.iso.blocks, strict=True))

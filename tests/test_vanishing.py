@@ -170,7 +170,7 @@ def test_run_sweep_small_grid():
 
 
 def test_nakayama_report_computes_each_pair_once(monkeypatch):
-    calls = dict.fromkeys(("builds", "ext_dims", "projective_cover", "serial_summands"), 0)
+    calls = dict.fromkeys(("builds", "ext_dims", "projective_cover", "serial_summands", "hom_complex"), 0)
     init = homology.Resolution.__init__
 
     def counting_init(self, *args):
@@ -188,9 +188,11 @@ def test_nakayama_report_computes_each_pair_once(monkeypatch):
     monkeypatch.setattr(homology, "ext_dims", counting("ext_dims", homology.ext_dims))
     monkeypatch.setattr(homology, "projective_cover", counting("projective_cover", homology.projective_cover))
     monkeypatch.setattr(modules, "serial_summands", counting("serial_summands", modules.serial_summands))
+    monkeypatch.setattr(homology, "_hom_complex_matrix", counting("hom_complex", homology._hom_complex_matrix))
     # Omega^2 S_i = S_i over (4, 3): the 4 simples and their 4 first syzygies are
     # the only modules resolved, and every even syzygy is one of the 4 simples.
-    want = {"builds": 4, "ext_dims": 16, "projective_cover": 8, "serial_summands": 4}
+    # So the 16 tables of 13 Hom-complex ranks need 8 sources x 4 targets = 32 matrices.
+    want = {"builds": 4, "ext_dims": 16, "projective_cover": 8, "serial_summands": 4, "hom_complex": 32}
     for _ in range(2):  # each report builds its own algebra, whose memos start empty
         calls.update(dict.fromkeys(calls, 0))
         rep = nakayama_report(4, 3, 12)
