@@ -115,7 +115,6 @@ class BoundQuiverAlgebra:
         self.r: int | None = None
         # Memos, filled on first use; those keyed by a module's exact content
         # (QuiverModule.content_key) hold only results already checked.
-        self._path_by_start_length: dict[tuple[int, int], PathWord] = {}
         self._relation_generators: tuple[PathWord, ...] | None = None
         self._resolution_steps: dict[tuple, tuple] = {}  # see homology.Resolution.extend
         self._serial_summands: dict[tuple, tuple] = {}  # see modules._serial_memo
@@ -162,17 +161,16 @@ class BoundQuiverAlgebra:
         return word
 
     def unique_path(self, v: int, length: int) -> PathWord:
-        """The single basis path of the given length starting at v (Nakayama only)."""
+        """The single basis path of the given length starting at v (Nakayama only).
+
+        The circular quiver has one path per start and length, and the basis
+        is sorted by (length, start), so that path sits at index length*t + v-1.
+        """
         if not self.is_selfinjective_nakayama:
             raise ValueError("unique_path is only defined for circular Nakayama algebras")
-        key = (v, length)
-        hit = self._path_by_start_length.get(key)
-        if hit is None:
-            matches = [p for p in self.path_basis if p.start == v and p.length == length]
-            if len(matches) != 1:
-                raise ValueError(f"expected one path of length {length} from {v}, found {len(matches)}")
-            hit = self._path_by_start_length[key] = matches[0]
-        return hit
+        if not (1 <= v <= self.t and 0 <= length < self.nilpotency):
+            raise ValueError(f"no basis path of length {length} from vertex {v}")
+        return self.path_basis[length * self.t + v - 1]
 
     def wrap(self, v: int) -> int:
         """Reduce a vertex label modulo t into [1, t]."""

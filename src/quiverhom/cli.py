@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .algebra import nakayama_algebra
@@ -32,19 +32,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VIOLATION = 3
 MAX_WORKERS = 64  # --workers ceiling; a sweep also clamps to its cell and CPU counts
-
-_CONFIG_KEYS = {
-    "field_p",
-    "algebra",
-    "max_degree",
-    "module",
-    "pair",
-    "out",
-    "workers",
-    "tail",
-    "sweep",
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -111,7 +98,7 @@ class RunConfig:
         if self.tail is not None and not (1 <= self.tail <= self.max_degree):
             raise ConfigError(f"tail {self.tail} outside [1,{self.max_degree}]")
         if self.sweep is not None:
-            for key in ("t", "n"):
+            for key, least in (("t", 2), ("n", 1)):
                 rng = self.sweep.get(key)
                 if (
                     not isinstance(rng, (list, tuple))
@@ -120,6 +107,8 @@ class RunConfig:
                     or rng[0] > rng[1]
                 ):
                     raise ConfigError(f"sweep.{key} must be an increasing [lo, hi] pair of integers")
+                if rng[0] < least:
+                    raise ConfigError(f"sweep.{key} must start at >= {least}, got {rng[0]}")
             if set(self.sweep) - {"t", "n"}:
                 raise ConfigError("sweep accepts only 't' and 'n' ranges")
 
@@ -142,6 +131,9 @@ class RunConfig:
         if self.algebra is None:
             raise ConfigError("an algebra spec is required (--algebra or config)")
         return nakayama_algebra(self.algebra["t"], self.algebra["n"], GF(self.field_p))
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 
 
 def _is_int(value) -> bool:
@@ -279,11 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON config document; flags override its values")
-        p.add_argument("--algebra", help='algebra spec JSON or @file, e.g. \'{"kind":"circular_nakayama","t":3,"n":2}\'')
+        if name != "sweep":
+            p.add_argument("--algebra", help='algebra spec JSON or @file, e.g. \'{"kind":"circular_nakayama","t":3,"n":2}\'')
         p.add_argument("--field-p", dest="field_p", type=int, help="prime field characteristic (default 101)")
         p.add_argument("--max-degree", dest="max_degree", type=int, help="degree bound B (default 40)")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--workers", type=int, help=f"parallel workers for sweep cells, at most {MAX_WORKERS}")
         if name == "resolve":
             p.add_argument("--module", help=f"module specifier; grammar: {GRAMMAR}")
         if name in ("ext", "gaps", "symmetry"):
@@ -294,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sweep-t", dest="sweep_t", nargs=2, type=int, metavar=("LO", "HI"))
             p.add_argument("--sweep-n", dest="sweep_n", nargs=2, type=int, metavar=("LO", "HI"))
             p.add_argument("--tail", type=int, help="tail window length per cell")
+            p.add_argument("--workers", type=int, help=f"parallel workers for sweep cells, at most {MAX_WORKERS}")
     return parser
 
 

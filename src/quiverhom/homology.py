@@ -21,7 +21,6 @@ from .modules import (
     UnsupportedOperation,
     find_isomorphism,
     hom_basis,
-    is_isomorphic,
     kernel,
     projective_cover,
     radical_matrix,
@@ -347,7 +346,7 @@ def detect_period(m: QuiverModule, window: int) -> PeriodicityWitness | None:
         s = res.syzygy(p)
         if s.is_zero:
             return None
-        if is_isomorphic(s, m):
-            iso = find_isomorphism(s, m)
+        iso = find_isomorphism(s, m)
+        if iso is not None:
             return PeriodicityWitness(module=m, period=p, iso=iso, resolution=res)
     return None

@@ -308,3 +308,42 @@ def test_sweep_tail_shorter_than_period_is_reported_over_symmetric_cell(capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["cells"][0]["asymmetric_pairs"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ext", "--algebra", ALG32, "--pair", "simple:1", "simple:2", "--workers", "4"],
+        ["sweep", "--algebra", ALG32, "--sweep-t", "2", "2", "--sweep-n", "1", "1"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_file_keys_stay_accepted_by_every_command(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"workers": 2, "algebra": json.loads(ALG32)}), encoding="utf-8")
+    code, out, _ = run(["resolve", "--config", str(cfg), "--module", "simple:1", "--max-degree", "2"], capsys)
+    assert code == EXIT_OK
+    assert out.startswith("degree,projective_index,multiplicity")
+    code, out, _ = run(["sweep", "--config", str(cfg), "--sweep-t", "2", "2", "--sweep-n", "1", "1"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["summary"]["cell_count"] == 1
+
+
+@pytest.mark.parametrize(
+    "ranges, key",
+    [
+        (["--sweep-t", "1", "1", "--sweep-n", "1", "1"], "t"),
+        (["--sweep-t", "2", "2", "--sweep-n", "0", "0"], "n"),
+    ],
+)
+def test_sweep_ranges_below_the_family_are_config_errors(capsys, ranges, key):
+    code, out, err = run(["sweep"] + ranges, capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert f"sweep.{key} must start at" in err

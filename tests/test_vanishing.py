@@ -4,9 +4,9 @@ import quiverhom.homology as homology
 import quiverhom.modules as modules
 import quiverhom.vanishing as vanishing
 from quiverhom.algebra import nakayama_algebra
-from quiverhom.homology import ExtTable, ext_table
+from quiverhom.homology import ExtTable, ext_table, minimal_resolution
 from quiverhom.koszul import build_periodicity_tower
-from quiverhom.modules import projective, simple, uniserial
+from quiverhom.modules import decompose_serial, projective, simple, uniserial
 from quiverhom.vanishing import (
     FalsificationError,
     auslander_scan,
@@ -170,12 +170,14 @@ def test_run_sweep_small_grid():
 
 
 def test_nakayama_report_computes_each_pair_once(monkeypatch):
-    calls = dict.fromkeys(("builds", "ext_dims", "projective_cover", "serial_summands", "hom_complex"), 0)
-    init = homology.Resolution.__init__
+    calls = dict.fromkeys(("builds", "modules", "ext_dims", "projective_cover", "serial_summands", "hom_complex"), 0)
 
-    def counting_init(self, *args):
-        calls["builds"] += 1
-        init(self, *args)
+    def counting_init(name, init):
+        def wrapped(self, *args, **kwargs):
+            calls[name] += 1
+            init(self, *args, **kwargs)
+
+        return wrapped
 
     def counting(name, fn):
         def wrapped(*args):
@@ -184,7 +186,8 @@ def test_nakayama_report_computes_each_pair_once(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(homology.Resolution, "__init__", counting_init)
+    monkeypatch.setattr(homology.Resolution, "__init__", counting_init("builds", homology.Resolution.__init__))
+    monkeypatch.setattr(modules.QuiverModule, "__init__", counting_init("modules", modules.QuiverModule.__init__))
     monkeypatch.setattr(homology, "ext_dims", counting("ext_dims", homology.ext_dims))
     monkeypatch.setattr(homology, "projective_cover", counting("projective_cover", homology.projective_cover))
     monkeypatch.setattr(modules, "serial_summands", counting("serial_summands", modules.serial_summands))
@@ -192,12 +195,49 @@ def test_nakayama_report_computes_each_pair_once(monkeypatch):
     # Omega^2 S_i = S_i over (4, 3): the 4 simples and their 4 first syzygies are
     # the only modules resolved, and every even syzygy is one of the 4 simples.
     # So the 16 tables of 13 Hom-complex ranks need 8 sources x 4 targets = 32 matrices.
-    want = {"builds": 4, "ext_dims": 16, "projective_cover": 8, "serial_summands": 4, "hom_complex": 32}
+    # The shift check reads content keys: it builds no syzygy and decomposes nothing.
+    want = {
+        "builds": 4,
+        "modules": 24,
+        "ext_dims": 16,
+        "projective_cover": 8,
+        "serial_summands": 0,
+        "hom_complex": 32,
+    }
     for _ in range(2):  # each report builds its own algebra, whose memos start empty
         calls.update(dict.fromkeys(calls, 0))
         rep = nakayama_report(4, 3, 12)
         assert rep["witness"]["verdict"] == "confirmed"
         assert calls == want
+
+
+def test_shift_check_by_content_key_agrees_with_serial_decomposition():
+    # The old route, kept here as the reference: build Omega^{2j} S_i and decompose it.
+    for t in range(2, 7):
+        for n in range(1, 9):
+            alg = nakayama_algebra(t, n)
+            simples = [simple(alg, i) for i in range(1, t + 1)]
+            for i in range(1, t + 1):
+                res = minimal_resolution(simples[i - 1], 12)
+                for j in range(1, 7):
+                    v = alg.wrap(i + j + j * alg.r)
+                    by_key = res.syzygy_key(2 * j) == simples[v - 1].content_key()
+                    by_type = decompose_serial(res.syzygy(2 * j)) == [(v, 1)]
+                    assert by_key == by_type, (t, n, i, j)
+                    assert by_key, (t, n, i, j)
+
+
+# B = 1 still checks degree 2, as the square shift always was.
+@pytest.mark.parametrize("max_degree, bad_degree", [(8, 2), (8, 6), (1, 2)])
+def test_nakayama_report_raises_on_a_wrong_even_syzygy(monkeypatch, max_degree, bad_degree):
+    real = homology.Resolution.syzygy_key
+
+    def wrong_at_bad_degree(self, d):
+        return ("not a simple",) if d == bad_degree else real(self, d)
+
+    monkeypatch.setattr(homology.Resolution, "syzygy_key", wrong_at_bad_degree)
+    with pytest.raises(FalsificationError, match="double-syzygy vertex shift failed for cell t=3, n=2"):
+        nakayama_report(3, 2, max_degree)
 
 
 def test_run_sweep_passes_tail_to_every_cell_serial_and_pooled():
