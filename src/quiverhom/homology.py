@@ -38,6 +38,19 @@ class _Step(NamedTuple):
     next_key: tuple  # content key of the next syzygy
 
 
+def _step(algebra, key: tuple, module) -> _Step:
+    """The memo step of the module with this content key; on a miss, module() is covered with every check."""
+    steps = algebra._resolution_steps
+    step = steps.get(key)
+    if step is None:
+        cover = projective_cover(module())
+        ker, incl = kernel(cover.surjection)
+        step = steps[key] = _Step(
+            cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, incl.blocks, ker.content_key()
+        )
+    return step
+
+
 class Resolution:
     """A minimal projective resolution of a module up to a degree bound.
 
@@ -65,15 +78,8 @@ class Resolution:
 
         A syzygy's cover and kernel are computed and checked once per algebra and content.
         """
-        steps = self.algebra._resolution_steps
         for d in range(self.max_degree + 1, max_degree + 1):
-            step = steps.get(self._keys[d])
-            if step is None:
-                cover = projective_cover(self.syzygy(d))
-                ker, incl = kernel(cover.surjection)
-                step = steps[self._keys[d]] = _Step(
-                    cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, incl.blocks, ker.content_key()
-                )
+            step = _step(self.algebra, self._keys[d], lambda: self.syzygy(d))
             self._steps.append(step)
             self._keys.append(step.next_key)
             self.max_degree = d
@@ -100,8 +106,8 @@ class Resolution:
         """term(d) ->> syzygy(d) -> term(d-1), composed from the two steps' blocks."""
         if d < 1:
             raise ValueError("differentials are indexed from degree 1")
-        lo, up, p = self._steps[d - 1], self._steps[d], self.algebra.field.p
-        blocks = ((a @ b) % p for a, b in zip(lo.incl_blocks, up.surj_blocks))
+        lo, up, f = self._steps[d - 1], self._steps[d], self.algebra.field
+        blocks = (f.matmul(a, b) for a, b in zip(lo.incl_blocks, up.surj_blocks))
         return self._built("diff", d, ModuleMap, up.term.module, lo.term.module, blocks)
 
     def syzygy(self, d: int) -> QuiverModule:
@@ -195,7 +201,7 @@ def _hom_complex_matrix(res: Resolution, n: QuiverModule, d: int) -> np.ndarray:
     rows = []
     for s in range(len(dst.summands)):
         j = dst.summands[s]
-        x = (diff.block(j) @ dst.generator_vector(s)) % n.field.p
+        x = n.field.matmul(diff.block(j), dst.generator_vector(s))
         rows.append(src.hom_eval_matrix(n, j, x))
     if not rows:
         return np.zeros((0, src.hom_dim(n)), dtype=np.int64)
@@ -287,7 +293,7 @@ def omega_map(f: ModuleMap) -> ModuleMap:
     incl_n = res_n.syzygy_inclusion(1)
     blocks = []
     for v in range(1, f.source.algebra.quiver.vertex_count + 1):
-        rhs = (lift.block(v) @ incl_m.block(v)) % fld.p
+        rhs = fld.matmul(lift.block(v), incl_m.block(v))
         sol = fld.solve_matrix(incl_n.block(v), rhs)
         if sol is None:
             raise AssertionError("lifted map does not preserve syzygies")
@@ -302,19 +308,26 @@ def stable_hom_dim(m: QuiverModule, n: QuiverModule) -> int:
     """dim of Hom(M, N) modulo the maps factoring through the cover of N.
 
     Over a selfinjective algebra a map factors through a projective iff
-    it factors through the projective cover of its target.
+    it factors through the projective cover of its target.  The cover is
+    read from the algebra's step memo, and computed into it on a miss.
     """
     if not m.algebra.is_selfinjective_nakayama:
         raise UnsupportedOperation("stable Hom requires a selfinjective algebra")
     basis = hom_basis(m, n)
     if not basis:
         return 0
-    cover = projective_cover(n)
-    through = hom_basis(m, cover.module)
+    step = _step(n.algebra, n.content_key(), lambda: n)
+    through = hom_basis(m, step.term.module)
     if not through:
         return len(basis)
     f = m.field
-    rows = np.vstack([cover.surjection.compose(h).flatten() for h in through])
+    # Row j is the surjection composed with through[j], flattened vertex by vertex.
+    rows = np.hstack(
+        [
+            f.matmul(s, np.stack([h.blocks[v] for h in through])).reshape(len(through), -1)
+            for v, s in enumerate(step.surj_blocks)
+        ]
+    )
     return len(basis) - f.rank(rows)
 
 

@@ -68,8 +68,7 @@ def koszul_object(resolution: Resolution, eta: ModuleMap, degree: int) -> Koszul
     pterm = resolution.term(degree - 1).module
     total, (inc_p, inc_x), (proj_p, _) = _sum2(pterm, x)
     graph = inc_p.compose(incl) + inc_x.compose(eta.scale(-1))
-    cone, quot = cokernel(graph)
-    cone.name = f"cone(d={degree}, {x.describe()})"
+    cone, quot = cokernel(graph, name=f"cone(d={degree}, {x.describe()})")
     inclusion = quot.compose(inc_x)
     # The projection is induced by the cover surjection on the projective leg.
     eps = resolution.cover_surjection(degree - 1)  # P_{d-1} ->> syzygy^{d-1}

@@ -4,7 +4,8 @@ A module assigns a vector space to each vertex and a matrix to each
 arrow; the matrix of an arrow i -> j maps the vertex-i space into the
 vertex-j space, and a path acts by applying its arrows in written
 order.  Every map produced here satisfies the intertwining equations
-exactly and is validated on construction.
+exactly and is validated on construction, or, for a Hom basis, in one
+batch before the maps are built.
 """
 
 from __future__ import annotations
@@ -188,11 +189,6 @@ class ModuleMap:
             raise ValueError("map is not invertible")
         return ModuleMap(self.target, self.source, inv, check=False)
 
-    def flatten(self) -> np.ndarray:
-        """All blocks concatenated into one coordinate vector (fixed order)."""
-        parts = [b.reshape(-1) for b in self.blocks]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
     def __repr__(self) -> str:
         return f"ModuleMap({self.source.describe()} -> {self.target.describe()})"
 
@@ -355,8 +351,11 @@ def kernel(f: ModuleMap) -> tuple[QuiverModule, ModuleMap]:
     return ker, ModuleMap(ker, M, incl_blocks)
 
 
-def cokernel(f: ModuleMap) -> tuple[QuiverModule, ModuleMap]:
-    """Vertex-wise cokernel with induced arrow actions, plus its projection."""
+def cokernel(f: ModuleMap, name: str = "") -> tuple[QuiverModule, ModuleMap]:
+    """Vertex-wise cokernel with induced arrow actions, plus its projection.
+
+    The cokernel is called `name`, or coker(source) when that is empty.
+    """
     N = f.target
     field = N.field
     q = N.algebra.quiver
@@ -386,7 +385,7 @@ def cokernel(f: ModuleMap) -> tuple[QuiverModule, ModuleMap]:
     for a in range(len(q.arrows)):
         u, v = q.source(a), q.target(a)
         maps.append(field.matmul(field.matmul(proj_blocks[v - 1], N.arrow_maps[a]), section_blocks[u - 1]))
-    coker = QuiverModule(N.algebra, dims, maps, name=f"coker({f.source.describe()})", check=False)
+    coker = QuiverModule(N.algebra, dims, maps, name=name or f"coker({f.source.describe()})", check=False)
     return coker, ModuleMap(N, coker, proj_blocks)
 
 
@@ -493,39 +492,42 @@ def is_projective(m: QuiverModule) -> bool:
 
 
 def hom_basis(m: QuiverModule, n: QuiverModule) -> list[ModuleMap]:
-    """A basis of Hom(M, N), by solving the intertwining equations."""
+    """A basis of Hom(M, N), by solving the intertwining equations.
+
+    The whole basis is checked against every arrow in one batch before
+    the maps are built.
+    """
     if m.algebra is not n.algebra:
         raise ValueError("hom_basis requires modules over the same algebra")
     field = m.field
     q = m.algebra.quiver
     t = q.vertex_count
-    block_sizes = [n.dims[v] * m.dims[v] for v in range(t)]
     col_off = [0]
-    for s in block_sizes:
-        col_off.append(col_off[-1] + s)
-    total_cols = col_off[-1]
-    if total_cols == 0:
+    for v in range(t):
+        col_off.append(col_off[-1] + n.dims[v] * m.dims[v])
+    if col_off[-1] == 0:
         return []
-    rows = []
-    for a in range(len(q.arrows)):
-        u, v = q.source(a) - 1, q.target(a) - 1
-        r = n.dims[v] * m.dims[u]
-        if r == 0:
-            continue
-        blk = np.zeros((r, total_cols), dtype=np.int64)
-        # N_a f_u lives in the f_u columns, f_v M_a in the f_v columns.
-        blk[:, col_off[u] : col_off[u + 1]] = np.kron(n.arrow_maps[a], np.eye(m.dims[u], dtype=np.int64))
-        left = np.kron(np.eye(n.dims[v], dtype=np.int64), m.arrow_maps[a].T)
-        blk[:, col_off[v] : col_off[v + 1]] = (blk[:, col_off[v] : col_off[v + 1]] - left) % field.p
-        rows.append(blk % field.p)
-    system = np.vstack(rows) if rows else np.zeros((0, total_cols), dtype=np.int64)
-    basis = []
-    for vec in field.kernel_basis(system):
-        blocks = [
-            vec[col_off[v] : col_off[v + 1]].reshape(n.dims[v], m.dims[v]) for v in range(t)
-        ]
-        basis.append(ModuleMap(m, n, blocks))
-    return basis
+    arrows = [(a, q.source(a) - 1, q.target(a) - 1) for a in range(len(q.arrows))]
+    row_off = [0]
+    for _, u, v in arrows:
+        row_off.append(row_off[-1] + n.dims[v] * m.dims[u])
+    system = np.zeros((row_off[-1], col_off[-1]), dtype=np.int64)
+    for (a, u, v), r0, r1 in zip(arrows, row_off, row_off[1:]):
+        # Row (i, c) is entry (i, c) of N_a f_u - f_v M_a; f_w[r, c] is column col_off[w] + r * m_w + c.
+        rows = system[r0:r1].reshape(n.dims[v], m.dims[u], col_off[-1])
+        for c in range(m.dims[u]):
+            rows[:, c, col_off[u] + c : col_off[u + 1] : m.dims[u]] += n.arrow_maps[a]
+        for i in range(n.dims[v]):
+            rows[i, :, col_off[v] + i * m.dims[v] : col_off[v] + (i + 1) * m.dims[v]] -= m.arrow_maps[a].T
+    system %= field.p
+    ker = field.kernel_matrix(system)
+    k = ker.shape[1]
+    # f[w][j] is the vertex-w block of the j-th basis map.
+    f = [ker[col_off[w] : col_off[w + 1]].T.reshape(k, n.dims[w], m.dims[w]) for w in range(t)]
+    for a, u, v in arrows:
+        if not np.array_equal(field.matmul(n.arrow_maps[a], f[u]), field.matmul(f[v], m.arrow_maps[a])):
+            raise AssertionError(f"Hom basis does not intertwine arrow {a}")
+    return [ModuleMap(m, n, [fw[j] for fw in f], check=False) for j in range(k)]
 
 
 # -- serial structure and isomorphism (circular Nakayama family) --------

@@ -123,3 +123,14 @@ def test_no_memo_is_reached_by_attribute_name():
             obj, name = node.args[0], node.args[1]
             assert not (isinstance(name, ast.Constant) and str(name.value).startswith("_")), ast.unparse(node)
             assert "alg" not in ast.unparse(obj), f"{path.name}: {ast.unparse(node)}"
+
+
+def test_homology_multiplies_matrices_only_through_gf_matmul():
+    # GF.matmul is where a product is reduced mod p, so homology.py writes no inline `a @ b % p`.
+    homology_py = Path(quiverhom.__file__).parent / "homology.py"
+    products = [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(homology_py.read_text(encoding="utf-8")))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+    ]
+    assert not products, products

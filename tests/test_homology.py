@@ -319,12 +319,18 @@ def _closed_form_ext(t, n, source, target, degree):
     c with max(1, a + b - n) <= c <= min(a, b) and c = j + b - i (mod t).  A
     projective (length n + 1) gives empty ranges, so it reads as Ext = 0.
     """
-    (i, a), (j, b) = source, target
+    (i, a) = source
     out = []
     for _ in range(degree):
         i, a = (i + a - 1) % t + 1, n + 1 - a
-        out.append(sum(1 for c in range(max(1, a + b - n), min(a, b) + 1) if (c - (j + b - i)) % t == 0))
+        out.append(_closed_form_stable_hom(t, n, (i, a), target))
     return out
+
+
+def _closed_form_stable_hom(t, n, source, target):
+    """dim stHom(M(i, a), M(j, b)); zero when either length is n + 1 (a projective)."""
+    (i, a), (j, b) = source, target
+    return sum(1 for c in range(max(1, a + b - n), min(a, b) + 1) if (c - (j + b - i)) % t == 0)
 
 
 @pytest.mark.parametrize("t", [2, 3, 4])
@@ -411,3 +417,40 @@ def test_detect_period_reads_chains_from_the_serial_memo(monkeypatch):
         again.iso._validate()
         assert again.iso.is_invertible() and again.iso.source is again.resolution.syzygy(again.period)
         assert all(np.array_equal(a, b) for a, b in zip(again.iso.blocks, w.iso.blocks, strict=True))
+
+
+def _no_cover(m):
+    raise AssertionError("a warm step memo recomputed a projective cover")
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_stable_hom_matches_closed_form_and_reads_covers_from_the_step_memo(t, monkeypatch):
+    for n in range(1, 7):
+        alg = nakayama_algebra(t, n)
+        types = [(i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+
+        def table():
+            mods = {ty: uniserial(alg, *ty) for ty in types}  # new objects, no resolution attached
+            got = {(x, y): stable_hom_dim(mods[x], mods[y]) for x in types for y in types}
+            assert all(m._resolution_cache is None for m in mods.values())
+            return got
+
+        cold = table()
+        assert cold == {(x, y): _closed_form_stable_hom(t, n, x, y) for x in types for y in types}
+        steps = dict(alg._resolution_steps)
+        assert alg._hom_complex_ranks == {}
+        with monkeypatch.context() as mp:
+            mp.setattr(homology, "projective_cover", _no_cover)
+            assert table() == cold
+        assert alg._resolution_steps == steps
+
+
+def test_stable_hom_stores_one_step_that_the_resolution_reuses():
+    alg = nakayama_algebra(3, 2)
+    m, n = uniserial(alg, 1, 2), uniserial(alg, 1, 2)
+    assert stable_hom_dim(m, n) == 1
+    assert list(alg._resolution_steps) == [n.content_key()]
+    step = alg._resolution_steps[n.content_key()]
+    assert step.term.summands == (1,) and n._resolution_cache is None
+    res = minimal_resolution(n, 1)
+    assert res._steps[0] is step and len(alg._resolution_steps) == 2

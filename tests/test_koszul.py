@@ -32,6 +32,7 @@ def periodicity_step(module, window=8):
 def test_cone_of_periodicity_iso_is_projective(a32):
     step, w = periodicity_step(simple(a32, 1))
     assert w.period == 2
+    assert step.cone.name == "cone(d=2, simple:1)"
     assert is_projective(step.cone)
     assert step.check_exact()
 

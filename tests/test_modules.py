@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quiverhom.algebra import BoundQuiverAlgebra, Quiver, nakayama_algebra
+from quiverhom.linalg import GF
 from quiverhom.modules import (
     LabeledProjective,
     ModuleMap,
@@ -308,3 +309,63 @@ def test_direct_sum_inclusion_projection(a32):
     assert total.total_dim == 4
     for inc, pr, m in zip(incls, projs, mods):
         assert pr.compose(inc).is_invertible()
+
+
+def test_cokernel_takes_the_name_it_is_given(a32):
+    f = hom_basis(simple(a32, 3), projective(a32, 1))[0]
+    assert cokernel(f)[0].name == "coker(simple:3)"
+    named, proj = cokernel(f, name="cone(d=1, simple:1)")
+    assert named.name == "cone(d=1, simple:1)" and proj.target is named
+    assert named.structurally_equal(cokernel(f)[0])
+
+
+def _kron_hom_basis(m, n):
+    """Hom(M, N) from the intertwining system assembled with np.kron, one validated map per kernel vector."""
+    field, q, t = m.field, m.algebra.quiver, m.algebra.quiver.vertex_count
+    col_off = np.cumsum([0] + [n.dims[v] * m.dims[v] for v in range(t)])
+    if col_off[-1] == 0:
+        return []
+    rows = []
+    for a in range(len(q.arrows)):
+        u, v = q.source(a) - 1, q.target(a) - 1
+        blk = np.zeros((n.dims[v] * m.dims[u], col_off[-1]), dtype=np.int64)
+        blk[:, col_off[u] : col_off[u + 1]] += np.kron(n.arrow_maps[a], np.eye(m.dims[u], dtype=np.int64))
+        blk[:, col_off[v] : col_off[v + 1]] -= np.kron(np.eye(n.dims[v], dtype=np.int64), m.arrow_maps[a].T)
+        rows.append(blk % field.p)
+    return [
+        ModuleMap(m, n, [vec[col_off[v] : col_off[v + 1]].reshape(n.dims[v], m.dims[v]) for v in range(t)])
+        for vec in field.kernel_basis(np.vstack(rows))
+    ]
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_hom_basis_matches_the_kron_system_map_for_map(t):
+    for n in range(1, 6):
+        alg = nakayama_algebra(t, n)
+        mods = [simple(alg, i) for i in range(1, t + 1)]
+        mods += [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(2, n + 1)]
+        mods += [projective(alg, i) for i in range(1, t + 1)]
+        mods.append(direct_sum([uniserial(alg, 1, n), projective(alg, t)])[0])
+        for x in mods:
+            for y in mods:
+                got, want = hom_basis(x, y), _kron_hom_basis(x, y)
+                assert len(got) == len(want), (t, n, x, y)
+                for g, w in zip(got, want):
+                    assert g.source is x and g.target is y
+                    assert all(np.array_equal(a, b) for a, b in zip(g.blocks, w.blocks, strict=True))
+                    g._validate()
+
+
+def test_hom_basis_checks_every_map_before_returning(a32, monkeypatch):
+    honest = GF.kernel_matrix
+
+    def one_wrong_column(self, m):
+        # Append the first unit vector that m does not kill.
+        extra = self.eye(m.shape[1])[:, [next(c for c in range(m.shape[1]) if np.any(m[:, c]))]]
+        return np.hstack([honest(self, m), extra])
+
+    m = uniserial(a32, 1, 2)
+    assert len(hom_basis(m, m)) == 1
+    monkeypatch.setattr(GF, "kernel_matrix", one_wrong_column)
+    with pytest.raises(AssertionError, match="does not intertwine"):
+        hom_basis(m, m)
