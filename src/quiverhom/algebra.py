@@ -116,9 +116,9 @@ class BoundQuiverAlgebra:
         # Memos, filled on first use; those keyed by a module's exact content
         # (QuiverModule.content_key) hold only results already checked.
         self._relation_generators: tuple[PathWord, ...] | None = None
-        self._resolution_steps: dict[tuple, tuple] = {}  # see homology.Resolution.extend
+        self._resolution_steps: dict[tuple, tuple] = {}  # see modules._step
         self._serial_summands: dict[tuple, tuple] = {}  # see modules._serial_memo
-        self._hom_complex_ranks: dict[tuple, int] = {}  # (syzygy key, target key); see homology.ext_dims
+        self._hom_complex_ranks: dict[tuple, tuple] = {}  # (syzygy key, target key); see homology.ext_dims
 
     def _enumerate_basis(self):
         frontier = [self.quiver.trivial_path(v) for v in range(1, self.quiver.vertex_count + 1)]

@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VIOLATION = 3
 MAX_WORKERS = 64  # --workers ceiling; a sweep also clamps to its cell and CPU counts
+MAX_T = MAX_N = 64  # t and n ceilings for --algebra and the sweep ranges
+MAX_DEGREE = 10000  # --max-degree ceiling
+
 
 class ConfigError(ValueError):
     pass
@@ -85,8 +88,8 @@ class RunConfig:
             raise ConfigError(f"field_p must be prime, got {self.field_p}")
         if self.field_p > GF.MAX_CHARACTERISTIC:
             raise ConfigError(f"field_p must be at most {GF.MAX_CHARACTERISTIC}, got {self.field_p}")
-        if self.max_degree < 1:
-            raise ConfigError(f"max_degree must be >= 1, got {self.max_degree}")
+        if not 1 <= self.max_degree <= MAX_DEGREE:
+            raise ConfigError(f"max_degree must be in [1,{MAX_DEGREE}], got {self.max_degree}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ConfigError(f"workers must be in [1,{MAX_WORKERS}], got {self.workers}")
         if self.algebra is not None:
@@ -98,7 +101,7 @@ class RunConfig:
         if self.tail is not None and not (1 <= self.tail <= self.max_degree):
             raise ConfigError(f"tail {self.tail} outside [1,{self.max_degree}]")
         if self.sweep is not None:
-            for key, least in (("t", 2), ("n", 1)):
+            for key, least, most in (("t", 2, MAX_T), ("n", 1, MAX_N)):
                 rng = self.sweep.get(key)
                 if (
                     not isinstance(rng, (list, tuple))
@@ -109,6 +112,8 @@ class RunConfig:
                     raise ConfigError(f"sweep.{key} must be an increasing [lo, hi] pair of integers")
                 if rng[0] < least:
                     raise ConfigError(f"sweep.{key} must start at >= {least}, got {rng[0]}")
+                if rng[1] > most:
+                    raise ConfigError(f"sweep.{key} must end at <= {most}, got {rng[1]}")
             if set(self.sweep) - {"t", "n"}:
                 raise ConfigError("sweep accepts only 't' and 'n' ranges")
 
@@ -122,10 +127,10 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown algebra keys: {sorted(unknown)}")
         t, n = spec.get("t"), spec.get("n")
-        if not _is_int(t) or t < 2:
-            raise ConfigError(f"algebra t must be an integer >= 2, got {t}")
-        if not _is_int(n) or n < 1:
-            raise ConfigError(f"algebra n must be an integer >= 1, got {n}")
+        if not _is_int(t) or not 2 <= t <= MAX_T:
+            raise ConfigError(f"algebra t must be an integer in [2,{MAX_T}], got {t}")
+        if not _is_int(n) or not 1 <= n <= MAX_N:
+            raise ConfigError(f"algebra n must be an integer in [1,{MAX_N}], got {n}")
 
     def build_algebra(self):
         if self.algebra is None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,36 +18,13 @@ from .modules import (
     ModuleMap,
     QuiverModule,
     UnsupportedOperation,
+    _step,
+    _Step,
     find_isomorphism,
     hom_basis,
-    kernel,
-    projective_cover,
+    projective_cover,  # noqa: F401 - bench/test_bench.py reads homology.projective_cover
     radical_matrix,
 )
-
-
-class _Step(NamedTuple):
-    """The checked cover and kernel of one syzygy, shared by every resolution over the algebra."""
-
-    term: LabeledProjective
-    surj_blocks: tuple  # term.module ->> this syzygy
-    ker_dims: tuple
-    ker_maps: tuple
-    incl_blocks: tuple  # next syzygy -> term.module
-    next_key: tuple  # content key of the next syzygy
-
-
-def _step(algebra, key: tuple, module) -> _Step:
-    """The memo step of the module with this content key; on a miss, module() is covered with every check."""
-    steps = algebra._resolution_steps
-    step = steps.get(key)
-    if step is None:
-        cover = projective_cover(module())
-        ker, incl = kernel(cover.surjection)
-        step = steps[key] = _Step(
-            cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, incl.blocks, ker.content_key()
-        )
-    return step
 
 
 class Resolution:
@@ -219,18 +195,17 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
     if max_degree < 1:
         raise ValueError("Ext degrees start at 1; use hom_basis for degree 0")
     res = minimal_resolution(m, max_degree + 1)
-    hom_dims = [res.term(d).hom_dim(n) for d in range(max_degree + 2)]
-    # Memoized per algebra: the degree-d matrix is fixed by N and by syzygy(d)'s memo step and its successor.
+    # Memoized per algebra as (dim Hom(term(d), N), rank of the degree-d matrix): both are
+    # fixed by N and by syzygy(d)'s memo step and its successor.
     memo, target_key = m.algebra._hom_complex_ranks, n.content_key()
-    ranks = []
+    hom_dims, ranks = [], []
     for d in range(max_degree + 1):
         key = (res.syzygy_key(d), target_key)
         if key not in memo:
-            memo[key] = m.field.rank(_hom_complex_matrix(res, n, d))
-        ranks.append(memo[key])
-    out = []
-    for i in range(1, max_degree + 1):
-        out.append(hom_dims[i] - ranks[i] - ranks[i - 1])
+            memo[key] = (res.term(d).hom_dim(n), m.field.rank(_hom_complex_matrix(res, n, d)))
+        hom_dims.append(memo[key][0])
+        ranks.append(memo[key][1])
+    out = [hom_dims[i] - ranks[i] - ranks[i - 1] for i in range(1, max_degree + 1)]
     simple_vertex = _simple_vertex_of(n)
     if simple_vertex is not None:
         for i in range(1, max_degree + 1):
@@ -348,7 +323,11 @@ def detect_period(m: QuiverModule, window: int) -> PeriodicityWitness | None:
     """Search degrees 1..window for the smallest p with syzygy^p(M) isomorphic to M.
 
     The zero module is excluded by convention (it would carry every
-    period), so projective modules report no period.
+    period), so projective modules report no period.  Syzygies are
+    screened by their content keys: a degree whose dims differ from M's
+    is skipped unbuilt, and when the content recurs exactly the witness
+    is the identity, still checked as a module map.  Other candidates go
+    to find_isomorphism.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -356,10 +335,16 @@ def detect_period(m: QuiverModule, window: int) -> PeriodicityWitness | None:
         return None
     res = minimal_resolution(m, window)
     for p in range(1, window + 1):
-        s = res.syzygy(p)
-        if s.is_zero:
+        key = res.syzygy_key(p)
+        if not any(key[0]):
             return None
-        iso = find_isomorphism(s, m)
+        if key[0] != m.dims:
+            continue
+        s = res.syzygy(p)
+        if key == res.syzygy_key(0):
+            iso = ModuleMap(s, m, [np.eye(d, dtype=np.int64) for d in m.dims])
+        else:
+            iso = find_isomorphism(s, m)
         if iso is not None:
             return PeriodicityWitness(module=m, period=p, iso=iso, resolution=res)
     return None

@@ -11,6 +11,7 @@ batch before the maps are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class QuiverModule:
         q = self.algebra.quiver
         m = np.eye(self.dims[p.start - 1], dtype=np.int64)
         for a in p.arrows:
-            m = (self.arrow_maps[a] @ m) % self.field.p
+            m = self.field.matmul(self.arrow_maps[a], m)
         self._path_cache[p] = m
         return m
 
@@ -123,11 +124,11 @@ class ModuleMap:
             want = (self.target.dims[v - 1], self.source.dims[v - 1])
             if self.blocks[v - 1].shape != want:
                 raise ValueError(f"block at vertex {v} has shape {self.blocks[v - 1].shape}, expected {want}")
-        p = self.source.field.p
+        f = self.source.field
         for a in range(len(q.arrows)):
             u, v = q.source(a), q.target(a)
-            lhs = (self.target.arrow_maps[a] @ self.blocks[u - 1]) % p
-            rhs = (self.blocks[v - 1] @ self.source.arrow_maps[a]) % p
+            lhs = f.matmul(self.target.arrow_maps[a], self.blocks[u - 1])
+            rhs = f.matmul(self.blocks[v - 1], self.source.arrow_maps[a])
             if not np.array_equal(lhs, rhs):
                 raise ValueError(f"map does not intertwine arrow {a}")
 
@@ -147,8 +148,8 @@ class ModuleMap:
         """self o other (apply other first)."""
         if other.target is not self.source and not other.target.structurally_equal(self.source):
             raise ValueError("composition mismatch")
-        p = self.source.field.p
-        blocks = [(a @ b) % p for a, b in zip(self.blocks, other.blocks)]
+        f = self.source.field
+        blocks = [f.matmul(a, b) for a, b in zip(self.blocks, other.blocks)]
         return ModuleMap(other.source, self.target, blocks, check=False)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
@@ -294,13 +295,13 @@ class LabeledProjective:
         """The map sending each summand generator to the given element of the target."""
         if len(images) != len(self.summands):
             raise ValueError(f"{len(images)} generator images for {len(self.summands)} summands")
-        p = self.algebra.field.p
+        f = self.algebra.field
         q = self.algebra.quiver
         blocks = []
         for v in range(1, q.vertex_count + 1):
             m = np.zeros((target.dims[v - 1], self.module.dims[v - 1]), dtype=np.int64)
             for s, path in self._basis[v]:
-                col = (target.path_action(path) @ images[s]) % p
+                col = f.matmul(target.path_action(path), images[s])
                 m[:, self._pos[(s, path)]] = col
             blocks.append(m)
         return ModuleMap(self.module, target, blocks)
@@ -342,7 +343,7 @@ def kernel(f: ModuleMap) -> tuple[QuiverModule, ModuleMap]:
     maps = []
     for a in range(len(q.arrows)):
         u, v = q.source(a), q.target(a)
-        rhs = (M.arrow_maps[a] @ incl_blocks[u - 1]) % field.p
+        rhs = field.matmul(M.arrow_maps[a], incl_blocks[u - 1])
         sol = field.solve_matrix(incl_blocks[v - 1], rhs)
         if sol is None:
             raise AssertionError("kernel is not arrow-stable; invalid module map")
@@ -481,11 +482,33 @@ def projective_cover(m: QuiverModule) -> ProjectiveCover:
     return ProjectiveCover(P=P, surjection=surj)
 
 
+class _Step(NamedTuple):
+    """The checked cover and kernel of one module, shared by every resolution over the algebra."""
+
+    term: LabeledProjective
+    surj_blocks: tuple  # term.module ->> the module
+    ker_dims: tuple
+    ker_maps: tuple
+    incl_blocks: tuple  # kernel -> term.module
+    next_key: tuple  # content key of the kernel
+
+
+def _step(algebra: BoundQuiverAlgebra, key: tuple, module) -> _Step:
+    """The memo step of the module with this content key; on a miss, module() is covered with every check."""
+    steps = algebra._resolution_steps
+    step = steps.get(key)
+    if step is None:
+        cover = projective_cover(module())
+        ker, incl = kernel(cover.surjection)
+        step = steps[key] = _Step(
+            cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, incl.blocks, ker.content_key()
+        )
+    return step
+
+
 def is_projective(m: QuiverModule) -> bool:
-    """Exact test: the cover surjection is an isomorphism iff dims agree."""
-    if m.is_zero:
-        return True
-    return projective_cover(m).module.dims == m.dims
+    """Exact test: the cover surjection is an isomorphism iff dims agree; the cover is the memo step's."""
+    return m.is_zero or _step(m.algebra, m.content_key(), lambda: m).term.module.dims == m.dims
 
 
 # -- hom spaces ---------------------------------------------------------
@@ -581,7 +604,7 @@ def serial_summands(m: QuiverModule) -> list[SerialSummand]:
             if cand.shape[1] == 0:
                 continue
             prev = alg.wrap(j - 1)
-            shifted = (arrow_from[prev] @ kernel_cols(prev, length + 1)) % field.p
+            shifted = field.matmul(arrow_from[prev], kernel_cols(prev, length + 1))
             w = np.hstack([kernel_cols(j, length - 1), shifted])
             stacked = np.hstack([w, cand])
             _, pivots = field.rref(stacked)
@@ -592,7 +615,7 @@ def serial_summands(m: QuiverModule) -> list[SerialSummand]:
                 chain = [x]
                 vtx = j
                 for _ in range(length - 1):
-                    chain.append((arrow_from[vtx] @ chain[-1]) % field.p)
+                    chain.append(field.matmul(arrow_from[vtx], chain[-1]))
                     vtx = alg.wrap(vtx + 1)
                 summands.append(SerialSummand(top=j, length=length, chain=chain))
     # The chains must assemble to a basis at every vertex.
@@ -661,7 +684,7 @@ def find_isomorphism(m: QuiverModule, n: QuiverModule) -> ModuleMap | None:
         xinv = field.inverse(x)
         if xinv is None:
             raise AssertionError("serial chain basis not invertible")
-        blocks.append((y @ xinv) % field.p)
+        blocks.append(field.matmul(y, xinv))
     return ModuleMap(m, n, blocks)
 
 

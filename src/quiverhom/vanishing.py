@@ -376,18 +376,17 @@ def gap_suite_cell(t: int, n: int, max_degree: int, field_p: int, uniserial_pair
     verified_gaps = 0
     no_gaps = 0
     violations: list[str] = []
-    towers: dict[tuple[int, int], ReductionTower] = {}
+    towers: dict[tuple[int, int], ReductionTower | None] = {}  # None: no period within the window
     for (mi, ml), (ni, nl) in pairs:
         m = get_module(mi, ml)
         nmod = get_module(ni, nl)
         key = (mi, ml)
         if key not in towers:
-            tower = build_periodicity_tower(m, window)
-            if tower is None:
-                violations.append(f"no tower for uniserial:{mi}:{ml}")
-                continue
-            towers[key] = tower
+            towers[key] = build_periodicity_tower(m, window)
         tower = towers[key]
+        if tower is None:
+            violations.append(f"no tower for uniserial:{mi}:{ml}")
+            continue
         table = ext_table(m, nmod, max_degree)
         report = gap_check(table, tower)
         checked += 1

@@ -3,7 +3,17 @@ import json
 import pytest
 
 import quiverhom.vanishing as vanishing
-from quiverhom.cli import EXIT_CONFIG, EXIT_OK, MAX_WORKERS, main
+from quiverhom.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    MAX_DEGREE,
+    MAX_N,
+    MAX_T,
+    MAX_WORKERS,
+    ConfigError,
+    RunConfig,
+    main,
+)
 
 ALG32 = '{"kind":"circular_nakayama","t":3,"n":2}'
 
@@ -347,3 +357,24 @@ def test_sweep_ranges_below_the_family_are_config_errors(capsys, ranges, key):
     assert code == EXIT_CONFIG
     assert out == ""
     assert f"sweep.{key} must start at" in err
+
+
+def _nakayama(t, n):
+    return {"kind": "circular_nakayama", "t": t, "n": n}
+
+
+@pytest.mark.parametrize(
+    "config, limit, message",
+    [
+        (lambda v: RunConfig(algebra=_nakayama(v, 1)), MAX_T, "algebra t must be an integer in"),
+        (lambda v: RunConfig(algebra=_nakayama(2, v)), MAX_N, "algebra n must be an integer in"),
+        (lambda v: RunConfig(sweep={"t": [2, v], "n": [1, 1]}), MAX_T, "sweep.t must end at"),
+        (lambda v: RunConfig(sweep={"t": [2, 2], "n": [1, v]}), MAX_N, "sweep.n must end at"),
+        (lambda v: RunConfig(max_degree=v), MAX_DEGREE, "max_degree must be in"),
+    ],
+    ids=["algebra-t", "algebra-n", "sweep-t", "sweep-n", "max-degree"],
+)
+def test_inputs_are_accepted_at_their_upper_bound_and_rejected_above(config, limit, message):
+    config(limit).validate()
+    with pytest.raises(ConfigError, match=message):
+        config(limit + 1).validate()

@@ -89,7 +89,7 @@ def test_algebra_memos_are_declared_in_init_and_start_empty():
     from quiverhom.algebra import nakayama_algebra
     from quiverhom.homology import detect_period, ext_dims, stable_hom_dim
     from quiverhom.koszul import build_periodicity_tower
-    from quiverhom.modules import uniserial
+    from quiverhom.modules import decompose_serial, uniserial
 
     algebra_py = Path(quiverhom.__file__).parent / "algebra.py"
     declared = _declared_in_init(ast.parse(algebra_py.read_text(encoding="utf-8")), "BoundQuiverAlgebra")
@@ -104,6 +104,7 @@ def test_algebra_memos_are_declared_in_init_and_start_empty():
             ext_dims(m, n, 4)
             stable_hom_dim(m, n)
     detect_period(mods[0], 6)
+    decompose_serial(mods[0])
     after = _algebra_state(alg)
     # Every attribute, memos included, is declared in __init__; the work grows
     # exactly the attributes that a fresh algebra holds empty.
@@ -125,12 +126,13 @@ def test_no_memo_is_reached_by_attribute_name():
             assert "alg" not in ast.unparse(obj), f"{path.name}: {ast.unparse(node)}"
 
 
-def test_homology_multiplies_matrices_only_through_gf_matmul():
-    # GF.matmul is where a product is reduced mod p, so homology.py writes no inline `a @ b % p`.
-    homology_py = Path(quiverhom.__file__).parent / "homology.py"
+def test_library_multiplies_matrices_only_through_gf_matmul():
+    # GF.matmul is where a product is reduced mod p, so no file but linalg.py writes an inline `a @ b % p`.
     products = [
-        ast.unparse(node)
-        for node in ast.walk(ast.parse(homology_py.read_text(encoding="utf-8")))
+        f"{path.name}: {ast.unparse(node)}"
+        for path in SOURCES
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
     ]
     assert not products, products

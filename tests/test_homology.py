@@ -19,10 +19,12 @@ from quiverhom.homology import (
 from quiverhom.koszul import build_periodicity_tower
 from quiverhom.linalg import GF
 from quiverhom.modules import (
+    LabeledProjective,
     ModuleMap,
     QuiverModule,
     decompose_serial,
     direct_sum,
+    find_isomorphism,
     hom_basis,
     is_isomorphic,
     kernel,
@@ -265,7 +267,7 @@ def test_memoized_resolutions_match_unmemoized_chains(t, monkeypatch):
             raise AssertionError("a warm memo recomputed a resolution step")
 
         with monkeypatch.context() as mp:
-            mp.setattr(homology, "projective_cover", no_cover)
+            mp.setattr(modules, "projective_cover", no_cover)
             again = [Resolution(uniserial(alg, *ty), top) for ty in types]
         assert alg._resolution_steps == steps
         for (i, length), res in zip(types, again):
@@ -299,6 +301,10 @@ def test_minimal_resolution_grows_the_cached_object(a32):
 
 def _no_matrix(*args):
     raise AssertionError("a warm memo rebuilt a Hom-complex matrix")
+
+
+def _no_hom_dim(*args):
+    raise AssertionError("a warm memo recounted a Hom dimension")
 
 
 def test_ext_dims_raises_when_betti_route_disagrees(monkeypatch):
@@ -357,6 +363,7 @@ def test_hom_complex_rank_memo_matches_direct_ranks_and_closed_form(t, monkeypat
                 assert warm[x, y] == dims == _closed_form_ext(t, n, x, y, top), (t, n, x, y)
         with monkeypatch.context() as mp:
             mp.setattr(homology, "_hom_complex_matrix", _no_matrix)
+            mp.setattr(LabeledProjective, "hom_dim", _no_hom_dim)
             assert tables() == warm
         assert alg._hom_complex_ranks == ranks
         assert untouched._hom_complex_ranks == {} and nakayama_algebra(t, n)._hom_complex_ranks == {}
@@ -400,23 +407,76 @@ def test_resolution_objects_are_built_lazily_and_kept(t, n, monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(diff.blocks, want.blocks, strict=True))
 
 
-def test_detect_period_reads_chains_from_the_serial_memo(monkeypatch):
+def _no_chains(m):
+    raise AssertionError("serial chains were computed")
+
+
+def test_detect_period_builds_no_serial_decomposition_when_content_recurs(monkeypatch):
     alg = nakayama_algebra(3, 2)
-    types = [(i, length) for i in range(1, 4) for length in range(1, 3)]
-    cold = [detect_period(uniserial(alg, *ty), 6) for ty in types]
-    for chains in alg._serial_summands.values():
-        assert all(not vec.flags.writeable for _, _, chain in chains for vec in chain)
+    monkeypatch.setattr(modules, "serial_summands", _no_chains)
+    for ty in [(i, length) for i in range(1, 4) for length in range(1, 3)]:
+        m = uniserial(alg, *ty)
+        w = detect_period(m, 6)
+        assert w.resolution.syzygy_key(w.period) == m.content_key()
+        w.iso._validate()
+        assert w.iso.source is w.resolution.syzygy(w.period) and w.iso.target is m
+        assert all(np.array_equal(b, np.eye(d)) for b, d in zip(w.iso.blocks, m.dims, strict=True))
+    assert alg._serial_summands == {}
 
-    def no_chains(m):
-        raise AssertionError("a warm memo recomputed serial chains")
 
-    monkeypatch.setattr(modules, "serial_summands", no_chains)
-    for ty, w in zip(types, cold):
-        again = detect_period(uniserial(alg, *ty), 6)
-        assert again.period == w.period
-        again.iso._validate()
-        assert again.iso.is_invertible() and again.iso.source is again.resolution.syzygy(again.period)
-        assert all(np.array_equal(a, b) for a, b in zip(again.iso.blocks, w.iso.blocks, strict=True))
+def _find_isomorphism_search(m: QuiverModule, window: int):
+    """The period search with find_isomorphism in every degree: (period, iso blocks) or None."""
+    res = Resolution(m, window)
+    for p in range(1, window + 1):
+        s = res.syzygy(p)
+        if s.is_zero:
+            return None
+        iso = find_isomorphism(s, m)
+        if iso is not None:
+            return p, iso.blocks
+    return None
+
+
+def _period_corpus(alg) -> list[QuiverModule]:
+    """Every uniserial; each one of dim >= 2 again with its arrows scaled by 2 (same type, other
+    content, so no syzygy repeats its content); and a direct sum of two uniserials."""
+    t, n = alg.t, alg.n
+    mods = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+    mods += [
+        QuiverModule(alg, m.dims, [2 * a for a in m.arrow_maps], name=f"scaled:{m.name}")
+        for m in mods
+        if m.total_dim >= 2
+    ]
+    return mods + [direct_sum([uniserial(alg, 1, 1), uniserial(alg, t, n)])[0]]
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_detect_period_matches_the_find_isomorphism_search(t, monkeypatch):
+    window = 2 * t
+    for n in range(1, 6):
+        alg, reference = nakayama_algebra(t, n), nakayama_algebra(t, n)
+        want = [_find_isomorphism_search(m, window) for m in _period_corpus(reference)]
+        assert sum(w is not None for w in want) > t * n
+
+        def check():
+            for m, w in zip(_period_corpus(alg), want, strict=True):
+                got = detect_period(m, window)
+                if w is None:
+                    assert got is None, m
+                    continue
+                assert got.period == w[0], m
+                got.iso._validate()
+                assert got.iso.source is got.resolution.syzygy(got.period) and got.iso.target is m
+                assert all(np.array_equal(a, b) for a, b in zip(got.iso.blocks, w[1], strict=True)), m
+
+        check()
+        # The scaled modules went through find_isomorphism (for n = 1 none is non-projective).
+        assert bool(alg._serial_summands) is (n > 1)
+        for chains in alg._serial_summands.values():
+            assert all(not vec.flags.writeable for _, _, chain in chains for vec in chain)
+        with monkeypatch.context() as mp:  # a warm memo answers without decomposing anything
+            mp.setattr(modules, "serial_summands", _no_chains)
+            check()
 
 
 def _no_cover(m):
@@ -440,7 +500,7 @@ def test_stable_hom_matches_closed_form_and_reads_covers_from_the_step_memo(t, m
         steps = dict(alg._resolution_steps)
         assert alg._hom_complex_ranks == {}
         with monkeypatch.context() as mp:
-            mp.setattr(homology, "projective_cover", _no_cover)
+            mp.setattr(modules, "projective_cover", _no_cover)
             assert table() == cold
         assert alg._resolution_steps == steps
 

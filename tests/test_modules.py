@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import quiverhom.modules as modules
 from quiverhom.algebra import BoundQuiverAlgebra, Quiver, nakayama_algebra
+from quiverhom.homology import minimal_resolution
 from quiverhom.linalg import GF
 from quiverhom.modules import (
     LabeledProjective,
@@ -200,6 +202,36 @@ def test_is_projective(a32):
     assert is_projective(zero_module(a32))
     assert not is_projective(simple(a32, 1))
     assert not is_projective(uniserial(a32, 1, 2))
+
+
+def _no_cover(m):
+    raise AssertionError("a warm step memo recomputed a projective cover")
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_is_projective_reads_the_cover_from_the_step_memo(t, monkeypatch):
+    for n in range(1, 6):
+        alg = nakayama_algebra(t, n)
+        types = [(i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+        cold = {ty: is_projective(uniserial(alg, *ty)) for ty in types}
+        assert cold == {(i, length): length == n + 1 for i, length in types}
+        steps = dict(alg._resolution_steps)
+        assert len(steps) == len(types)
+        with monkeypatch.context() as mp:
+            mp.setattr(modules, "projective_cover", _no_cover)
+            assert {ty: is_projective(uniserial(alg, *ty)) for ty in types} == cold
+        assert alg._resolution_steps == steps
+
+
+def test_is_projective_stores_one_step_that_the_resolution_reuses():
+    alg = nakayama_algebra(3, 2)
+    m = uniserial(alg, 2, 2)
+    assert not is_projective(m)
+    assert list(alg._resolution_steps) == [m.content_key()]
+    step = alg._resolution_steps[m.content_key()]
+    assert step.term.summands == (2,) and m._resolution_cache is None
+    res = minimal_resolution(m, 1)
+    assert res._steps[0] is step and len(alg._resolution_steps) == 2
 
 
 def test_decompose_serial_examples(a32):

@@ -158,6 +158,22 @@ def test_gap_suite_cell_small():
     assert out["verified_gaps"] + out["no_gaps"] == out["pairs_checked"]
 
 
+def test_gap_suite_cell_looks_for_each_missing_tower_once(monkeypatch):
+    calls = []
+
+    def no_tower(m, window):
+        calls.append(m.describe())
+        return None
+
+    monkeypatch.setattr(vanishing, "build_periodicity_tower", no_tower)
+    out = gap_suite_cell(3, 2, 40, 101, 10)
+    pairs = [((i, 1), (j, 1)) for i in range(1, 4) for j in range(1, 4)] + sample_uniserial_pairs(3, 2, 10)
+    sources = [f"uniserial:{i}:{length}" for (i, length), _ in pairs]
+    assert calls == list(dict.fromkeys(sources)) and len(calls) < len(sources)
+    assert out["violations"] == [f"no tower for {s}" for s in sources]
+    assert out["pairs_checked"] == 0
+
+
 def test_run_sweep_small_grid():
     agg = run_sweep((2, 3), (1, 2), 12, workers=1)
     cells = agg["cells"]
@@ -189,7 +205,7 @@ def test_nakayama_report_computes_each_pair_once(monkeypatch):
     monkeypatch.setattr(homology.Resolution, "__init__", counting_init("builds", homology.Resolution.__init__))
     monkeypatch.setattr(modules.QuiverModule, "__init__", counting_init("modules", modules.QuiverModule.__init__))
     monkeypatch.setattr(homology, "ext_dims", counting("ext_dims", homology.ext_dims))
-    monkeypatch.setattr(homology, "projective_cover", counting("projective_cover", homology.projective_cover))
+    monkeypatch.setattr(modules, "projective_cover", counting("projective_cover", modules.projective_cover))
     monkeypatch.setattr(modules, "serial_summands", counting("serial_summands", modules.serial_summands))
     monkeypatch.setattr(homology, "_hom_complex_matrix", counting("hom_complex", homology._hom_complex_matrix))
     # Omega^2 S_i = S_i over (4, 3): the 4 simples and their 4 first syzygies are
