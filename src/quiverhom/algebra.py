@@ -113,6 +113,7 @@ class BoundQuiverAlgebra:
         self.t: int | None = None
         self.n: int | None = None
         self.r: int | None = None
+        self.period_bound: int | None = None
         # Memos, filled on first use; those keyed by a module's exact content
         # (QuiverModule.content_key) hold only results already checked.
         self._relation_generators: tuple[PathWord, ...] | None = None
@@ -202,4 +203,7 @@ def nakayama_algebra(t: int, n: int, field: GF | None = None) -> BoundQuiverAlge
     alg.n = n
     alg.r = n % t
     alg.is_symmetric = alg.r == 0
+    # Omega^2 M(i, l) = M(i+n+1, l), so Omega^{2t} fixes every non-projective
+    # module and each syzygy period divides 2t.
+    alg.period_bound = 2 * t
     return alg

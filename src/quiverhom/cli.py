@@ -205,9 +205,9 @@ def cmd_gaps(cfg: RunConfig) -> int:
     alg = cfg.build_algebra()
     m = parse_module_spec(alg, cfg.pair[0])
     n = parse_module_spec(alg, cfg.pair[1])
-    tower = build_periodicity_tower(m, window=2 * alg.t)
+    tower = build_periodicity_tower(m)
     if tower is None:
-        raise ConfigError(f"no periodicity tower found for {cfg.pair[0]} within window {2 * alg.t}")
+        raise FalsificationError(f"no periodicity tower for non-projective {cfg.pair[0]}")
     report = gap_check(ext_table(m, n, cfg.max_degree), tower)
     _emit(cfg, _json_payload(report.to_dict()))
     return EXIT_VIOLATION if report.verdict == "violation" else EXIT_OK
@@ -219,7 +219,7 @@ def cmd_symmetry(cfg: RunConfig) -> int:
     alg = cfg.build_algebra()
     m = parse_module_spec(alg, cfg.pair[0])
     n = parse_module_spec(alg, cfg.pair[1])
-    tail = cfg.tail if cfg.tail is not None else min(2 * alg.t, cfg.max_degree)
+    tail = cfg.tail if cfg.tail is not None else min(alg.period_bound, cfg.max_degree)
     report = symmetry_scan(m, n, cfg.max_degree, tail)
     _emit(cfg, _json_payload(report.to_dict()))
     return EXIT_OK

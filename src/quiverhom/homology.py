@@ -319,22 +319,23 @@ class PeriodicityWitness:
     resolution: Resolution = dc_field(repr=False, default=None)
 
 
-def detect_period(m: QuiverModule, window: int) -> PeriodicityWitness | None:
-    """Search degrees 1..window for the smallest p with syzygy^p(M) isomorphic to M.
+def detect_period(m: QuiverModule) -> PeriodicityWitness | None:
+    """The smallest p in 1..period_bound with syzygy^p(M) isomorphic to M.
 
-    The zero module is excluded by convention (it would carry every
-    period), so projective modules report no period.  Syzygies are
-    screened by their content keys: a degree whose dims differ from M's
-    is skipped unbuilt, and when the content recurs exactly the witness
-    is the identity, still checked as a module map.  Other candidates go
-    to find_isomorphism.
+    Every non-projective module has a period dividing the bound, so None
+    means M is projective or zero (zero would carry every period).
+    Syzygies are screened by their content keys: a degree whose dims
+    differ from M's is skipped unbuilt, and when the content recurs
+    exactly the witness is the identity, still checked as a module map.
+    Other candidates go to find_isomorphism.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    bound = m.algebra.period_bound
+    if bound is None:
+        raise UnsupportedOperation("periodicity requires a circular Nakayama algebra")
     if m.is_zero:
         return None
-    res = minimal_resolution(m, window)
-    for p in range(1, window + 1):
+    res = minimal_resolution(m, bound)
+    for p in range(1, bound + 1):
         key = res.syzygy_key(p)
         if not any(key[0]):
             return None

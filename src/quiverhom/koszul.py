@@ -1,4 +1,4 @@
-"""Koszul-style cones, complexity estimation, and reduction towers.
+"""Koszul-style cones, complexity, and reduction towers.
 
 A cone step pushes the inclusion of the d-th syzygy into the
 degree-(d-1) projective term out along a map eta: syzygy^d(X) -> X,
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import Resolution, detect_period, minimal_resolution
+from .homology import Resolution, detect_period
 from .modules import (
     ModuleMap,
     QuiverModule,
@@ -66,7 +66,7 @@ def koszul_object(resolution: Resolution, eta: ModuleMap, degree: int) -> Koszul
         raise ValueError("eta must land in the resolution's module")
     incl = resolution.syzygy_inclusion(degree)  # syz -> P_{d-1}
     pterm = resolution.term(degree - 1).module
-    total, (inc_p, inc_x), (proj_p, _) = _sum2(pterm, x)
+    _, (inc_p, inc_x), (proj_p, _) = direct_sum([pterm, x])
     graph = inc_p.compose(incl) + inc_x.compose(eta.scale(-1))
     cone, quot = cokernel(graph, name=f"cone(d={degree}, {x.describe()})")
     inclusion = quot.compose(inc_x)
@@ -89,44 +89,19 @@ def koszul_object(resolution: Resolution, eta: ModuleMap, degree: int) -> Koszul
     return step
 
 
-def _sum2(a: QuiverModule, b: QuiverModule):
-    total, incls, projs = direct_sum([a, b])
-    return total, (incls[0], incls[1]), (projs[0], projs[1])
-
-
 # -- complexity -------------------------------------------------------------
 
 
-@dataclass
-class ComplexityEstimate:
-    """Growth class of the resolution term sizes: 0 (projective) or 1."""
+def complexity_estimate(m: QuiverModule) -> int:
+    """The complexity of M: 0 for projective (and zero) modules, 1 for everything else.
 
-    value: int
-    window: int
-    term_sizes: tuple[int, ...]
-
-
-def minimum_window(algebra) -> int:
-    """Degrees needed before the growth verdict is trusted (one full syzygy cycle)."""
-    if not algebra.is_selfinjective_nakayama:
-        raise UnsupportedOperation("complexity requires a circular Nakayama algebra")
-    return 2 * algebra.t * (algebra.n + 1)
-
-
-def complexity_estimate(m: QuiverModule, max_degree: int) -> ComplexityEstimate:
-    """Betti-growth degree of M's minimal resolution over degrees 0..max_degree.
-
-    Over circular Nakayama algebras non-projective modules have bounded,
-    eventually periodic Betti sizes, so the complexity is exactly 0 for
-    the projectives and 1 for everything else.
+    Over circular Nakayama algebras every non-projective module is
+    Omega-periodic (its period divides the algebra's period bound), so
+    its Betti sizes are bounded and never reach 0.
     """
-    window = minimum_window(m.algebra)
-    if max_degree < window:
-        raise ValueError(f"degree bound {max_degree} below minimum window {window}")
-    res = minimal_resolution(m, max_degree)
-    sizes = tuple(res.term_dim(d) for d in range(max_degree + 1))
-    value = 0 if any(s == 0 for s in sizes) else 1
-    return ComplexityEstimate(value=value, window=max_degree, term_sizes=sizes)
+    if m.algebra.period_bound is None:
+        raise UnsupportedOperation("complexity requires a circular Nakayama algebra")
+    return 0 if is_projective(m) else 1
 
 
 # -- reduction towers --------------------------------------------------------
@@ -138,16 +113,11 @@ class ReductionTower:
 
     base: QuiverModule
     steps: tuple[KoszulStep, ...]
-    complexities: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.complexities) != len(self.steps) + 1:
-            raise ValueError("need one complexity value per stage")
-        for a, b in zip(self.complexities, self.complexities[1:]):
-            if b != a - 1:
-                raise ValueError(f"stage complexities {self.complexities} do not descend by 1")
-        if self.complexities[-1] != 0:
-            raise ValueError("final stage must have complexity 0")
+    @property
+    def complexities(self) -> tuple[int, ...]:
+        """The complexity of the base and of each step's cone."""
+        return tuple(complexity_estimate(x) for x in (self.base, *(s.cone for s in self.steps)))
 
     @property
     def gap_length(self) -> int:
@@ -159,18 +129,18 @@ class ReductionTower:
         return self.steps[-1].cone if self.steps else self.base
 
 
-def build_periodicity_tower(m: QuiverModule, window: int) -> ReductionTower | None:
+def build_periodicity_tower(m: QuiverModule) -> ReductionTower | None:
     """The one-step tower whose cone is the Koszul object of a periodicity isomorphism.
 
     Projective (complexity-0) modules need no steps and come back as the
-    empty tower; None means no period was found within the window.
+    empty tower; every other module has a period, so None means the search failed.
     """
-    if m.is_zero or is_projective(m):
-        return ReductionTower(base=m, steps=(), complexities=(0,))
-    witness = detect_period(m, window)
+    if is_projective(m):
+        return ReductionTower(base=m, steps=())
+    witness = detect_period(m)
     if witness is None:
         return None
     step = koszul_object(witness.resolution, witness.iso, witness.period)
     if not is_projective(step.cone):
         raise AssertionError("cone of a periodicity isomorphism must be projective")
-    return ReductionTower(base=m, steps=(step,), complexities=(1, 0))
+    return ReductionTower(base=m, steps=(step,))

@@ -58,9 +58,6 @@ class QuiverModule:
     def field(self):
         return self.algebra.field
 
-    def vertex_dim(self, v: int) -> int:
-        return self.dims[v - 1]
-
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -68,9 +65,6 @@ class QuiverModule:
     @property
     def is_zero(self) -> bool:
         return self.total_dim == 0
-
-    def arrow_matrix(self, a: int) -> np.ndarray:
-        return self.arrow_maps[a]
 
     def path_action(self, p: PathWord) -> np.ndarray:
         """Matrix of the path acting from its start space to its end space."""
@@ -85,11 +79,7 @@ class QuiverModule:
         return m
 
     def structurally_equal(self, other: "QuiverModule") -> bool:
-        return (
-            self.algebra is other.algebra
-            and self.dims == other.dims
-            and all(np.array_equal(a, b) for a, b in zip(self.arrow_maps, other.arrow_maps))
-        )
+        return self.algebra is other.algebra and self.content_key() == other.content_key()
 
     def describe(self) -> str:
         return self.name or f"module(dims={list(self.dims)})"

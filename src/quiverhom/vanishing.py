@@ -149,10 +149,10 @@ def _classify_tails(fwd: ExtTable, bwd: ExtTable, tail: int) -> SymmetryReport:
     else:
         verdict = "asymmetric"
         direction = "m-to-n" if fwd_vanishes else "n-to-m"
-    # Over a symmetric algebra Omega^{2t} fixes every non-projective, so a
-    # window of 2t degrees spans a full Ext period and asymmetry there is
-    # impossible; a shorter window may miss one direction's nonzero degrees.
-    if verdict == "asymmetric" and m.algebra.is_symmetric and tail >= 2 * m.algebra.t:
+    # Every syzygy period divides the period bound, so over a symmetric
+    # algebra a tail that long spans a full Ext period and asymmetry there
+    # is impossible; a shorter tail may miss one direction's nonzero degrees.
+    if verdict == "asymmetric" and m.algebra.is_symmetric and tail >= m.algebra.period_bound:
         raise FalsificationError(
             f"asymmetric vanishing for {m.describe()} / {n.describe()} over a symmetric algebra"
         )
@@ -180,7 +180,7 @@ def nakayama_report(t: int, n: int, max_degree: int, field: GF | None = None, ta
     alg = nakayama_algebra(t, n, field)
     r = alg.r
     if tail is None:
-        tail = min(2 * t, max_degree)
+        tail = min(alg.period_bound, max_degree)
     if tail < 1 or tail > max_degree:
         raise ValueError(f"tail window {tail} outside [1,{max_degree}]")
     simples = [simple(alg, i) for i in range(1, t + 1)]
@@ -358,7 +358,6 @@ def gap_suite_cell(t: int, n: int, max_degree: int, field_p: int, uniserial_pair
     uniserial pairs; returns counters that must show zero violations.
     """
     alg = nakayama_algebra(t, n, GF(field_p))
-    window = 2 * t
     module_cache: dict[tuple[int, int], QuiverModule] = {}
 
     def get_module(top: int, length: int) -> QuiverModule:
@@ -376,13 +375,13 @@ def gap_suite_cell(t: int, n: int, max_degree: int, field_p: int, uniserial_pair
     verified_gaps = 0
     no_gaps = 0
     violations: list[str] = []
-    towers: dict[tuple[int, int], ReductionTower | None] = {}  # None: no period within the window
+    towers: dict[tuple[int, int], ReductionTower | None] = {}  # None: the period search failed
     for (mi, ml), (ni, nl) in pairs:
         m = get_module(mi, ml)
         nmod = get_module(ni, nl)
         key = (mi, ml)
         if key not in towers:
-            towers[key] = build_periodicity_tower(m, window)
+            towers[key] = build_periodicity_tower(m)
         tower = towers[key]
         if tower is None:
             violations.append(f"no tower for uniserial:{mi}:{ml}")

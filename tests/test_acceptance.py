@@ -127,7 +127,7 @@ def test_criterion_7_cone_invariants():
         for m in mods:
             if is_projective(m):
                 continue
-            witness = detect_period(m, 2 * t)
+            witness = detect_period(m)
             assert witness is not None, f"no period for {m.describe()} in cell {t},{n}"
             step = koszul_object(witness.resolution, witness.iso, witness.period)
             assert is_projective(step.cone)

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+import quiverhom.cli as cli
 import quiverhom.vanishing as vanishing
 from quiverhom.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_VIOLATION,
     MAX_DEGREE,
     MAX_N,
     MAX_T,
@@ -114,6 +116,17 @@ def test_gaps_json(capsys):
     assert doc["verdict"] == "gap-implies-all-zero-verified"
     assert doc["gap_start"] == 1
     assert doc["gap_length"] == 2
+
+
+def test_gaps_without_a_tower_falsifies_the_build(capsys, monkeypatch):
+    # Every non-projective module has a period within the bound, so a missing tower is a fault.
+    monkeypatch.setattr(cli, "build_periodicity_tower", lambda m: None)
+    code, out, err = run(
+        ["gaps", "--algebra", ALG32, "--pair", "simple:2", "simple:1", "--max-degree", "20"],
+        capsys,
+    )
+    assert code == EXIT_VIOLATION and out == ""
+    assert err == "violation: no periodicity tower for non-projective simple:2\n"
 
 
 def test_symmetry_json(capsys):

@@ -99,11 +99,11 @@ def test_algebra_memos_are_declared_in_init_and_start_empty():
     before = _algebra_state(alg)
     mods = [uniserial(alg, i, length) for i in range(1, 4) for length in range(1, 4)]
     for m in mods:
-        build_periodicity_tower(m, 6)
+        build_periodicity_tower(m)
         for n in mods:
             ext_dims(m, n, 4)
             stable_hom_dim(m, n)
-    detect_period(mods[0], 6)
+    detect_period(mods[0])
     decompose_serial(mods[0])
     after = _algebra_state(alg)
     # Every attribute, memos included, is declared in __init__; the work grows
@@ -134,5 +134,24 @@ def test_library_multiplies_matrices_only_through_gf_matmul():
         if path.name != "linalg.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+    ]
+    assert not products, products
+
+
+def _is_two_times_t(node: ast.AST) -> bool:
+    sides = (node.left, node.right) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) else ()
+    return any(isinstance(x, ast.Constant) and x.value == 2 for x in sides) and any(
+        getattr(x, "id", None) == "t" or getattr(x, "attr", None) == "t" for x in sides
+    )
+
+
+def test_only_algebra_py_states_the_period_bound():
+    # 2t is the family's Omega-period bound; every other file reads algebra.period_bound.
+    products = [
+        f"{path.name}: {ast.unparse(node)}"
+        for path in SOURCES
+        if path.name != "algebra.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _is_two_times_t(node)
     ]
     assert not products, products

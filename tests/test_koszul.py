@@ -2,20 +2,17 @@ import pytest
 
 from quiverhom.algebra import BoundQuiverAlgebra, Quiver, nakayama_algebra
 from quiverhom.homology import detect_period, ext_table, minimal_resolution
-from quiverhom.koszul import (
-    build_periodicity_tower,
-    complexity_estimate,
-    koszul_object,
-    minimum_window,
-)
+from quiverhom.koszul import build_periodicity_tower, complexity_estimate, koszul_object
 from quiverhom.modules import (
     ModuleMap,
     UnsupportedOperation,
     decompose_serial,
+    direct_sum,
     is_projective,
     projective,
     simple,
     uniserial,
+    zero_module,
 )
 
 
@@ -24,8 +21,8 @@ def a32():
     return nakayama_algebra(3, 2)
 
 
-def periodicity_step(module, window=8):
-    w = detect_period(module, window)
+def periodicity_step(module):
+    w = detect_period(module)
     return koszul_object(w.resolution, w.iso, w.period), w
 
 
@@ -78,7 +75,7 @@ def test_cone_of_zero_map_degree_two(a32):
 
 def test_cone_scaling_invariance(a32):
     x = simple(a32, 1)
-    w = detect_period(x, 6)
+    w = detect_period(x)
     base = koszul_object(w.resolution, w.iso, w.period)
     for unit in (2, 57, 100):
         scaled = koszul_object(w.resolution, w.iso.scale(unit), w.period)
@@ -95,44 +92,46 @@ def test_cone_rejects_wrong_source(a32):
 
 
 def test_complexity_of_projective_is_zero(a32):
-    est = complexity_estimate(projective(a32, 2), 20)
-    assert est.value == 0
-
-
-def test_complexity_of_simple_is_one(a32):
-    assert minimum_window(a32) == 18
-    est = complexity_estimate(simple(a32, 1), 20)
-    assert est.value == 1
-
-
-def test_complexity_of_uniserial_over_symmetric_cell():
-    a = nakayama_algebra(4, 4)
-    est = complexity_estimate(uniserial(a, 1, 2), 40)
-    assert est.value == 1
-
-
-def test_complexity_window_enforced(a32):
-    with pytest.raises(ValueError):
-        complexity_estimate(simple(a32, 1), 10)
+    for m in [projective(a32, 2), zero_module(a32)]:
+        assert complexity_estimate(m) == 0
+        assert build_periodicity_tower(m).complexities == (0,)
 
 
 def test_complexity_unsupported_off_family():
     alg = BoundQuiverAlgebra(Quiver(1, [(1, 1)]), nilpotency=3)
-    with pytest.raises(UnsupportedOperation):
-        minimum_window(alg)
-    with pytest.raises(UnsupportedOperation):
-        complexity_estimate(simple(alg, 1), 8)
+    assert alg.period_bound is None
+    for f in (complexity_estimate, detect_period, build_periodicity_tower):
+        with pytest.raises(UnsupportedOperation):
+            f(simple(alg, 1))
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_period_divides_the_bound_over_the_grid(t):
+    # Omega^2 M(i, l) = M(i+n+1, l): every non-projective module is periodic
+    # with a period dividing 2t, so its complexity is 1 and its tower descends to 0.
+    for n in range(1, 9):
+        alg = nakayama_algebra(t, n)
+        assert alg.period_bound == 2 * t
+        mods = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+        mods.append(direct_sum([uniserial(alg, 1, 1), uniserial(alg, t, n)])[0])
+        for m in mods:
+            w, tower = detect_period(m), build_periodicity_tower(m)
+            if is_projective(m):
+                assert (w, complexity_estimate(m), tower.steps, tower.complexities) == (None, 0, (), (0,)), m
+            else:
+                assert alg.period_bound % w.period == 0, m
+                assert (complexity_estimate(m), tower.complexities) == (1, (1, 0)), m
 
 
 def test_tower_for_periodic_simple(a32):
-    tower = build_periodicity_tower(simple(a32, 1), 6)
+    tower = build_periodicity_tower(simple(a32, 1))
     assert tower.gap_length == 2
     assert tower.complexities == (1, 0)
     assert is_projective(tower.final_cone)
 
 
 def test_tower_for_projective_is_empty(a32):
-    tower = build_periodicity_tower(projective(a32, 1), 6)
+    tower = build_periodicity_tower(projective(a32, 1))
     assert tower.steps == ()
     assert tower.complexities == (0,)
     assert tower.gap_length == 1
@@ -140,7 +139,7 @@ def test_tower_for_projective_is_empty(a32):
 
 def test_tower_period_four():
     a = nakayama_algebra(2, 2)
-    tower = build_periodicity_tower(simple(a, 1), 8)
+    tower = build_periodicity_tower(simple(a, 1))
     assert tower.gap_length == 4
     assert tower.steps[0].degree == 4
 
@@ -150,7 +149,7 @@ def test_tower_long_exact_shift(a32):
     from quiverhom.vanishing import les_shift_holds
 
     s1, s2 = simple(a32, 1), simple(a32, 2)
-    tower = build_periodicity_tower(s1, 6)
+    tower = build_periodicity_tower(s1)
     step = tower.steps[0]
     for n in [s1, s2, uniserial(a32, 3, 2)]:
         cone_table = ext_table(step.cone, n, 20)

@@ -317,7 +317,11 @@ def test_isomorphism_unsupported_off_family():
 def test_path_basis_builder_agrees_across_constructors(t, n):
     alg = nakayama_algebra(t, n)
     for i in range(1, t + 1):
-        assert projective(alg, i).structurally_equal(LabeledProjective(alg, (i,)).module)
+        p = projective(alg, i)
+        assert p.structurally_equal(LabeledProjective(alg, (i,)).module)
+        (a,) = alg.quiver.arrows_from[i]
+        scaled = QuiverModule(alg, p.dims, [2 * m if k == a else m for k, m in enumerate(p.arrow_maps)])
+        assert not p.structurally_equal(scaled) and not scaled.structurally_equal(p)
         for length in range(1, n + 2):
             assert decompose_serial(uniserial(alg, i, length)) == [(i, length)]
 

@@ -26,7 +26,7 @@ def a32():
 
 def test_gap_check_verified_direction(a32):
     s1, s2 = simple(a32, 1), simple(a32, 2)
-    tower = build_periodicity_tower(s2, 6)
+    tower = build_periodicity_tower(s2)
     report = gap_check(ext_table(s2, s1, 20), tower)
     assert report.gap_length == 2
     assert report.gap_start == 1
@@ -35,7 +35,7 @@ def test_gap_check_verified_direction(a32):
 
 def test_gap_check_no_gap_direction(a32):
     s1, s2 = simple(a32, 1), simple(a32, 2)
-    tower = build_periodicity_tower(s1, 6)
+    tower = build_periodicity_tower(s1)
     report = gap_check(ext_table(s1, s2, 20), tower)
     assert report.verdict == "no-gap"
     assert report.gap_start is None
@@ -43,7 +43,7 @@ def test_gap_check_no_gap_direction(a32):
 
 def test_gap_check_all_zero_table_any_tower(a32):
     p = projective(a32, 1)
-    tower = build_periodicity_tower(p, 6)
+    tower = build_periodicity_tower(p)
     report = gap_check(ext_table(p, simple(a32, 1), 20), tower)
     assert report.gap_start == 1
     assert report.verdict == "gap-implies-all-zero-verified"
@@ -51,7 +51,7 @@ def test_gap_check_all_zero_table_any_tower(a32):
 
 def test_gap_check_module_mismatch_rejected(a32):
     s1, s2 = simple(a32, 1), simple(a32, 2)
-    tower = build_periodicity_tower(s1, 6)
+    tower = build_periodicity_tower(s1)
     with pytest.raises(ValueError):
         gap_check(ext_table(s2, s1, 20), tower)
 
@@ -161,7 +161,7 @@ def test_gap_suite_cell_small():
 def test_gap_suite_cell_looks_for_each_missing_tower_once(monkeypatch):
     calls = []
 
-    def no_tower(m, window):
+    def no_tower(m):
         calls.append(m.describe())
         return None
 
