@@ -201,10 +201,11 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
     hom_dims, ranks = [], []
     for d in range(max_degree + 1):
         key = (res.syzygy_key(d), target_key)
-        if key not in memo:
-            memo[key] = (res.term(d).hom_dim(n), m.field.rank(_hom_complex_matrix(res, n, d)))
-        hom_dims.append(memo[key][0])
-        ranks.append(memo[key][1])
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (res.term(d).hom_dim(n), m.field.rank(_hom_complex_matrix(res, n, d)))
+        hom_dims.append(entry[0])
+        ranks.append(entry[1])
     out = [hom_dims[i] - ranks[i] - ranks[i - 1] for i in range(1, max_degree + 1)]
     simple_vertex = _simple_vertex_of(n)
     if simple_vertex is not None:

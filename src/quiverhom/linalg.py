@@ -2,7 +2,10 @@
 
 Matrices are numpy int64 arrays with all entries reduced modulo p.
 Everything here is integer arithmetic; there is no floating point and
-no tolerance anywhere.
+no tolerance anywhere.  Elimination (rref, rank, kernels, solves and
+inverses) runs on lists of Python ints, which cannot overflow: arrays
+go in and come out.  GF.matmul is the one place where int64 products
+are reduced.
 """
 
 from __future__ import annotations
@@ -83,58 +86,63 @@ class GF:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a @ b) % self.p
 
-    def rref(self, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Reduced row echelon form and the ordered pivot column indices."""
-        r = (np.array(m, dtype=np.int64) % self.p).copy()
-        rows, cols = r.shape
+    def _echelon(self, m: np.ndarray) -> tuple[list[list[int]], list[int]]:
+        """Gauss-Jordan reduction of m on Python ints: its RREF rows and the pivot columns.
+
+        Each pivot row is the first nonzero row at or below the current lead,
+        scaled to a leading 1; only the other rows with a nonzero entry in the
+        pivot column are touched when it is eliminated.
+        """
+        p = self.p
+        m = np.asarray(m, dtype=np.int64)
+        rows, cols = m.shape
+        r = (m % p).tolist()
         pivots: list[int] = []
         lead = 0
         for c in range(cols):
-            if lead >= rows:
+            if lead == rows:
                 break
-            nz = np.nonzero(r[lead:, c])[0]
-            if nz.size == 0:
+            for k in range(lead, rows):
+                if r[k][c]:
+                    break
+            else:
                 continue
-            k = lead + int(nz[0])
-            if k != lead:
-                r[[lead, k]] = r[[k, lead]]
-            r[lead] = (r[lead] * self.inv_scalar(r[lead, c])) % self.p
-            col = r[:, c].copy()
-            col[lead] = 0
-            r = (r - np.outer(col, r[lead])) % self.p
+            row, r[k] = r[k], r[lead]
+            if row[c] != 1:
+                s = self.inv_scalar(row[c])
+                row = [x * s % p for x in row]
+            r[lead] = row
+            for i, other in enumerate(r):
+                x = other[c]
+                if x and i != lead:
+                    r[i] = [(y - x * z) % p for y, z in zip(other, row)]
             pivots.append(c)
             lead += 1
         return r, pivots
 
+    def rref(self, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Reduced row echelon form and the ordered pivot column indices."""
+        r, pivots = self._echelon(m)
+        return np.array(r, dtype=np.int64).reshape(np.shape(m)), pivots
+
     def rank(self, m: np.ndarray) -> int:
-        if m.shape[0] == 0 or m.shape[1] == 0:
-            return 0
-        return len(self.rref(m)[1])
+        return len(self._echelon(m)[1])
 
     def kernel_basis(self, m: np.ndarray) -> list[np.ndarray]:
         """Basis of the right kernel {v : m @ v = 0}, one vector per free column."""
-        rows, cols = m.shape
-        if cols == 0:
-            return []
-        if rows == 0:
-            return [self.eye(cols)[:, j] for j in range(cols)]
-        r, pivots = self.rref(m)
-        free = [c for c in range(cols) if c not in pivots]
-        basis = []
-        for f in free:
-            v = np.zeros(cols, dtype=np.int64)
-            v[f] = 1
-            for i, c in enumerate(pivots):
-                v[c] = (-r[i, f]) % self.p
-            basis.append(v)
-        return basis
+        return list(self.kernel_matrix(m).T)
 
     def kernel_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Kernel basis packed as columns; shape (cols, dim ker)."""
-        basis = self.kernel_basis(m)
-        if not basis:
-            return np.zeros((m.shape[1], 0), dtype=np.int64)
-        return np.column_stack(basis)
+        """Kernel basis packed as columns, one per free column of the RREF; shape (cols, dim ker)."""
+        cols = m.shape[1]
+        r, pivots = self._echelon(m)
+        free = sorted(set(range(cols)).difference(pivots))
+        out = [[0] * len(free) for _ in range(cols)]
+        for j, c in enumerate(free):
+            out[c][j] = 1
+        for row, c in zip(r, pivots):
+            out[c] = [-row[f] % self.p for f in free]
+        return np.array(out, dtype=np.int64).reshape(cols, len(free))
 
     def solve(self, m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """Some x with m @ x = b, or None when the system is inconsistent."""
@@ -152,31 +160,24 @@ class GF:
             raise ValueError(
                 f"dimension mismatch: {a.shape[0]} rows vs {b.shape[0]} rows"
             )
-        rows, cols = a.shape
-        width = b.shape[1]
-        if width == 0:
-            return np.zeros((cols, 0), dtype=np.int64)
-        if rows == 0:
-            return np.zeros((cols, width), dtype=np.int64)
-        r, pivots = self.rref(np.hstack([a, b]))
+        cols, width = a.shape[1], b.shape[1]
+        r, pivots = self._echelon(np.hstack([a, b]))
         if any(p >= cols for p in pivots):
             return None
-        x = np.zeros((cols, width), dtype=np.int64)
-        for i, c in enumerate(pivots):
-            x[c] = r[i, cols:]
-        return x
+        x = [[0] * width for _ in range(cols)]
+        for row, c in zip(r, pivots):
+            x[c] = row[cols:]
+        return np.array(x, dtype=np.int64).reshape(cols, width)
 
     def inverse(self, m: np.ndarray) -> np.ndarray | None:
         """Inverse of a square matrix, or None when singular."""
         n = m.shape[0]
         if m.shape[1] != n:
             raise ValueError(f"inverse of non-square matrix {m.shape}")
-        if n == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        r, pivots = self.rref(np.hstack([m, self.eye(n)]))
-        if len(pivots) < n or pivots[-1] >= n:
+        r, pivots = self._echelon(np.hstack([m, self.eye(n)]))
+        if pivots != list(range(n)):
             return None
-        return r[:, n:]
+        return np.array([row[n:] for row in r], dtype=np.int64).reshape(n, n)
 
     def is_invertible(self, m: np.ndarray) -> bool:
         return m.shape[0] == m.shape[1] and self.rank(m) == m.shape[0]

@@ -507,19 +507,36 @@ def is_projective(m: QuiverModule) -> bool:
 def hom_basis(m: QuiverModule, n: QuiverModule) -> list[ModuleMap]:
     """A basis of Hom(M, N), by solving the intertwining equations.
 
-    The whole basis is checked against every arrow in one batch before
-    the maps are built.
+    The whole basis is checked against every arrow in one batch, and the
+    checked kernel is kept in the algebra's memo under the content pair
+    (M, N); on a hit the maps are built from it without solving again.
     """
     if m.algebra is not n.algebra:
         raise ValueError("hom_basis requires modules over the same algebra")
-    field = m.field
-    q = m.algebra.quiver
-    t = q.vertex_count
+    t = m.algebra.quiver.vertex_count
     col_off = [0]
     for v in range(t):
         col_off.append(col_off[-1] + n.dims[v] * m.dims[v])
     if col_off[-1] == 0:
         return []
+    memo, key = m.algebra._hom_kernels, (m.content_key(), n.content_key())
+    ker = memo.get(key)
+    if ker is None:
+        ker = memo[key] = _checked_hom_kernel(m, n, col_off)
+    f = _hom_blocks(m, n, ker, col_off)
+    return [ModuleMap(m, n, [fw[j] for fw in f], check=False) for j in range(ker.shape[1])]
+
+
+def _hom_blocks(m: QuiverModule, n: QuiverModule, ker: np.ndarray, col_off: list[int]) -> list[np.ndarray]:
+    """f[w][j], the vertex-w block of the map in column j of the Hom kernel."""
+    k = ker.shape[1]
+    return [ker[col_off[w] : col_off[w + 1]].T.reshape(k, n.dims[w], m.dims[w]) for w in range(len(m.dims))]
+
+
+def _checked_hom_kernel(m: QuiverModule, n: QuiverModule, col_off: list[int]) -> np.ndarray:
+    """The kernel of the intertwining system, each column checked on every arrow; read-only."""
+    field = m.field
+    q = m.algebra.quiver
     arrows = [(a, q.source(a) - 1, q.target(a) - 1) for a in range(len(q.arrows))]
     row_off = [0]
     for _, u, v in arrows:
@@ -534,13 +551,12 @@ def hom_basis(m: QuiverModule, n: QuiverModule) -> list[ModuleMap]:
             rows[i, :, col_off[v] + i * m.dims[v] : col_off[v] + (i + 1) * m.dims[v]] -= m.arrow_maps[a].T
     system %= field.p
     ker = field.kernel_matrix(system)
-    k = ker.shape[1]
-    # f[w][j] is the vertex-w block of the j-th basis map.
-    f = [ker[col_off[w] : col_off[w + 1]].T.reshape(k, n.dims[w], m.dims[w]) for w in range(t)]
+    f = _hom_blocks(m, n, ker, col_off)
     for a, u, v in arrows:
         if not np.array_equal(field.matmul(n.arrow_maps[a], f[u]), field.matmul(f[v], m.arrow_maps[a])):
             raise AssertionError(f"Hom basis does not intertwine arrow {a}")
-    return [ModuleMap(m, n, [fw[j] for fw in f], check=False) for j in range(k)]
+    ker.flags.writeable = False
+    return ker
 
 
 # -- serial structure and isomorphism (circular Nakayama family) --------

@@ -299,6 +299,12 @@ def _sweep_cell(args: tuple[int, int, int, int, int | None]) -> dict:
     return nakayama_report(t, n, max_degree, GF(p), tail=tail)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform has one)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
 def run_sweep(
     t_range: tuple[int, int],
     n_range: tuple[int, int],
@@ -307,7 +313,7 @@ def run_sweep(
     workers: int = 1,
     tail: int | None = None,
 ) -> dict:
-    """Run nakayama_report over a (t, n) grid on min(workers, cells, CPUs) processes, sorted output."""
+    """Run nakayama_report over a (t, n) grid on min(workers, cells, usable CPUs) processes, sorted output."""
     cells = [
         (t, n, max_degree, field_p, tail)
         for t in range(t_range[0], t_range[1] + 1)
@@ -315,7 +321,7 @@ def run_sweep(
     ]
     if not cells:
         raise ValueError("empty sweep grid")
-    workers = min(workers, len(cells), os.cpu_count() or 1)
+    workers = min(workers, len(cells), _usable_cpus())
     results: list[dict] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         reports = map(_sweep_cell, cells) if pool is None else pool.map(_sweep_cell, cells)

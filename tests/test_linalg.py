@@ -147,3 +147,94 @@ def test_kernel_vectors_are_independent_solutions(mf):
     if basis:
         stacked = np.column_stack(basis)
         assert f.rank(stacked) == len(basis)
+
+
+def _numpy_rref(p: int, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reference Gauss-Jordan on int64 arrays: first nonzero row at or below the lead is the pivot row."""
+    r = np.array(m, dtype=np.int64) % p
+    rows, cols = r.shape
+    pivots: list[int] = []
+    lead = 0
+    for c in range(cols):
+        if lead >= rows:
+            break
+        nz = np.nonzero(r[lead:, c])[0]
+        if nz.size == 0:
+            continue
+        k = lead + int(nz[0])
+        if k != lead:
+            r[[lead, k]] = r[[k, lead]]
+        r[lead] = (r[lead] * pow(int(r[lead, c]), p - 2, p)) % p
+        col = r[:, c].copy()
+        col[lead] = 0
+        r = (r - np.outer(col, r[lead])) % p
+        pivots.append(c)
+        lead += 1
+    return r, pivots
+
+
+# The largest prime below GF.MAX_CHARACTERISTIC is 1048573.
+reference_prime = st.sampled_from([2, 3, 101, 1048573])
+
+
+@st.composite
+def sparse_or_dense(draw, rows, cols, p):
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+    else:
+        entries = [0] * (rows * cols)
+        if entries:
+            for i in draw(st.sets(st.integers(0, rows * cols - 1), max_size=max(rows, cols))):
+                entries[i] = draw(st.integers(1, p - 1))
+    return np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
+@st.composite
+def reference_case(draw):
+    p = draw(reference_prime)
+    rows, cols, width = draw(st.integers(0, 13)), draw(st.integers(0, 26)), draw(st.integers(0, 4))
+    m = draw(sparse_or_dense(rows, cols, p))
+    return GF(p), m, draw(sparse_or_dense(rows, width, p))
+
+
+@given(reference_case())
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_the_numpy_reference(case):
+    f, m, b = case
+    p = f.p
+    rows, cols = m.shape
+    want, want_pivots = _numpy_rref(p, m)
+    got, pivots = f.rref(m)
+    assert got.dtype == np.int64 and got.shape == m.shape
+    assert np.array_equal(got, want) and pivots == want_pivots
+    assert f.rank(m) == len(want_pivots)
+    # Kernel: one column per free column f, with 1 at f and -r[i, f] at the i-th pivot.
+    free = [c for c in range(cols) if c not in want_pivots]
+    ker = np.zeros((cols, len(free)), dtype=np.int64)
+    for j, c in enumerate(free):
+        ker[c, j] = 1
+        for i, pc in enumerate(want_pivots):
+            ker[pc, j] = -want[i, c] % p
+    got_ker = f.kernel_matrix(m)
+    assert np.array_equal(got_ker, ker) and got_ker.shape == (cols, len(free))
+    basis = f.kernel_basis(m)
+    assert len(basis) == len(free) and all(np.array_equal(v, ker[:, j]) for j, v in enumerate(basis))
+    # Solve: consistent iff no pivot of [m | b] lies in b; the pivot rows give X.
+    aug, aug_pivots = _numpy_rref(p, np.hstack([m, b]))
+    x = f.solve_matrix(m, b)
+    if any(c >= cols for c in aug_pivots):
+        assert x is None
+    else:
+        want_x = np.zeros((cols, b.shape[1]), dtype=np.int64)
+        for i, c in enumerate(aug_pivots):
+            want_x[c] = aug[i, cols:]
+        assert np.array_equal(x, want_x) and x.shape == want_x.shape
+    # Inverse of the leading square block, read from the reference RREF of [s | I].
+    k = min(rows, cols)
+    s = m[:k, :k]
+    inv_ref, inv_pivots = _numpy_rref(p, np.hstack([s, np.eye(k, dtype=np.int64)]))
+    inv = f.inverse(s)
+    if inv_pivots != list(range(k)):
+        assert inv is None
+    else:
+        assert np.array_equal(inv, inv_ref[:, k:]) and inv.shape == (k, k)

@@ -403,5 +403,44 @@ def test_hom_basis_checks_every_map_before_returning(a32, monkeypatch):
     m = uniserial(a32, 1, 2)
     assert len(hom_basis(m, m)) == 1
     monkeypatch.setattr(GF, "kernel_matrix", one_wrong_column)
+    # A fresh algebra has an empty Hom-kernel memo, so the patched kernel is computed and checked.
+    fresh = nakayama_algebra(3, 2)
+    m = uniserial(fresh, 1, 2)
     with pytest.raises(AssertionError, match="does not intertwine"):
         hom_basis(m, m)
+    assert fresh._hom_kernels == {}
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_warm_hom_basis_reads_the_kernel_memo(t, monkeypatch):
+    def build(alg, n):
+        mods = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 1)]
+        mods += [projective(alg, i) for i in range(1, t + 1)]
+        mods.append(direct_sum([simple(alg, 1), simple(alg, t)])[0])
+        return mods
+
+    cold = {}
+    for n in range(1, 5):
+        alg = nakayama_algebra(t, n)
+        mods = build(alg, n)
+        pairs = set()
+        for x in mods:
+            for y in mods:
+                cold[n, x.content_key(), y.content_key()] = hom_basis(x, y)
+                if any(a * b for a, b in zip(x.dims, y.dims)):
+                    pairs.add((x.content_key(), y.content_key()))
+        # One entry per distinct content pair with a nonzero system; each is a read-only array.
+        assert set(alg._hom_kernels) == pairs
+        assert all(not ker.flags.writeable for ker in alg._hom_kernels.values())
+        with monkeypatch.context() as mp:
+            mp.setattr(GF, "kernel_matrix", lambda self, m: pytest.fail("warm hom_basis solved a system"))
+            # New module objects with the same content hit the memo and get maps between themselves.
+            again = build(alg, n)
+            for x in again:
+                for y in again:
+                    got, want = hom_basis(x, y), cold[n, x.content_key(), y.content_key()]
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert g.source is x and g.target is y
+                        assert all(np.array_equal(a, b) for a, b in zip(g.blocks, w.blocks, strict=True))
+        assert set(alg._hom_kernels) == pairs

@@ -271,6 +271,18 @@ def test_run_sweep_starts_no_pool_for_one_cell(monkeypatch):
     assert agg["summary"]["cell_count"] == 1
 
 
+def test_run_sweep_clamps_to_the_cpus_this_process_may_use(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    serial = run_sweep((2, 3), (1, 1), 6, workers=1)
+    # The host counts many CPUs, but the affinity mask allows one: the sweep runs serially.
+    monkeypatch.setattr(vanishing.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(vanishing.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(vanishing, "ProcessPoolExecutor", no_pool)
+    assert run_sweep((2, 3), (1, 1), 6, workers=4) == serial
+
+
 def test_run_sweep_names_the_failing_cell(monkeypatch):
     def fail_on_t3(args):
         if args[0] == 3:
