@@ -8,7 +8,6 @@ p, then q" and is defined when ``p`` ends where ``q`` starts.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .linalg import GF
@@ -70,25 +69,12 @@ class Quiver:
             raise ValueError(f"arrow {a} does not compose with path ending at {p.end}")
         return PathWord(p.start, p.arrows + (a,), self.target(a))
 
-    def make_path(self, start: int, arrow_seq) -> PathWord:
-        p = self.trivial_path(start)
-        for a in arrow_seq:
-            p = self.extend(p, a)
-        return p
-
 
 def circular_quiver(t: int) -> Quiver:
     """The cyclic quiver on t vertices with arrows i -> i+1 (mod t)."""
     if t < 2:
         raise ValueError(f"circular quiver needs t >= 2, got {t}")
     return Quiver(t, [(i, i % t + 1) for i in range(1, t + 1)])
-
-
-class ZeroProduct(enum.Enum):
-    """The two zero outcomes of multiplying basis paths."""
-
-    TRUNCATED = "truncated"  # composable, but the composite hits the nilpotency bound
-    NON_COMPOSABLE = "non-composable"  # endpoints do not match
 
 
 class BoundQuiverAlgebra:
@@ -148,19 +134,6 @@ class BoundQuiverAlgebra:
                 frontier = [self.quiver.extend(p, a) for p in frontier for a in self.quiver.arrows_from[p.end]]
             self._relation_generators = tuple(frontier)
         return self._relation_generators
-
-    def multiply(self, p: PathWord, q: PathWord) -> PathWord | ZeroProduct:
-        """Product of two basis paths: a basis path, or a zero indicator."""
-        if not self.is_basis_path(p):
-            raise ValueError(f"{p} is not a basis path of this algebra")
-        if not self.is_basis_path(q):
-            raise ValueError(f"{q} is not a basis path of this algebra")
-        if p.end != q.start:
-            return ZeroProduct.NON_COMPOSABLE
-        word = PathWord(p.start, p.arrows + q.arrows, q.end)
-        if word.length >= self.nilpotency:
-            return ZeroProduct.TRUNCATED
-        return word
 
     def unique_path(self, v: int, length: int) -> PathWord:
         """The single basis path of the given length starting at v (Nakayama only).

@@ -18,7 +18,7 @@ from .algebra import nakayama_algebra
 from .homology import ext_table, minimal_resolution
 from .koszul import build_periodicity_tower
 from .linalg import GF, is_prime
-from .specifiers import GRAMMAR, SpecifierError, parse_module_spec
+from .specifiers import GRAMMAR, MAX_DEGREE, SpecifierError, parse_module_spec
 from .vanishing import (
     FalsificationError,
     SweepError,
@@ -33,7 +33,6 @@ EXIT_CONFIG = 2
 EXIT_VIOLATION = 3
 MAX_WORKERS = 64  # --workers ceiling; a sweep also clamps to its cell and CPU counts
 MAX_T = MAX_N = 64  # t and n ceilings for --algebra and the sweep ranges
-MAX_DEGREE = 10000  # --max-degree ceiling
 
 
 class ConfigError(ValueError):
@@ -49,7 +48,6 @@ class RunConfig:
     pair: tuple[str, str] | None = None
     out: str | None = None
     workers: int = 1
-    tail: int | None = None
     sweep: dict | None = None
 
     @classmethod
@@ -80,9 +78,9 @@ class RunConfig:
         return cfg
 
     def validate(self):
-        for key in ("field_p", "max_degree", "workers", "tail"):
+        for key in ("field_p", "max_degree", "workers"):
             value = getattr(self, key)
-            if not (_is_int(value) or (key == "tail" and value is None)):
+            if not _is_int(value):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         if not is_prime(self.field_p):
             raise ConfigError(f"field_p must be prime, got {self.field_p}")
@@ -98,8 +96,6 @@ class RunConfig:
             if not (isinstance(self.pair, (list, tuple)) and len(self.pair) == 2):
                 raise ConfigError("pair must name exactly two module specifiers")
             self.pair = (str(self.pair[0]), str(self.pair[1]))
-        if self.tail is not None and not (1 <= self.tail <= self.max_degree):
-            raise ConfigError(f"tail {self.tail} outside [1,{self.max_degree}]")
         if self.sweep is not None:
             for key, least, most in (("t", 2, MAX_T), ("n", 1, MAX_N)):
                 rng = self.sweep.get(key)
@@ -160,7 +156,10 @@ def _parse_algebra_flag(text: str) -> dict:
 
 def _emit(cfg: RunConfig, payload: str):
     if cfg.out:
-        Path(cfg.out).write_text(payload, encoding="utf-8")
+        try:
+            Path(cfg.out).write_text(payload, encoding="utf-8")
+        except OSError as e:
+            raise ConfigError(f"cannot write output file {cfg.out}: {e}") from e
     else:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
@@ -219,8 +218,7 @@ def cmd_symmetry(cfg: RunConfig) -> int:
     alg = cfg.build_algebra()
     m = parse_module_spec(alg, cfg.pair[0])
     n = parse_module_spec(alg, cfg.pair[1])
-    tail = cfg.tail if cfg.tail is not None else min(alg.period_bound, cfg.max_degree)
-    report = symmetry_scan(m, n, cfg.max_degree, tail)
+    report = symmetry_scan(m, n, cfg.max_degree)
     _emit(cfg, _json_payload(report.to_dict()))
     return EXIT_OK
 
@@ -228,9 +226,7 @@ def cmd_symmetry(cfg: RunConfig) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     if cfg.algebra is None:
         raise ConfigError("report needs an algebra spec")
-    rep = nakayama_report(
-        cfg.algebra["t"], cfg.algebra["n"], cfg.max_degree, GF(cfg.field_p), tail=cfg.tail
-    )
+    rep = nakayama_report(cfg.algebra["t"], cfg.algebra["n"], cfg.max_degree, GF(cfg.field_p))
     _emit(cfg, _json_payload(rep))
     return EXIT_OK
 
@@ -244,7 +240,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
         cfg.max_degree,
         field_p=cfg.field_p,
         workers=cfg.workers,
-        tail=cfg.tail,
     )
     _emit(cfg, _json_payload(agg))
     return EXIT_OK
@@ -285,12 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--module", help=f"module specifier; grammar: {GRAMMAR}")
         if name in ("ext", "gaps", "symmetry"):
             p.add_argument("--pair", nargs=2, metavar=("M", "N"), help=f"module specifier pair; grammar: {GRAMMAR}")
-        if name in ("symmetry", "report"):
-            p.add_argument("--tail", type=int, help="tail window length (default min(2t, B))")
         if name == "sweep":
             p.add_argument("--sweep-t", dest="sweep_t", nargs=2, type=int, metavar=("LO", "HI"))
             p.add_argument("--sweep-n", dest="sweep_n", nargs=2, type=int, metavar=("LO", "HI"))
-            p.add_argument("--tail", type=int, help="tail window length per cell")
             p.add_argument("--workers", type=int, help=f"parallel workers for sweep cells, at most {MAX_WORKERS}")
     return parser
 

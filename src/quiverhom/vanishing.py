@@ -15,11 +15,11 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .algebra import nakayama_algebra
+from .algebra import BoundQuiverAlgebra, nakayama_algebra
 from .homology import ExtTable, ext_table, minimal_resolution
 from .koszul import ReductionTower, build_periodicity_tower
 from .linalg import GF
-from .modules import QuiverModule, simple, uniserial
+from .modules import QuiverModule, UnsupportedOperation, simple, uniserial
 
 # Seeds the gap-suite uniserial pair sample; recorded in every JSON report.
 RANDOM_SEED = 1729
@@ -122,21 +122,33 @@ class SymmetryReport:
         }
 
 
-def symmetry_scan(m: QuiverModule, n: QuiverModule, max_degree: int, tail: int) -> SymmetryReport:
-    """Decide tail vanishing of Ext(M,N) and Ext(N,M) on the last `tail` degrees.
+def _symmetry_window(alg: BoundQuiverAlgebra, max_degree: int) -> int:
+    """The number of top degrees the symmetry verdict reads: min(2t, B).
 
-    Over a symmetric algebra an asymmetric outcome on a window of at
-    least 2t degrees is impossible, so it is escalated to a falsifying
-    error; on a shorter window it is reported.
+    Every Omega-period divides the period bound 2t, so Ext^i(M, N) is
+    periodic in i >= 1 with a period dividing it: with B >= 2t the last
+    2t degrees give the exact verdict for i >> 0.
     """
-    if tail < 1 or tail > max_degree:
-        raise ValueError(f"tail window {tail} outside [1,{max_degree}]")
-    return _classify_tails(ext_table(m, n, max_degree), ext_table(n, m, max_degree), tail)
+    if alg.period_bound is None:
+        raise UnsupportedOperation("the symmetry window requires a circular Nakayama algebra")
+    return min(alg.period_bound, max_degree)
 
 
-def _classify_tails(fwd: ExtTable, bwd: ExtTable, tail: int) -> SymmetryReport:
+def symmetry_scan(m: QuiverModule, n: QuiverModule, max_degree: int) -> SymmetryReport:
+    """Decide tail vanishing of Ext(M,N) and Ext(N,M) on their last min(2t, B) degrees.
+
+    Over a symmetric algebra an asymmetric outcome with B >= 2t is
+    impossible, so it is escalated to a falsifying error; with B < 2t
+    it is reported.
+    """
+    return _classify_tails(ext_table(m, n, max_degree), ext_table(n, m, max_degree))
+
+
+def _classify_tails(fwd: ExtTable, bwd: ExtTable) -> SymmetryReport:
     """The symmetry verdict of a pair from its two Ext tables M->N and N->M."""
     m, n, max_degree = fwd.source, fwd.target, fwd.max_degree
+    alg = m.algebra
+    tail = _symmetry_window(alg, max_degree)
     lo = max_degree - tail + 1
     wit_fwd = [i for i in range(lo, max_degree + 1) if fwd.dim(i) != 0]
     wit_bwd = [i for i in range(lo, max_degree + 1) if bwd.dim(i) != 0]
@@ -149,10 +161,9 @@ def _classify_tails(fwd: ExtTable, bwd: ExtTable, tail: int) -> SymmetryReport:
     else:
         verdict = "asymmetric"
         direction = "m-to-n" if fwd_vanishes else "n-to-m"
-    # Every syzygy period divides the period bound, so over a symmetric
-    # algebra a tail that long spans a full Ext period and asymmetry there
-    # is impossible; a shorter tail may miss one direction's nonzero degrees.
-    if verdict == "asymmetric" and m.algebra.is_symmetric and tail >= m.algebra.period_bound:
+    # With B >= 2t the window spans a whole Ext period, where asymmetry over a
+    # symmetric algebra is impossible; a shorter one may miss a direction.
+    if verdict == "asymmetric" and alg.is_symmetric and tail == alg.period_bound:
         raise FalsificationError(
             f"asymmetric vanishing for {m.describe()} / {n.describe()} over a symmetric algebra"
         )
@@ -169,7 +180,7 @@ def _classify_tails(fwd: ExtTable, bwd: ExtTable, tail: int) -> SymmetryReport:
 # -- the flagship per-cell report ----------------------------------------------
 
 
-def nakayama_report(t: int, n: int, max_degree: int, field: GF | None = None, tail: int | None = None) -> dict:
+def nakayama_report(t: int, n: int, max_degree: int, field: GF | None = None) -> dict:
     """Full analysis of one circular Nakayama cell kG/J^{n+1}.
 
     Verifies the double-syzygy vertex shift and its even powers, emits
@@ -179,10 +190,6 @@ def nakayama_report(t: int, n: int, max_degree: int, field: GF | None = None, ta
     """
     alg = nakayama_algebra(t, n, field)
     r = alg.r
-    if tail is None:
-        tail = min(alg.period_bound, max_degree)
-    if tail < 1 or tail > max_degree:
-        raise ValueError(f"tail window {tail} outside [1,{max_degree}]")
     simples = [simple(alg, i) for i in range(1, t + 1)]
 
     # Omega^{2j} S_i = S_{i+j+jr}.  For t >= 2 the quiver has no loops, so a
@@ -204,7 +211,7 @@ def nakayama_report(t: int, n: int, max_degree: int, field: GF | None = None, ta
     pairs = []
     asymmetric_pairs = 0
     for (i, j), table in tables.items():
-        rep = _classify_tails(table, tables[j, i], tail)
+        rep = _classify_tails(table, tables[j, i])
         if rep.verdict == "asymmetric":
             asymmetric_pairs += 1
         pairs.append(
@@ -238,7 +245,7 @@ def nakayama_report(t: int, n: int, max_degree: int, field: GF | None = None, ta
         "r": r,
         "field_p": alg.field.p,
         "max_degree": max_degree,
-        "tail": tail,
+        "tail": _symmetry_window(alg, max_degree),
         "seed": RANDOM_SEED,
         "symmetric_algebra": alg.is_symmetric,
         "syzygy_square_ok": shift_ok,
@@ -294,9 +301,9 @@ class SweepError(RuntimeError):
     """A sweep cell failed; the whole sweep aborts and names the cell."""
 
 
-def _sweep_cell(args: tuple[int, int, int, int, int | None]) -> dict:
-    t, n, max_degree, p, tail = args
-    return nakayama_report(t, n, max_degree, GF(p), tail=tail)
+def _sweep_cell(args: tuple[int, int, int, int]) -> dict:
+    t, n, max_degree, p = args
+    return nakayama_report(t, n, max_degree, GF(p))
 
 
 def _usable_cpus() -> int:
@@ -311,11 +318,10 @@ def run_sweep(
     max_degree: int,
     field_p: int = 101,
     workers: int = 1,
-    tail: int | None = None,
 ) -> dict:
     """Run nakayama_report over a (t, n) grid on min(workers, cells, usable CPUs) processes, sorted output."""
     cells = [
-        (t, n, max_degree, field_p, tail)
+        (t, n, max_degree, field_p)
         for t in range(t_range[0], t_range[1] + 1)
         for n in range(n_range[0], n_range[1] + 1)
     ]

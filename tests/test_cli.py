@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +161,23 @@ def test_bad_specifier_exit_code(capsys):
     assert "grammar" in err
 
 
+def test_deeply_nested_syzygy_specifier_matches_the_flat_count(capsys):
+    outs = [
+        run(["resolve", "--algebra", ALG32, "--module", spec, "--max-degree", "6"], capsys)
+        for spec in ("syzygy:1:" * 1500 + "simple:1", "syzygy:1500:simple:1")
+    ]
+    assert outs[0][0] == EXIT_OK
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("target", ["", "missing/out.csv"], ids=["directory", "missing-parent"])
+def test_out_that_cannot_be_written_exits_2(capsys, tmp_path, target):
+    argv = ["ext", "--algebra", ALG32, "--pair", "simple:1", "simple:2", "--max-degree", "2"]
+    code, out, err = run(argv + ["--out", str(tmp_path / target)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: cannot write output file")
+
+
 def test_bad_algebra_exit_code(capsys):
     code, _, err = run(
         ["resolve", "--algebra", '{"kind":"wreath"}', "--module", "simple:1"], capsys
@@ -255,14 +274,16 @@ def test_config_file_with_flag_override(capsys, tmp_path):
 
 def test_config_unknown_keys_rejected(capsys, tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"algebra": {"kind": "circular_nakayama", "t": 3, "n": 2}, "frobnicate": 1}))
-    code, _, err = run(["resolve", "--config", str(cfg), "--module", "simple:1"], capsys)
-    assert code == EXIT_CONFIG
-    assert "unknown config keys" in err
+    # The symmetry window is derived from the algebra and B, so "tail" is not a key.
+    for key in ("frobnicate", "tail"):
+        cfg.write_text(json.dumps({"algebra": {"kind": "circular_nakayama", "t": 3, "n": 2}, key: 1}))
+        code, _, err = run(["resolve", "--config", str(cfg), "--module", "simple:1"], capsys)
+        assert code == EXIT_CONFIG
+        assert f"unknown config keys: ['{key}']" in err
 
 
 @pytest.mark.parametrize(
-    "doc", [{"workers": "4"}, {"tail": "2"}, {"field_p": 101.0}, {"max_degree": True}]
+    "doc", [{"workers": "4"}, {"max_degree": "20"}, {"field_p": 101.0}, {"max_degree": True}]
 )
 def test_config_values_must_be_integers(capsys, tmp_path, doc):
     cfg = tmp_path / "run.json"
@@ -303,15 +324,6 @@ def test_outputs_byte_identical_on_repeat(capsys, tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-@pytest.mark.parametrize("tail_args, tail", [(["--tail", "3"], 3), ([], 6)])
-def test_sweep_tail_flag_reaches_every_cell(capsys, tail_args, tail):
-    code, out, _ = run(
-        ["sweep", "--sweep-t", "3", "3", "--sweep-n", "2", "2", "--max-degree", "8"] + tail_args, capsys
-    )
-    assert code == EXIT_OK
-    assert [c["tail"] for c in json.loads(out)["cells"]] == [tail]
-
-
 def test_sweep_rejects_workers_above_ceiling_without_a_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
@@ -325,12 +337,11 @@ def test_sweep_rejects_workers_above_ceiling_without_a_pool(capsys, monkeypatch)
 
 
 def test_sweep_tail_shorter_than_period_is_reported_over_symmetric_cell(capsys):
-    # (3, 3) is symmetric; a 3-degree window is shorter than the 2t = 6 period.
-    code, out, _ = run(
-        ["sweep", "--sweep-t", "3", "3", "--sweep-n", "3", "3", "--max-degree", "8", "--tail", "3"], capsys
-    )
+    # (3, 3) is symmetric; at B = 2 the window is shorter than the 2t = 6 period.
+    code, out, _ = run(["sweep", "--sweep-t", "3", "3", "--sweep-n", "3", "3", "--max-degree", "2"], capsys)
     assert code == EXIT_OK
-    assert json.loads(out)["cells"][0]["asymmetric_pairs"] > 0
+    cell = json.loads(out)["cells"][0]
+    assert cell["tail"] == 2 and cell["asymmetric_pairs"] > 0
 
 
 @pytest.mark.parametrize(
@@ -338,6 +349,9 @@ def test_sweep_tail_shorter_than_period_is_reported_over_symmetric_cell(capsys):
     [
         ["ext", "--algebra", ALG32, "--pair", "simple:1", "simple:2", "--workers", "4"],
         ["sweep", "--algebra", ALG32, "--sweep-t", "2", "2", "--sweep-n", "1", "1"],
+        ["symmetry", "--algebra", ALG32, "--pair", "simple:1", "simple:2", "--tail", "3"],
+        ["report", "--algebra", ALG32, "--tail", "3"],
+        ["sweep", "--sweep-t", "2", "2", "--sweep-n", "1", "1", "--tail", "3"],
     ],
 )
 def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
@@ -391,3 +405,21 @@ def test_inputs_are_accepted_at_their_upper_bound_and_rejected_above(config, lim
     config(limit).validate()
     with pytest.raises(ConfigError, match=message):
         config(limit + 1).validate()
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """The argument lists of the `quiverhom ...` lines in the README's CLI code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("quiverhom ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=lambda argv: argv[0])
+def test_readme_cli_examples_run(capsys, tmp_path, argv):
+    argv = list(argv)
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+    assert run(argv, capsys)[0] == EXIT_OK

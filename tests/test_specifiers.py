@@ -5,7 +5,7 @@ import quiverhom.specifiers as specifiers
 from quiverhom.algebra import nakayama_algebra
 from quiverhom.homology import minimal_resolution
 from quiverhom.modules import decompose_serial
-from quiverhom.specifiers import SpecifierError, parse_module_spec
+from quiverhom.specifiers import MAX_DEGREE, SpecifierError, parse_module_spec
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +73,28 @@ def test_bad_specifiers_rejected(a32, bad):
 def test_error_names_grammar(a32):
     with pytest.raises(SpecifierError, match="grammar"):
         parse_module_spec(a32, "nope:1")
+
+
+def test_syzygy_count_is_accepted_at_its_bound_and_rejected_above_before_resolving(a32, monkeypatch):
+    at_bound = f"syzygy:{MAX_DEGREE}:simple:1"
+    assert parse_module_spec(a32, at_bound).name == at_bound
+
+    def no_resolution(*args):
+        raise AssertionError("a resolution was built")
+
+    monkeypatch.setattr(specifiers, "minimal_resolution", no_resolution)
+    for text in (
+        f"syzygy:{MAX_DEGREE + 1}:simple:1",
+        f"syzygy:{MAX_DEGREE}:syzygy:1:simple:1",
+        "syzygy:1:" * (MAX_DEGREE + 1) + "simple:1",
+        "syzygy:400000:simple:1",
+    ):
+        with pytest.raises(SpecifierError, match=f"sum to more than {MAX_DEGREE}"):
+            parse_module_spec(a32, text)
+
+
+def test_nested_syzygy_prefixes_compose(a32):
+    nested = parse_module_spec(a32, "syzygy:1:syzygy:2:uniserial:1:2")
+    flat = parse_module_spec(a32, "syzygy:3:uniserial:1:2")
+    assert nested.name == "syzygy:1:syzygy:2:uniserial:1:2"
+    assert nested.content_key() == flat.content_key()

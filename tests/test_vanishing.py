@@ -3,10 +3,10 @@ import pytest
 import quiverhom.homology as homology
 import quiverhom.modules as modules
 import quiverhom.vanishing as vanishing
-from quiverhom.algebra import nakayama_algebra
+from quiverhom.algebra import BoundQuiverAlgebra, Quiver, nakayama_algebra
 from quiverhom.homology import ExtTable, ext_table, minimal_resolution
 from quiverhom.koszul import build_periodicity_tower
-from quiverhom.modules import decompose_serial, projective, simple, uniserial
+from quiverhom.modules import UnsupportedOperation, decompose_serial, projective, simple, uniserial
 from quiverhom.vanishing import (
     FalsificationError,
     auslander_scan,
@@ -57,7 +57,7 @@ def test_gap_check_module_mismatch_rejected(a32):
 
 
 def test_symmetry_asymmetric_pair(a32):
-    rep = symmetry_scan(simple(a32, 1), simple(a32, 2), 20, 6)
+    rep = symmetry_scan(simple(a32, 1), simple(a32, 2), 20)
     assert rep.verdict == "asymmetric"
     assert rep.vanishing_direction == "n-to-m"
     assert rep.witness_degrees["n_to_m"] == []
@@ -65,12 +65,12 @@ def test_symmetry_asymmetric_pair(a32):
 
 
 def test_symmetry_self_pair_never_vanishes(a32):
-    rep = symmetry_scan(simple(a32, 2), simple(a32, 2), 20, 6)
+    rep = symmetry_scan(simple(a32, 2), simple(a32, 2), 20)
     assert rep.verdict == "neither-vanishes"
 
 
 def test_symmetry_projective_pair_vanishes_both_ways(a32):
-    rep = symmetry_scan(projective(a32, 1), projective(a32, 2), 20, 6)
+    rep = symmetry_scan(projective(a32, 1), projective(a32, 2), 20)
     assert rep.verdict == "both-tails-vanish"
 
 
@@ -78,21 +78,34 @@ def test_symmetric_cell_has_no_asymmetric_pairs():
     a = nakayama_algebra(2, 2)
     for i in (1, 2):
         for j in (1, 2):
-            rep = symmetry_scan(simple(a, i), simple(a, j), 20, 4)
+            rep = symmetry_scan(simple(a, i), simple(a, j), 20)
             assert rep.verdict == "neither-vanishes"
 
 
 def test_short_tail_asymmetry_is_reported_and_full_period_tail_raises():
-    # Over the symmetric cell (2, 2) the Ext period divides 2t = 4.
+    # Over the symmetric cell (2, 2) the Ext period divides 2t = 4, so the
+    # window is the last min(4, B) degrees and B >= 4 spans a full period.
     a = nakayama_algebra(2, 2)
     s1, s2 = simple(a, 1), simple(a, 2)
-    fwd = ExtTable(source=s1, target=s2, max_degree=4, dims=(0, 0, 0, 0), field_p=101)
-    bwd = ExtTable(source=s2, target=s1, max_degree=4, dims=(1, 0, 1, 0), field_p=101)
-    rep = vanishing._classify_tails(fwd, bwd, 3)
-    assert rep.verdict == "asymmetric"
-    assert rep.vanishing_direction == "m-to-n"
+
+    def tables(dims):
+        return (
+            ExtTable(source=s1, target=s2, max_degree=len(dims), dims=(0,) * len(dims), field_p=101),
+            ExtTable(source=s2, target=s1, max_degree=len(dims), dims=dims, field_p=101),
+        )
+
+    rep = vanishing._classify_tails(*tables((1, 0, 1)))
+    assert (rep.tail, rep.verdict, rep.vanishing_direction) == (3, "asymmetric", "m-to-n")
     with pytest.raises(FalsificationError):
-        vanishing._classify_tails(fwd, bwd, 4)
+        vanishing._classify_tails(*tables((1, 0, 1, 0)))
+    with pytest.raises(FalsificationError):
+        vanishing._classify_tails(*tables((1, 0, 1, 0, 1)))
+
+
+def test_symmetry_scan_needs_the_period_bound():
+    alg = BoundQuiverAlgebra(Quiver(1, [(1, 1)]), nilpotency=3)
+    with pytest.raises(UnsupportedOperation, match="symmetry window"):
+        symmetry_scan(simple(alg, 1), simple(alg, 1), 4)
 
 
 def test_nakayama_report_witness_cell():
@@ -257,9 +270,10 @@ def test_nakayama_report_raises_on_a_wrong_even_syzygy(monkeypatch, max_degree, 
 
 
 def test_run_sweep_passes_tail_to_every_cell_serial_and_pooled():
-    serial = run_sweep((3, 4), (2, 2), 8, workers=1, tail=3)
-    assert [c["tail"] for c in serial["cells"]] == [3, 3]
-    assert run_sweep((3, 4), (2, 2), 8, workers=2, tail=3) == serial
+    # Each cell's window is its own min(2t, B).
+    serial = run_sweep((3, 4), (2, 2), 7, workers=1)
+    assert [c["tail"] for c in serial["cells"]] == [6, 7]
+    assert run_sweep((3, 4), (2, 2), 7, workers=2) == serial
 
 
 def test_run_sweep_starts_no_pool_for_one_cell(monkeypatch):
