@@ -90,6 +90,9 @@ class RunConfig:
             raise ConfigError(f"max_degree must be in [1,{MAX_DEGREE}], got {self.max_degree}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ConfigError(f"workers must be in [1,{MAX_WORKERS}], got {self.workers}")
+        if self.out:  # checked before any work; an empty path writes to stdout
+            if not isinstance(self.out, str) or Path(self.out).is_dir() or not Path(self.out).parent.is_dir():
+                raise ConfigError(f"cannot write output file {self.out}: not a file path in an existing directory")
         if self.algebra is not None:
             self._validate_algebra(self.algebra)
         if self.pair is not None:

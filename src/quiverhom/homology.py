@@ -67,10 +67,6 @@ class Resolution:
             obj = self._objects[kind, d] = cls(*args, check=False)
         return obj
 
-    @property
-    def augmentation(self) -> ModuleMap:
-        return self.cover_surjection(0)
-
     def term(self, d: int) -> LabeledProjective:
         return self._steps[d].term
 
@@ -108,9 +104,6 @@ class Resolution:
 
     def betti_multiplicity(self, d: int, j: int) -> int:
         return self.term(d).summands.count(j)
-
-    def term_dim(self, d: int) -> int:
-        return self.term(d).total_dim
 
     def is_minimal(self) -> bool:
         """Every differential must land in the radical, i.e. induce zero on tops."""
@@ -256,11 +249,11 @@ def omega_map(f: ModuleMap) -> ModuleMap:
     res_n = minimal_resolution(f.target, 0)
     fld = f.source.field
     images = []
-    term_m = res_m.term(0)
+    term_m, eps_m, eps_n = res_m.term(0), res_m.cover_surjection(0), res_n.cover_surjection(0)
     for s in range(len(term_m.summands)):
         j = term_m.summands[s]
-        w = fld.matmul(fld.matmul(f.block(j), res_m.augmentation.block(j)), term_m.generator_vector(s))
-        y = fld.solve(res_n.augmentation.block(j), w)
+        w = fld.matmul(fld.matmul(f.block(j), eps_m.block(j)), term_m.generator_vector(s))
+        y = fld.solve(eps_n.block(j), w)
         if y is None:
             raise AssertionError("cover surjection failed to lift a generator image")
         images.append(y)

@@ -114,13 +114,9 @@ class ModuleMap:
             want = (self.target.dims[v - 1], self.source.dims[v - 1])
             if self.blocks[v - 1].shape != want:
                 raise ValueError(f"block at vertex {v} has shape {self.blocks[v - 1].shape}, expected {want}")
-        f = self.source.field
-        for a in range(len(q.arrows)):
-            u, v = q.source(a), q.target(a)
-            lhs = f.matmul(self.target.arrow_maps[a], self.blocks[u - 1])
-            rhs = f.matmul(self.blocks[v - 1], self.source.arrow_maps[a])
-            if not np.array_equal(lhs, rhs):
-                raise ValueError(f"map does not intertwine arrow {a}")
+        a = _failed_arrow(self.source, self.target, self.blocks)
+        if a is not None:
+            raise ValueError(f"map does not intertwine arrow {a}")
 
     @classmethod
     def identity(cls, m: QuiverModule) -> "ModuleMap":
@@ -152,9 +148,6 @@ class ModuleMap:
         p = self.source.field.p
         return ModuleMap(self.source, self.target, [(c * b) % p for b in self.blocks], check=False)
 
-    def __neg__(self) -> "ModuleMap":
-        return self.scale(-1)
-
     @property
     def is_zero(self) -> bool:
         return all(not np.any(b) for b in self.blocks)
@@ -174,14 +167,19 @@ class ModuleMap:
             self.source.field.is_invertible(b) for b in self.blocks
         )
 
-    def inverse(self) -> "ModuleMap":
-        inv = [self.source.field.inverse(b) for b in self.blocks]
-        if any(b is None for b in inv):
-            raise ValueError("map is not invertible")
-        return ModuleMap(self.target, self.source, inv, check=False)
-
     def __repr__(self) -> str:
         return f"ModuleMap({self.source.describe()} -> {self.target.describe()})"
+
+
+def _failed_arrow(m: QuiverModule, n: QuiverModule, f) -> int | None:
+    """The first arrow a with N_a f_u != f_v M_a, or None; f[w] is one block or a stack of blocks."""
+    field = m.field
+    q = m.algebra.quiver
+    for a in range(len(q.arrows)):
+        u, v = q.source(a) - 1, q.target(a) - 1
+        if not np.array_equal(field.matmul(n.arrow_maps[a], f[u]), field.matmul(f[v], m.arrow_maps[a])):
+            return a
+    return None
 
 
 # -- standard modules ------------------------------------------------
@@ -551,10 +549,9 @@ def _checked_hom_kernel(m: QuiverModule, n: QuiverModule, col_off: list[int]) ->
             rows[i, :, col_off[v] + i * m.dims[v] : col_off[v] + (i + 1) * m.dims[v]] -= m.arrow_maps[a].T
     system %= field.p
     ker = field.kernel_matrix(system)
-    f = _hom_blocks(m, n, ker, col_off)
-    for a, u, v in arrows:
-        if not np.array_equal(field.matmul(n.arrow_maps[a], f[u]), field.matmul(f[v], m.arrow_maps[a])):
-            raise AssertionError(f"Hom basis does not intertwine arrow {a}")
+    a = _failed_arrow(m, n, _hom_blocks(m, n, ker, col_off))
+    if a is not None:
+        raise AssertionError(f"Hom basis does not intertwine arrow {a}")
     ker.flags.writeable = False
     return ker
 
@@ -576,6 +573,19 @@ def _require_nakayama(m: QuiverModule):
         raise UnsupportedOperation("serial decomposition and isomorphism require a circular Nakayama algebra")
 
 
+def _chain_bases(m: QuiverModule, summands: list[SerialSummand]) -> tuple[np.ndarray, ...]:
+    """Per vertex, the matrix whose columns are the summands' chain vectors there, in summand order."""
+    alg = m.algebra
+    cols: dict[int, list[np.ndarray]] = {v: [] for v in range(1, alg.t + 1)}
+    for s in summands:
+        for d, vec in enumerate(s.chain):
+            cols[alg.wrap(s.top + d)].append(vec)
+    return tuple(
+        np.column_stack(cols[v]) if cols[v] else np.zeros((m.dims[v - 1], 0), dtype=np.int64)
+        for v in range(1, alg.t + 1)
+    )
+
+
 def serial_summands(m: QuiverModule) -> list[SerialSummand]:
     """Split M into uniserial summands with explicit generators.
 
@@ -590,17 +600,12 @@ def serial_summands(m: QuiverModule) -> list[SerialSummand]:
     t = alg.t
     n = alg.n
 
-    def path_matrix(v: int, d: int) -> np.ndarray:
-        if d > n:
-            return np.zeros((m.dims[alg.wrap(v + d) - 1], m.dims[v - 1]), dtype=np.int64)
-        return m.path_action(alg.unique_path(v, d))
-
     def kernel_cols(v: int, d: int) -> np.ndarray:
         if d <= 0:
             return np.zeros((m.dims[v - 1], 0), dtype=np.int64)
         if d > n:
             return field.eye(m.dims[v - 1])
-        return field.kernel_matrix(path_matrix(v, d))
+        return field.kernel_matrix(m.path_action(alg.unique_path(v, d)))
 
     arrow_from = {v: m.arrow_maps[alg.quiver.arrows_from[v][0]] for v in range(1, t + 1)}
     summands: list[SerialSummand] = []
@@ -624,29 +629,23 @@ def serial_summands(m: QuiverModule) -> list[SerialSummand]:
                     chain.append(field.matmul(arrow_from[vtx], chain[-1]))
                     vtx = alg.wrap(vtx + 1)
                 summands.append(SerialSummand(top=j, length=length, chain=chain))
-    # The chains must assemble to a basis at every vertex.
-    cols: dict[int, list[np.ndarray]] = {v: [] for v in range(1, t + 1)}
-    for s in summands:
-        for d, vec in enumerate(s.chain):
-            cols[alg.wrap(s.top + d)].append(vec)
-    for v in range(1, t + 1):
-        mat = np.column_stack(cols[v]) if cols[v] else np.zeros((m.dims[v - 1], 0), dtype=np.int64)
+    for v, mat in enumerate(_chain_bases(m, summands), start=1):
         if mat.shape != (m.dims[v - 1], m.dims[v - 1]) or not field.is_invertible(mat):
             raise AssertionError(f"serial chain basis failed at vertex {v}")
     return summands
 
 
-def _serial_memo(m: QuiverModule) -> tuple[tuple[int, int, tuple[np.ndarray, ...]], ...]:
-    """serial_summands(m), checked once per algebra and module content, as sorted read-only triples."""
+def _serial_memo(m: QuiverModule) -> tuple[tuple[tuple[int, int], ...], tuple[np.ndarray, ...]]:
+    """serial_summands(m), checked once per algebra and content: sorted types, read-only chain bases in that order."""
     memo = m.algebra._serial_summands
     key = m.content_key()
     hit = memo.get(key)
     if hit is None:
         found = sorted(serial_summands(m), key=lambda s: (s.top, s.length))
-        for s in found:
-            for vec in s.chain:
-                vec.flags.writeable = False
-        hit = memo[key] = tuple((s.top, s.length, tuple(s.chain)) for s in found)
+        bases = _chain_bases(m, found)
+        for b in bases:
+            b.flags.writeable = False
+        hit = memo[key] = (tuple((s.top, s.length) for s in found), bases)
     return hit
 
 
@@ -656,42 +655,21 @@ def decompose_serial(m: QuiverModule) -> list[tuple[int, int]]:
     Memoized on the algebra by the module's exact content; each call
     returns a new list.
     """
-    return [(top, length) for top, length, _ in _serial_memo(m)]
+    return list(_serial_memo(m)[0])
 
 
 def find_isomorphism(m: QuiverModule, n: QuiverModule) -> ModuleMap | None:
-    """An explicit isomorphism M -> N matching uniserial summands, or None if types differ."""
+    """An explicit isomorphism M -> N matching uniserial summands (Y X^-1 of the chain bases), or None."""
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
     _require_nakayama(m)
     if m.dims != n.dims:
         return None
-    alg = m.algebra
-    field = m.field
-    sm, sn = _serial_memo(m), _serial_memo(n)
-    if [s[:2] for s in sm] != [s[:2] for s in sn]:
+    (types_m, xs), (types_n, ys) = _serial_memo(m), _serial_memo(n)
+    if types_m != types_n:
         return None
-    t = alg.t
-    xcols: dict[int, list[np.ndarray]] = {v: [] for v in range(1, t + 1)}
-    ycols: dict[int, list[np.ndarray]] = {v: [] for v in range(1, t + 1)}
-    for (top, length, xchain), (_, _, ychain) in zip(sm, sn):
-        for d in range(length):
-            v = alg.wrap(top + d)
-            xcols[v].append(xchain[d])
-            ycols[v].append(ychain[d])
-    blocks = []
-    for v in range(1, t + 1):
-        dim = m.dims[v - 1]
-        x = np.column_stack(xcols[v]) if xcols[v] else np.zeros((dim, 0), dtype=np.int64)
-        y = np.column_stack(ycols[v]) if ycols[v] else np.zeros((n.dims[v - 1], 0), dtype=np.int64)
-        if dim == 0:
-            blocks.append(np.zeros((0, 0), dtype=np.int64))
-            continue
-        xinv = field.inverse(x)
-        if xinv is None:
-            raise AssertionError("serial chain basis not invertible")
-        blocks.append(field.matmul(y, xinv))
-    return ModuleMap(m, n, blocks)
+    f = m.field
+    return ModuleMap(m, n, [f.matmul(y, f.inverse(x)) for x, y in zip(xs, ys)])
 
 
 def is_isomorphic(m: QuiverModule, n: QuiverModule) -> bool:

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -176,6 +179,60 @@ def test_out_that_cannot_be_written_exits_2(capsys, tmp_path, target):
     code, out, err = run(argv + ["--out", str(tmp_path / target)], capsys)
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("error: cannot write output file")
+
+
+@pytest.mark.parametrize("target", ["", "missing/out.json"], ids=["directory", "missing-parent"])
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--sweep-t", "2", "6", "--sweep-n", "1", "8"], ["report", "--algebra", ALG32]],
+    ids=["sweep", "report"],
+)
+def test_out_is_checked_before_any_work(monkeypatch, capsys, tmp_path, target, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    monkeypatch.setattr(cli, "nakayama_report", no_work)
+    code, out, err = run(argv + ["--out", str(tmp_path / target)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: cannot write output file")
+
+
+def test_out_write_failure_after_the_work_exits_2(monkeypatch, capsys, tmp_path):
+    def full_disk(self, *args, **kwargs):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    argv = ["ext", "--algebra", ALG32, "--pair", "simple:1", "simple:2", "--max-degree", "2"]
+    code, out, err = run(argv + ["--out", str(tmp_path / "ext.csv")], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: cannot write output file") and "No space left on device" in err
+
+
+def test_config_out_must_be_a_path_string(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"out": 5}), encoding="utf-8")
+    code, _, err = run(["ext", "--config", str(cfg), "--algebra", ALG32, "--pair", "simple:1", "simple:2"], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: cannot write output file 5")
+
+
+# The `ext` CSV of (S_1, S_2) over (3,2) at B = 4; the CI workflow diffs the installed script against it too.
+EXT32_CSV = "degree,dim\n1,1\n2,0\n3,1\n4,0\n"
+
+
+@pytest.mark.parametrize(
+    "pair, code, out, err",
+    [(["simple:1", "simple:2"], EXIT_OK, EXT32_CSV, ""), (["simple:9", "simple:2"], EXIT_CONFIG, "", "error: ")],
+    ids=["ext", "bad-specifier"],
+)
+def test_python_m_quiverhom_runs_the_cli(pair, code, out, err):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "quiverhom", "ext", "--algebra", ALG32, "--pair", *pair, "--max-degree", "4"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (code, out)
+    assert done.stderr.startswith(err) and bool(done.stderr) is bool(err)
 
 
 def test_bad_algebra_exit_code(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from quiverhom.algebra import BoundQuiverAlgebra, Quiver, nakayama_algebra
@@ -39,6 +41,20 @@ def test_cone_dimension_identity(a32):
         step, w = periodicity_step(mod)
         omega_prev = w.resolution.syzygy(w.period - 1)
         assert step.cone.total_dim == mod.total_dim + omega_prev.total_dim
+
+
+def test_check_exact_rejects_a_cone_one_simple_too_large(a32):
+    step, _ = periodicity_step(uniserial(a32, 2, 2))
+    assert step.check_exact()
+    big, (inc_c, _), (proj_c, _) = direct_sum([step.cone, simple(a32, 1)])
+    padded = dataclasses.replace(
+        step, cone=big, inclusion=inc_c.compose(step.inclusion), projection=step.projection.compose(proj_c)
+    )
+    # Injective, surjective and composing to zero: only the dimension identity can fail.
+    assert padded.inclusion.is_injective() and padded.projection.is_surjective()
+    assert padded.projection.compose(padded.inclusion).is_zero
+    assert big.total_dim == step.cone.total_dim + 1
+    assert not padded.check_exact()
 
 
 def test_cone_of_zero_map_splits_degree_one(a32):

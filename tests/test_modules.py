@@ -444,3 +444,42 @@ def test_warm_hom_basis_reads_the_kernel_memo(t, monkeypatch):
                         assert g.source is x and g.target is y
                         assert all(np.array_equal(a, b) for a, b in zip(g.blocks, w.blocks, strict=True))
         assert set(alg._hom_kernels) == pairs
+
+
+def _conjugated(m: QuiverModule) -> QuiverModule:
+    """M with each vertex space changed by a fixed non-diagonal invertible matrix g_v: arrows g_v M_a g_u^-1."""
+    f, q = m.field, m.algebra.quiver
+    # g_v = (upper triangle of v + 2, diagonal 1) with its columns reversed.
+    g = [(np.triu(np.full((d, d), v + 2)) - (v + 1) * np.eye(d, dtype=np.int64))[:, ::-1] for v, d in enumerate(m.dims)]
+    maps = [f.matmul(f.matmul(g[q.target(a) - 1], m.arrow_maps[a]), f.inverse(g[q.source(a) - 1]))
+            for a in range(len(q.arrows))]
+    return QuiverModule(m.algebra, m.dims, maps, name=f"conjugated:{m.describe()}")
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_find_isomorphism_against_the_intertwining_equations(t, n):
+    alg = nakayama_algebra(t, n)
+    p = alg.field.p
+    types = [(i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+    support = {ty: {alg.wrap(ty[0] + d) for d in range(ty[1])} for ty in types}
+    moved = 0
+    # Summand a has top 1; the other tops give the same cases up to rotating the quiver.
+    for a, b in [(a, b) for a in types if a[0] == 1 for b in types if support[a] & support[b]]:
+        m, _, _ = direct_sum([uniserial(alg, *a), uniserial(alg, *b)])
+        c = _conjugated(m)
+        moved += not c.structurally_equal(m)
+        iso = find_isomorphism(m, c)
+        assert isinstance(iso, ModuleMap) and iso.source is m and iso.target is c
+        for arrow in range(len(alg.quiver.arrows)):  # N_a f_u = f_v M_a, written out independently
+            u, v = alg.quiver.source(arrow) - 1, alg.quiver.target(arrow) - 1
+            lhs = (c.arrow_maps[arrow] @ iso.blocks[u]) % p
+            assert np.array_equal(lhs, (iso.blocks[v] @ m.arrow_maps[arrow]) % p), (a, b, arrow)
+        assert iso.is_invertible()
+    assert moved > 0
+    for i in range(1, t + 1):
+        for j in range(1, t + 1):
+            if i != j and t <= n:
+                mi, mj = uniserial(alg, i, t), uniserial(alg, j, t)
+                assert mi.dims == mj.dims == (1,) * t
+                assert find_isomorphism(mi, mj) is None and not is_isomorphic(mi, mj)

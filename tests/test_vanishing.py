@@ -137,23 +137,32 @@ def test_nakayama_report_t2_witness_clause_skipped():
 def test_auslander_scan_simples(a32):
     m = simple(a32, 2)
     corpus = [simple(a32, j) for j in range(1, 4)]
-    rep = auslander_scan(m, corpus, 20, head=6)
-    assert rep["violations"] == []
+    rep = auslander_scan(m, corpus, 20)
+    assert rep["head"] == 6 and rep["violations"] == []
     entry = next(e for e in rep["entries"] if e["target"] == "simple:1")
     assert entry["tail_vanishes"] and entry["all_vanish"]
 
 
 def test_auslander_scan_projective_vacuous(a32):
-    rep = auslander_scan(projective(a32, 1), [simple(a32, 1)], 20, head=6)
-    assert rep["violations"] == []
+    rep = auslander_scan(projective(a32, 1), [simple(a32, 1)], 20)
+    assert rep["head"] == 6 and rep["violations"] == []
     assert all(e["tail_vanishes"] and e["all_vanish"] for e in rep["entries"])
 
 
 def test_auslander_scan_uniserial_corpus():
     a = nakayama_algebra(4, 4)
     corpus = [uniserial(a, i, l) for i in range(1, 5) for l in range(1, 5)]
-    rep = auslander_scan(simple(a, 1), corpus, 20, head=8)
-    assert rep["violations"] == []
+    rep = auslander_scan(simple(a, 1), corpus, 20)
+    assert rep["head"] == 8 and rep["violations"] == []
+
+
+def test_auslander_scan_reads_the_whole_table_below_2t(a32):
+    corpus = [uniserial(a32, i, length) for i in range(1, 4) for length in range(1, 4)]
+    for max_degree in range(1, 6):
+        rep = auslander_scan(simple(a32, 2), corpus, max_degree)
+        assert rep["head"] == max_degree
+        assert all(e["tail_vanishes"] == e["all_vanish"] for e in rep["entries"])
+        assert any(e["all_vanish"] for e in rep["entries"]) and not all(e["all_vanish"] for e in rep["entries"])
 
 
 def test_sample_uniserial_pairs_deterministic():
