@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .linalg import GF
 
 DEFAULT_FIELD_P = 101
@@ -47,6 +49,9 @@ class Quiver:
         for idx, (s, t) in enumerate(self.arrows):
             if not (1 <= s <= vertex_count and 1 <= t <= vertex_count):
                 raise ValueError(f"arrow {idx} endpoints ({s},{t}) outside [1,{vertex_count}]")
+        # 0-based vertex indices of each arrow's endpoints, for indexing per-vertex stacks.
+        self.arrow_sources = np.array([s - 1 for s, _ in self.arrows], dtype=np.intp)
+        self.arrow_targets = np.array([t - 1 for _, t in self.arrows], dtype=np.intp)
         self.arrows_from = {v: [] for v in range(1, vertex_count + 1)}
         self.arrows_into = {v: [] for v in range(1, vertex_count + 1)}
         for idx, (s, t) in enumerate(self.arrows):

@@ -95,10 +95,13 @@ class RunConfig:
                 raise ConfigError(f"cannot write output file {self.out}: not a file path in an existing directory")
         if self.algebra is not None:
             self._validate_algebra(self.algebra)
+        if self.module is not None and not isinstance(self.module, str):
+            raise ConfigError(f"module must be a specifier string, got {self.module!r}")
         if self.pair is not None:
-            if not (isinstance(self.pair, (list, tuple)) and len(self.pair) == 2):
-                raise ConfigError("pair must name exactly two module specifiers")
-            self.pair = (str(self.pair[0]), str(self.pair[1]))
+            specs = self.pair if isinstance(self.pair, (list, tuple)) else ()
+            if len(specs) != 2 or not all(isinstance(x, str) for x in specs):
+                raise ConfigError(f"pair must name exactly two module specifier strings, got {self.pair!r}")
+            self.pair = tuple(self.pair)
         if self.sweep is not None:
             for key, least, most in (("t", 2, MAX_T), ("n", 1, MAX_N)):
                 rng = self.sweep.get(key)

@@ -163,18 +163,27 @@ class ExtTable:
 
 
 def _hom_complex_matrix(res: Resolution, n: QuiverModule, d: int) -> np.ndarray:
-    """Matrix of Hom(term(d), N) -> Hom(term(d+1), N), precomposition with diff(d+1)."""
-    src = res.term(d)
-    dst = res.term(d + 1)
-    diff = res.diff(d + 1)
+    """Matrix of Hom(term(d), N) -> Hom(term(d+1), N), precomposition with diff(d+1).
+
+    A map from term(d) is its stacked generator images y_s.  Summand s of term(d+1) gives the
+    rows of f(x) = sum of x_k N_path y_s' over the vertex-j basis vectors k = (s', path) of
+    term(d), where x is the generator's column of the diff block at its vertex j.
+    """
+    src, dst, diff, p = res.term(d), res.term(d + 1), res.diff(d + 1), n.field.p
+    offs = [0]
+    for j in src.summands:
+        offs.append(offs[-1] + n.dims[j - 1])
     rows = []
-    for s in range(len(dst.summands)):
-        j = dst.summands[s]
-        x = n.field.matmul(diff.block(j), dst.generator_vector(s))
-        rows.append(src.hom_eval_matrix(n, j, x))
-    if not rows:
-        return np.zeros((0, src.hom_dim(n)), dtype=np.int64)
-    return np.vstack(rows)
+    for s, j in enumerate(dst.summands):
+        x = diff.block(j)[:, dst.generator_index(s)].tolist()
+        out = [[0] * offs[-1] for _ in range(n.dims[j - 1])]
+        for c, (s2, path) in zip(x, src._basis[j]):
+            if c:
+                for row, block_row in zip(out, n.path_action(path).tolist()):
+                    for k, y in enumerate(block_row, start=offs[s2]):
+                        row[k] += c * y
+        rows.extend([y % p for y in row] for row in out)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), offs[-1])
 
 
 def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:

@@ -4,8 +4,10 @@ Matrices are numpy int64 arrays with all entries reduced modulo p.
 Everything here is integer arithmetic; there is no floating point and
 no tolerance anywhere.  Elimination (rref, rank, kernels, solves and
 inverses) runs on lists of Python ints, which cannot overflow: arrays
-go in and come out.  GF.matmul is the one place where int64 products
-are reduced.
+go in and come out.  The small linear systems the library solves (Hom
+kernels, Hom-complex matrices) are assembled on Python ints too.
+GF.matmul is still the one place where int64 products are reduced,
+also over the zero-padded stacks of the batched intertwining check.
 """
 
 from __future__ import annotations

@@ -5,7 +5,11 @@ arrow; the matrix of an arrow i -> j maps the vertex-i space into the
 vertex-j space, and a path acts by applying its arrows in written
 order.  Every map produced here satisfies the intertwining equations
 exactly and is validated on construction, or, for a Hom basis, in one
-batch before the maps are built.
+batch before the maps are built.  Both go through one check: the blocks
+(one map, or a stack of maps) are zero-padded into a single stack, and
+N_a f_u = f_v M_a is compared for every arrow at once, in two broadcast
+products with each module's padded (arrows, D, D) arrow tensor.  The
+Hom system itself is assembled on Python ints.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ class QuiverModule:
         self.arrow_maps = tuple(np.asarray(m, dtype=np.int64) % algebra.field.p for m in arrow_maps)
         self.name = name
         self._path_cache: dict[PathWord, np.ndarray] = {}
+        self._arrow_tensor: np.ndarray | None = None  # set by _padded_arrows()
         self._resolution_cache = None  # grown in place by homology.minimal_resolution
         self._content_key = None  # set by content_key()
         if check:
@@ -77,6 +82,15 @@ class QuiverModule:
             m = self.field.matmul(self.arrow_maps[a], m)
         self._path_cache[p] = m
         return m
+
+    def _padded_arrows(self) -> np.ndarray:
+        """The arrow matrices zero-padded into one (arrows, D, D) tensor, D the largest vertex dimension."""
+        if self._arrow_tensor is None:
+            d = max(self.dims)
+            self._arrow_tensor = np.zeros((len(self.arrow_maps), d, d), dtype=np.int64)
+            for a, mat in enumerate(self.arrow_maps):
+                self._arrow_tensor[a, : mat.shape[0], : mat.shape[1]] = mat
+        return self._arrow_tensor
 
     def structurally_equal(self, other: "QuiverModule") -> bool:
         return self.algebra is other.algebra and self.content_key() == other.content_key()
@@ -172,14 +186,23 @@ class ModuleMap:
 
 
 def _failed_arrow(m: QuiverModule, n: QuiverModule, f) -> int | None:
-    """The first arrow a with N_a f_u != f_v M_a, or None; f[w] is one block or a stack of blocks."""
-    field = m.field
-    q = m.algebra.quiver
-    for a in range(len(q.arrows)):
-        u, v = q.source(a) - 1, q.target(a) - 1
-        if not np.array_equal(field.matmul(n.arrow_maps[a], f[u]), field.matmul(f[v], m.arrow_maps[a])):
-            return a
-    return None
+    """The first arrow a with N_a f_u != f_v M_a, or None; f[w] is one block or a (k, n_w, m_w) stack.
+
+    The blocks are zero-padded into one (k, vertices, D_N, D_M) stack, so both sides of every
+    arrow's equation are two broadcast products with the padded arrow tensors; the padding is
+    zero on both sides.  An empty stack holds no map and passes at once.
+    """
+    k = len(f[0]) if f[0].ndim == 3 else 1
+    if k == 0:
+        return None
+    field, q = m.field, m.algebra.quiver
+    na, ma = n._padded_arrows(), m._padded_arrows()
+    stack = np.zeros((k, len(f), na.shape[1], ma.shape[1]), dtype=np.int64)
+    for w, b in enumerate(f):
+        stack[:, w, : b.shape[-2], : b.shape[-1]] = b
+    lhs = field.matmul(na, stack[:, q.arrow_sources])
+    bad = np.flatnonzero(np.any(lhs != field.matmul(stack[:, q.arrow_targets], ma), axis=(0, 2, 3)))
+    return int(bad[0]) if bad.size else None
 
 
 # -- standard modules ------------------------------------------------
@@ -272,11 +295,14 @@ class LabeledProjective:
     def total_dim(self) -> int:
         return self.module.total_dim
 
+    def generator_index(self, s: int) -> int:
+        """Position of the summand's generator e_j inside the vertex-j space."""
+        return self._pos[(s, self.algebra.quiver.trivial_path(self.summands[s]))]
+
     def generator_vector(self, s: int) -> np.ndarray:
         """Unit vector of the summand's generator e_j inside the vertex-j space."""
-        j = self.summands[s]
-        vec = np.zeros(self.module.dims[j - 1], dtype=np.int64)
-        vec[self._pos[(s, self.algebra.quiver.trivial_path(j))]] = 1
+        vec = np.zeros(self.module.dims[self.summands[s] - 1], dtype=np.int64)
+        vec[self.generator_index(s)] = 1
         return vec
 
     def map_to(self, target: QuiverModule, images) -> ModuleMap:
@@ -297,25 +323,6 @@ class LabeledProjective:
     def hom_dim(self, target: QuiverModule) -> int:
         """dim Hom(self, target) via the projective pairing Hom(P_j, N) = N_j."""
         return sum(target.dims[j - 1] for j in self.summands)
-
-    def hom_offsets(self, target: QuiverModule) -> list[int]:
-        offs = [0]
-        for j in self.summands:
-            offs.append(offs[-1] + target.dims[j - 1])
-        return offs
-
-    def hom_eval_matrix(self, target: QuiverModule, v: int, x: np.ndarray) -> np.ndarray:
-        """Matrix sending stacked generator images to f(x), for fixed x in the vertex-v space."""
-        p = self.algebra.field.p
-        offs = self.hom_offsets(target)
-        out = np.zeros((target.dims[v - 1], offs[-1]), dtype=np.int64)
-        for s, path in self._basis[v]:
-            c = int(x[self._pos[(s, path)]])
-            if c == 0:
-                continue
-            block = target.path_action(path)
-            out[:, offs[s] : offs[s + 1]] = (out[:, offs[s] : offs[s + 1]] + c * block) % p
-        return out
 
 
 # -- kernels, cokernels, sums ------------------------------------------
@@ -533,22 +540,21 @@ def _hom_blocks(m: QuiverModule, n: QuiverModule, ker: np.ndarray, col_off: list
 
 def _checked_hom_kernel(m: QuiverModule, n: QuiverModule, col_off: list[int]) -> np.ndarray:
     """The kernel of the intertwining system, each column checked on every arrow; read-only."""
-    field = m.field
-    q = m.algebra.quiver
-    arrows = [(a, q.source(a) - 1, q.target(a) - 1) for a in range(len(q.arrows))]
-    row_off = [0]
-    for _, u, v in arrows:
-        row_off.append(row_off[-1] + n.dims[v] * m.dims[u])
-    system = np.zeros((row_off[-1], col_off[-1]), dtype=np.int64)
-    for (a, u, v), r0, r1 in zip(arrows, row_off, row_off[1:]):
+    field, p, width = m.field, m.field.p, col_off[-1]
+    system = []
+    for a, (u, v) in enumerate(m.algebra.quiver.arrows):
+        u, v = u - 1, v - 1
+        na, ma_t = n.arrow_maps[a].tolist(), m.arrow_maps[a].T.tolist()
         # Row (i, c) is entry (i, c) of N_a f_u - f_v M_a; f_w[r, c] is column col_off[w] + r * m_w + c.
-        rows = system[r0:r1].reshape(n.dims[v], m.dims[u], col_off[-1])
-        for c in range(m.dims[u]):
-            rows[:, c, col_off[u] + c : col_off[u + 1] : m.dims[u]] += n.arrow_maps[a]
         for i in range(n.dims[v]):
-            rows[i, :, col_off[v] + i * m.dims[v] : col_off[v] + (i + 1) * m.dims[v]] -= m.arrow_maps[a].T
-    system %= field.p
-    ker = field.kernel_matrix(system)
+            for c in range(m.dims[u]):
+                row = [0] * width
+                for r, x in enumerate(na[i]):
+                    row[col_off[u] + r * m.dims[u] + c] += x
+                for s, x in enumerate(ma_t[c], start=col_off[v] + i * m.dims[v]):
+                    row[s] -= x
+                system.append([x % p for x in row])
+    ker = field.kernel_matrix(np.array(system, dtype=np.int64).reshape(len(system), width))
     a = _failed_arrow(m, n, _hom_blocks(m, n, ker, col_off))
     if a is not None:
         raise AssertionError(f"Hom basis does not intertwine arrow {a}")

@@ -235,6 +235,37 @@ def test_python_m_quiverhom_runs_the_cli(pair, code, out, err):
     assert done.stderr.startswith(err) and bool(done.stderr) is bool(err)
 
 
+@pytest.mark.parametrize("module", [5, ["simple:1"], {"spec": "simple:1"}, 1.5, True])
+def test_config_module_must_be_a_specifier_string(capsys, tmp_path, module):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"module": module, "algebra": json.loads(ALG32)}), encoding="utf-8")
+    code, out, err = run(["resolve", "--config", str(cfg), "--max-degree", "2"], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: module must be a specifier string")
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [[1, "simple:2"], ["simple:1", 2], ["simple:1", ["simple:2"]], [None, "simple:2"], ["simple:1"], "simple:1"],
+)
+@pytest.mark.parametrize("command", ["ext", "gaps", "symmetry"])
+def test_config_pair_entries_must_be_specifier_strings(capsys, tmp_path, pair, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"pair": pair, "algebra": json.loads(ALG32)}), encoding="utf-8")
+    code, out, err = run([command, "--config", str(cfg), "--max-degree", "2"], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: pair must name exactly two module specifier strings")
+
+
+def test_config_string_module_and_pair_are_read_as_given(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    doc = {"module": "simple:1", "pair": ["simple:1", "simple:2"], "algebra": json.loads(ALG32), "max_degree": 4}
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["ext", "--config", str(cfg)], capsys) == (EXIT_OK, EXT32_CSV, "")
+    code, out, _ = run(["resolve", "--config", str(cfg)], capsys)
+    assert code == EXIT_OK and out.startswith("degree,")
+
+
 def test_bad_algebra_exit_code(capsys):
     code, _, err = run(
         ["resolve", "--algebra", '{"kind":"wreath"}', "--module", "simple:1"], capsys

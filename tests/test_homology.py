@@ -318,6 +318,55 @@ def test_ext_dims_raises_when_betti_route_disagrees(monkeypatch):
         monkeypatch.setattr(homology, "_hom_complex_matrix", _no_matrix)
 
 
+def _numpy_hom_complex_matrix(res, n, d):
+    """Hom(term(d), N) -> Hom(term(d+1), N) assembled with numpy arrays, one summand block at a time.
+
+    Summand s of term(d+1), at vertex j, gives the rows of f(x) for x = diff(d+1) applied to its
+    generator vector: the block of summand s' adds x[(s', path)] * N_path for each vertex-j basis path.
+    """
+    src, dst, diff, f = res.term(d), res.term(d + 1), res.diff(d + 1), n.field
+    offs = np.cumsum([0] + [n.dims[j - 1] for j in src.summands])
+    rows = []
+    for s, j in enumerate(dst.summands):
+        x = f.matmul(diff.block(j), dst.generator_vector(s))
+        out = np.zeros((n.dims[j - 1], offs[-1]), dtype=np.int64)
+        for s2, path in src._basis[j]:
+            c = int(x[src._pos[(s2, path)]])
+            if c:
+                out[:, offs[s2] : offs[s2 + 1]] = (out[:, offs[s2] : offs[s2 + 1]] + c * n.path_action(path)) % f.p
+        rows.append(out)
+    return np.vstack(rows) if rows else np.zeros((0, offs[-1]), dtype=np.int64)
+
+
+def _sheared(m):
+    """M in the basis g_v = 1 + 2 * (strict upper triangle) at each vertex: arrows g_v M_a g_u^-1."""
+    f, q = m.field, m.algebra.quiver
+    g = [np.eye(d, dtype=np.int64) + 2 * np.triu(np.ones((d, d), dtype=np.int64), 1) for d in m.dims]
+    maps = [
+        f.matmul(f.matmul(g[q.target(a) - 1], x), f.inverse(g[q.source(a) - 1])) for a, x in enumerate(m.arrow_maps)
+    ]
+    return QuiverModule(m.algebra, m.dims, maps, name=f"sheared:{m.describe()}")
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_hom_complex_matrix_matches_the_numpy_assembly(t):
+    entries = set()
+    for n in range(1, 7):
+        alg = nakayama_algebra(t, n)
+        mods = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+        # Uniserials give 0/1 matrices; two summands with one top, in a changed basis, give sums beyond p.
+        mods.append(_sheared(direct_sum([uniserial(alg, 1, n), uniserial(alg, 1, max(1, n - 1))])[0]))
+        for m in mods:
+            res = Resolution(m, 2 * t + 2)
+            for target in mods:
+                for d in range(2 * t + 2):
+                    got, want = homology._hom_complex_matrix(res, target, d), _numpy_hom_complex_matrix(res, target, d)
+                    assert got.dtype == np.int64 and got.shape == want.shape, (t, n, m, target, d)
+                    assert np.array_equal(got, want), (t, n, m, target, d)
+                    entries |= set(np.unique(got).tolist())
+    assert len(entries) > 2
+
+
 def _closed_form_ext(t, n, source, target, degree):
     """Ext^k(M, N) = stHom(Omega^k M, N) over uniserials M(i, a), N(j, b), from ROADMAP item 3.
 

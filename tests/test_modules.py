@@ -392,6 +392,89 @@ def test_hom_basis_matches_the_kron_system_map_for_map(t):
                     g._validate()
 
 
+def test_hom_basis_matches_the_kron_system_at_a_larger_cell():
+    # (2, 12) puts 6 or 7 basis paths of a projective at each vertex; the loop quiver has u == v on arrow 0.
+    alg = nakayama_algebra(2, 12)
+    mods = [uniserial(alg, i, length) for i in (1, 2) for length in (1, 2, 5, 8, 12)]
+    mods += [projective(alg, i) for i in (1, 2)]
+    mods.append(direct_sum([uniserial(alg, 1, 7), projective(alg, 2)])[0])
+    loops = BoundQuiverAlgebra(Quiver(2, [(1, 1), (1, 2), (2, 1)]), nilpotency=3)
+    mods_loops = [projective(loops, i) for i in (1, 2)] + [simple(loops, i) for i in (1, 2)]
+    assert max(max(x.dims) for x in mods) >= 7
+    for group in (mods, mods_loops):
+        for x in group:
+            for y in group:
+                got, want = hom_basis(x, y), _kron_hom_basis(x, y)
+                assert len(got) == len(want), (x, y)
+                for g, w in zip(got, want):
+                    assert all(np.array_equal(a, b) for a, b in zip(g.blocks, w.blocks, strict=True))
+
+
+def _reference_failed_arrow(m, n, f):
+    """The first arrow a with N_a f_u != f_v M_a, one arrow at a time; f[w] is one block or a stack."""
+    q, p = m.algebra.quiver, m.field.p
+    for a in range(len(q.arrows)):
+        u, v = q.source(a) - 1, q.target(a) - 1
+        if not np.array_equal((n.arrow_maps[a] @ f[u]) % p, (f[v] @ m.arrow_maps[a]) % p):
+            return a
+    return None
+
+
+def _failed_arrow_modules(alg, t, n):
+    """Zero, simple, short and long uniserial, projective and a sum: zero-dimensional vertices included."""
+    mods = [zero_module(alg), simple(alg, 1), uniserial(alg, t, min(2, n)), uniserial(alg, 2, n)]
+    mods += [projective(alg, 1), direct_sum([uniserial(alg, 1, n), simple(alg, t)])[0]]
+    assert any(0 in x.dims for x in mods[1:])
+    return mods
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_failed_arrow_matches_the_per_arrow_loop(t):
+    rng = np.random.default_rng(t)
+    chosen = set()
+    for n in (1, 3, 4):
+        alg = nakayama_algebra(t, n)
+        p, q = alg.field.p, alg.quiver
+        mods = _failed_arrow_modules(alg, t, n)
+        for x in mods:
+            for y in mods:
+                maps = hom_basis(x, y)
+                basis = [np.stack([h.blocks[w] for h in maps]) for w in range(t)] if maps else None
+                for k in (0, 1, 3):
+                    if basis is None:
+                        stack = [np.zeros((k, y.dims[w], x.dims[w]), dtype=np.int64) for w in range(t)]
+                    else:
+                        coef = rng.integers(0, p, size=(k, len(basis[0])))
+                        stack = [np.einsum("kj,jrc->krc", coef, b) % p for b in basis]
+                    assert modules._failed_arrow(x, y, stack) is None
+                    assert _reference_failed_arrow(x, y, stack) is None
+                    for j in range(k):  # each map of the stack as one map's blocks
+                        assert modules._failed_arrow(x, y, [b[j] for b in stack]) is None
+                    blocks = [w for w in range(t) if stack[w].size]
+                    if not blocks:
+                        continue
+                    # Corrupt one random nonempty block of one map: the helper reads what the loop reads.
+                    bad, w, j = [b.copy() for b in stack], rng.choice(blocks), rng.integers(k)
+                    bad[w][j] = (bad[w][j] + rng.integers(1, p, size=bad[w][j].shape)) % p
+                    assert modules._failed_arrow(x, y, bad) == _reference_failed_arrow(x, y, bad)
+                    # Corrupt arrow a = u -> v alone: add x0 y0^T to f_v with y0^T M_a != 0 and N_out x0 = 0,
+                    # where N_out is the arrow leaving v, so a fails and every other arrow still holds.
+                    for a in range(t):
+                        v, out = q.target(a) - 1, q.arrows_from[q.target(a)][0]
+                        x0s, y0s = alg.field.kernel_basis(y.arrow_maps[out]), [r for r in x.arrow_maps[a].T if r.any()]
+                        if not x0s or not y0s:
+                            continue
+                        row = np.zeros(x.dims[v], dtype=np.int64)
+                        row[np.flatnonzero(y0s[0])[0]] = 1
+                        bad = [b.copy() for b in stack]
+                        bad[v][k - 1] = (bad[v][k - 1] + np.outer(x0s[0], row)) % p
+                        assert modules._failed_arrow(x, y, bad) == _reference_failed_arrow(x, y, bad) == a
+                        single = [b[k - 1] for b in bad]
+                        assert modules._failed_arrow(x, y, single) == _reference_failed_arrow(x, y, single) == a
+                        chosen.add(a)
+    assert chosen == set(range(t))
+
+
 def test_hom_basis_checks_every_map_before_returning(a32, monkeypatch):
     honest = GF.kernel_matrix
 
