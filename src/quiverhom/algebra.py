@@ -97,7 +97,6 @@ class BoundQuiverAlgebra:
         self.nilpotency = nilpotency
         self.field = field if field is not None else GF(DEFAULT_FIELD_P)
         self.path_basis = tuple(sorted(self._enumerate_basis(), key=PathWord.sort_key))
-        self._basis_index = {p: i for i, p in enumerate(self.path_basis)}
         # Circular Nakayama metadata; set by nakayama_algebra().
         self.is_selfinjective_nakayama = False
         self.is_symmetric = False
@@ -124,9 +123,6 @@ class BoundQuiverAlgebra:
     @property
     def dimension(self) -> int:
         return len(self.path_basis)
-
-    def is_basis_path(self, p: PathWord) -> bool:
-        return p in self._basis_index
 
     def paths_from(self, v: int) -> list[PathWord]:
         return [p for p in self.path_basis if p.start == v]

@@ -103,6 +103,8 @@ class RunConfig:
                 raise ConfigError(f"pair must name exactly two module specifier strings, got {self.pair!r}")
             self.pair = tuple(self.pair)
         if self.sweep is not None:
+            if not isinstance(self.sweep, dict):
+                raise ConfigError(f"sweep must be an object of 't' and 'n' ranges, got {self.sweep!r}")
             for key, least, most in (("t", 2, MAX_T), ("n", 1, MAX_N)):
                 rng = self.sweep.get(key)
                 if (
@@ -179,6 +181,14 @@ def _json_payload(obj) -> str:
 # -- commands -----------------------------------------------------------------
 
 
+def _pair(cfg: RunConfig, command: str):
+    """The two modules that --pair names, over the configured algebra."""
+    if cfg.pair is None:
+        raise ConfigError(f"{command} needs two module specifiers (--pair A B)")
+    alg = cfg.build_algebra()
+    return parse_module_spec(alg, cfg.pair[0]), parse_module_spec(alg, cfg.pair[1])
+
+
 def cmd_resolve(cfg: RunConfig) -> int:
     if cfg.module is None:
         raise ConfigError("resolve needs a module specifier (--module)")
@@ -194,22 +204,14 @@ def cmd_resolve(cfg: RunConfig) -> int:
 
 
 def cmd_ext(cfg: RunConfig) -> int:
-    if cfg.pair is None:
-        raise ConfigError("ext needs two module specifiers (--pair A B)")
-    alg = cfg.build_algebra()
-    m = parse_module_spec(alg, cfg.pair[0])
-    n = parse_module_spec(alg, cfg.pair[1])
+    m, n = _pair(cfg, "ext")
     table = ext_table(m, n, cfg.max_degree)
     _emit(cfg, table.to_csv())
     return EXIT_OK
 
 
 def cmd_gaps(cfg: RunConfig) -> int:
-    if cfg.pair is None:
-        raise ConfigError("gaps needs two module specifiers (--pair A B)")
-    alg = cfg.build_algebra()
-    m = parse_module_spec(alg, cfg.pair[0])
-    n = parse_module_spec(alg, cfg.pair[1])
+    m, n = _pair(cfg, "gaps")
     tower = build_periodicity_tower(m)
     if tower is None:
         raise FalsificationError(f"no periodicity tower for non-projective {cfg.pair[0]}")
@@ -219,11 +221,7 @@ def cmd_gaps(cfg: RunConfig) -> int:
 
 
 def cmd_symmetry(cfg: RunConfig) -> int:
-    if cfg.pair is None:
-        raise ConfigError("symmetry needs two module specifiers (--pair A B)")
-    alg = cfg.build_algebra()
-    m = parse_module_spec(alg, cfg.pair[0])
-    n = parse_module_spec(alg, cfg.pair[1])
+    m, n = _pair(cfg, "symmetry")
     report = symmetry_scan(m, n, cfg.max_degree)
     _emit(cfg, _json_payload(report.to_dict()))
     return EXIT_OK

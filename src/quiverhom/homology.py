@@ -18,6 +18,7 @@ from .modules import (
     ModuleMap,
     QuiverModule,
     UnsupportedOperation,
+    _pivots_beyond,
     _step,
     _Step,
     find_isomorphism,
@@ -111,11 +112,7 @@ class Resolution:
         for d in range(1, self.max_degree + 1):
             target = self.term(d - 1).module
             for v in range(1, self.algebra.quiver.vertex_count + 1):
-                rad = radical_matrix(target, v)
-                blk = self.diff(d).block(v)
-                if blk.shape[1] == 0:
-                    continue
-                if f.rank(np.hstack([rad, blk])) != f.rank(rad):
+                if _pivots_beyond(f, radical_matrix(target, v), self.diff(d).block(v))[1]:
                     return False
         return True
 

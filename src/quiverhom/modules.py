@@ -246,7 +246,7 @@ def _path_basis(algebra: BoundQuiverAlgebra, tops: tuple[int, ...], max_length: 
         m = np.zeros((dims[v - 1], dims[u - 1]), dtype=np.int64)
         for s, p in by_vertex[u]:
             ext = PathWord(p.start, p.arrows + (a,), v)
-            if ext.length < max_length and algebra.is_basis_path(ext):
+            if ext.length < max_length:  # every path shorter than the nilpotency is a basis path
                 m[pos[(s, ext)], pos[(s, p)]] = 1
         maps.append(m)
     return dims, maps, by_vertex, pos
@@ -328,6 +328,12 @@ class LabeledProjective:
 # -- kernels, cokernels, sums ------------------------------------------
 
 
+def _pivots_beyond(field, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The RREF of [a | b] and, in order, the columns of b that extend span(a): its pivots past a."""
+    r, pivots = field.rref(np.hstack([a, b]))
+    return r, [c - a.shape[1] for c in pivots if c >= a.shape[1]]
+
+
 def kernel(f: ModuleMap) -> tuple[QuiverModule, ModuleMap]:
     """Vertex-wise kernel with induced arrow actions, plus its inclusion."""
     M = f.source
@@ -350,37 +356,24 @@ def kernel(f: ModuleMap) -> tuple[QuiverModule, ModuleMap]:
 def cokernel(f: ModuleMap, name: str = "") -> tuple[QuiverModule, ModuleMap]:
     """Vertex-wise cokernel with induced arrow actions, plus its projection.
 
-    The cokernel is called `name`, or coker(source) when that is empty.
+    At each vertex RREF([f_v | I]) = [E f_v | E] with E invertible: its pivots past f_v pick
+    unit columns comp spanning a complement of the image, and the rows of E below
+    k = rank(f_v) are the projection, zero on the image and the identity on those columns.
+    An arrow acts on the cokernel as (proj_v N_a)[:, comp_u].  The cokernel is called
+    `name`, or coker(source) when that is empty.
     """
     N = f.target
     field = N.field
     q = N.algebra.quiver
-    proj_blocks = []
-    section_blocks = []
-    for v in range(q.vertex_count):
-        b = f.blocks[v]
-        nv = N.dims[v]
-        stacked = np.hstack([b, field.eye(nv)])
-        _, pivots = field.rref(stacked)
-        im_cols = [c for c in pivots if c < b.shape[1]]
-        comp_cols = [c - b.shape[1] for c in pivots if c >= b.shape[1]]
-        basis = np.hstack(
-            [
-                b[:, im_cols] if im_cols else np.zeros((nv, 0), dtype=np.int64),
-                field.eye(nv)[:, comp_cols] if comp_cols else np.zeros((nv, 0), dtype=np.int64),
-            ]
-        )
-        inv = field.inverse(basis)
-        if inv is None:
-            raise AssertionError("cokernel basis assembly failed")
-        k = len(im_cols)
-        proj_blocks.append(inv[k:, :])
-        section_blocks.append(field.eye(nv)[:, comp_cols] if comp_cols else np.zeros((nv, 0), dtype=np.int64))
-    dims = [p.shape[0] for p in proj_blocks]
-    maps = []
-    for a in range(len(q.arrows)):
-        u, v = q.source(a), q.target(a)
-        maps.append(field.matmul(field.matmul(proj_blocks[v - 1], N.arrow_maps[a]), section_blocks[u - 1]))
+    proj_blocks, comps = [], []
+    for b, nv in zip(f.blocks, N.dims):
+        r, comp = _pivots_beyond(field, b, field.eye(nv))
+        proj_blocks.append(r[nv - len(comp) :, b.shape[1] :])
+        comps.append(comp)
+    maps = [
+        field.matmul(proj_blocks[v - 1], N.arrow_maps[a])[:, comps[u - 1]] for a, (u, v) in enumerate(q.arrows)
+    ]
+    dims = [len(c) for c in comps]
     coker = QuiverModule(N.algebra, dims, maps, name=name or f"coker({f.source.describe()})", check=False)
     return coker, ModuleMap(N, coker, proj_blocks)
 
@@ -460,16 +453,10 @@ def projective_cover(m: QuiverModule) -> ProjectiveCover:
     summands: list[int] = []
     images: list[np.ndarray] = []
     for v in range(1, q.vertex_count + 1):
-        rad = radical_matrix(m, v)
-        stacked = np.hstack([rad, field.eye(m.dims[v - 1])])
-        _, pivots = field.rref(stacked)
-        for c in pivots:
-            if c >= rad.shape[1]:
-                idx = c - rad.shape[1]
-                vec = np.zeros(m.dims[v - 1], dtype=np.int64)
-                vec[idx] = 1
-                summands.append(v)
-                images.append(vec)
+        eye = field.eye(m.dims[v - 1])
+        for c in _pivots_beyond(field, radical_matrix(m, v), eye)[1]:
+            summands.append(v)
+            images.append(eye[:, c])
     P = LabeledProjective(m.algebra, tuple(summands))
     surj = P.map_to(m, images)
     if not surj.is_surjective():
@@ -623,13 +610,8 @@ def serial_summands(m: QuiverModule) -> list[SerialSummand]:
             prev = alg.wrap(j - 1)
             shifted = field.matmul(arrow_from[prev], kernel_cols(prev, length + 1))
             w = np.hstack([kernel_cols(j, length - 1), shifted])
-            stacked = np.hstack([w, cand])
-            _, pivots = field.rref(stacked)
-            for c in pivots:
-                if c < w.shape[1]:
-                    continue
-                x = cand[:, c - w.shape[1]].copy()
-                chain = [x]
+            for c in _pivots_beyond(field, w, cand)[1]:
+                chain = [cand[:, c].copy()]
                 vtx = j
                 for _ in range(length - 1):
                     chain.append(field.matmul(arrow_from[vtx], chain[-1]))

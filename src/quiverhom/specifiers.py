@@ -1,6 +1,6 @@
 """The module specifier mini-language used by the CLI.
 
-Grammar (exact, whitespace forbidden):
+Grammar (exact, whitespace forbidden; vertex, length and k are ASCII digits):
 
     spec := "simple:" vertex
           | "projective:" vertex
@@ -24,7 +24,7 @@ class SpecifierError(ValueError):
 
 
 def _int_field(text: str, value: str, what: str) -> int:
-    if not value or not value.isdigit():
+    if not (value.isascii() and value.isdigit()):  # str.isdigit alone takes any Unicode digit
         raise SpecifierError(text, f"{what} must be a positive integer, got {value!r}")
     return int(value)
 

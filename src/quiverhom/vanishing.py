@@ -369,32 +369,21 @@ def gap_suite_cell(t: int, n: int, max_degree: int, field_p: int, uniserial_pair
     uniserial pairs; returns counters that must show zero violations.
     """
     alg = nakayama_algebra(t, n, GF(field_p))
-    module_cache: dict[tuple[int, int], QuiverModule] = {}
-
-    def get_module(top: int, length: int) -> QuiverModule:
-        key = (top, length)
-        if key not in module_cache:
-            module_cache[key] = uniserial(alg, top, length)
-        return module_cache[key]
-
     pairs: list[tuple[tuple[int, int], tuple[int, int]]] = [
         ((i, 1), (j, 1)) for i in range(1, t + 1) for j in range(1, t + 1)
     ]
     pairs += sample_uniserial_pairs(t, n, uniserial_pair_count)
+    # Each distinct module and source tower is built once, in order of first appearance.
+    modules = {key: uniserial(alg, *key) for key in dict.fromkeys(k for pair in pairs for k in pair)}
+    towers = {key: build_periodicity_tower(modules[key]) for key in dict.fromkeys(m for m, _ in pairs)}
 
     checked = 0
     verified_gaps = 0
     no_gaps = 0
     violations: list[str] = []
-    towers: dict[tuple[int, int], ReductionTower | None] = {}  # None: the period search failed
     for (mi, ml), (ni, nl) in pairs:
-        m = get_module(mi, ml)
-        nmod = get_module(ni, nl)
-        key = (mi, ml)
-        if key not in towers:
-            towers[key] = build_periodicity_tower(m)
-        tower = towers[key]
-        if tower is None:
+        m, nmod, tower = modules[mi, ml], modules[ni, nl], towers[mi, ml]
+        if tower is None:  # the period search failed
             violations.append(f"no tower for uniserial:{mi}:{ml}")
             continue
         table = ext_table(m, nmod, max_degree)

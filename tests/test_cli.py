@@ -164,6 +164,44 @@ def test_bad_specifier_exit_code(capsys):
     assert "grammar" in err
 
 
+@pytest.mark.parametrize("spec", ["simple:३", "syzygy:١:simple:1", "uniserial:1:٢", "simple:²"])
+def test_non_ascii_digits_in_a_specifier_exit_2(capsys, spec):
+    code, out, err = run(["resolve", "--algebra", ALG32, "--module", spec, "--max-degree", "2"], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "must be a positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ext", "--algebra", ALG32], "ext needs two module specifiers (--pair A B)"),
+        (["gaps", "--algebra", ALG32], "gaps needs two module specifiers (--pair A B)"),
+        (["symmetry", "--algebra", ALG32], "symmetry needs two module specifiers (--pair A B)"),
+        (["resolve", "--algebra", ALG32], "resolve needs a module specifier (--module)"),
+        (["resolve", "--module", "simple:1"], "an algebra spec is required (--algebra or config)"),
+        (["ext", "--pair", "simple:1", "simple:2"], "an algebra spec is required (--algebra or config)"),
+        (["report"], "report needs an algebra spec"),
+        (["sweep"], "sweep needs t and n ranges (--sweep-t lo hi --sweep-n lo hi)"),
+        (["sweep", "--sweep-t", "2", "3"], "sweep needs both --sweep-t and --sweep-n ranges"),
+    ],
+    ids=["ext-pair", "gaps-pair", "symmetry-pair", "resolve-module", "resolve-algebra", "ext-algebra",
+         "report-algebra", "sweep-ranges", "sweep-n"],
+)
+def test_missing_inputs_exit_2(capsys, argv, message):
+    assert run([*argv, "--max-degree", "2"], capsys) == (EXIT_CONFIG, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("sweep", [[[2, 3], [1, 2]], "t=2..3", 5], ids=["list", "string", "int"])
+@pytest.mark.parametrize("command", ["sweep", "resolve"])
+def test_config_sweep_must_be_an_object(capsys, tmp_path, monkeypatch, sweep, command):
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a sweep ran"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"sweep": sweep, "algebra": json.loads(ALG32), "module": "simple:1"}), encoding="utf-8")
+    code, out, err = run([command, "--config", str(cfg), "--max-degree", "2"], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: sweep must be an object of 't' and 'n' ranges")
+
+
 def test_deeply_nested_syzygy_specifier_matches_the_flat_count(capsys):
     outs = [
         run(["resolve", "--algebra", ALG32, "--module", spec, "--max-degree", "6"], capsys)

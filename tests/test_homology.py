@@ -73,6 +73,26 @@ def test_resolution_of_projective_stops(a32):
         assert res.term(d).total_dim == 0
 
 
+@pytest.mark.parametrize("broken", [1, 4])
+def test_is_minimal_rejects_a_differential_column_outside_the_radical(monkeypatch, broken):
+    a = nakayama_algebra(3, 2)
+    res = Resolution(simple(a, 2), 4)
+    assert res.is_minimal()
+    diff = Resolution.diff
+
+    def with_a_generator_column(self, d):
+        f = diff(self, d)
+        if d != broken:
+            return f
+        lo, blocks = self.term(d - 1), [b.copy() for b in f.blocks]
+        j = lo.summands[0]
+        blocks[j - 1][:, 0] = lo.generator_vector(0)  # the generator of P_j lies outside rad P_j
+        return ModuleMap(f.source, f.target, blocks, check=False)
+
+    monkeypatch.setattr(Resolution, "diff", with_a_generator_column)
+    assert not res.is_minimal()
+
+
 def test_even_degree_terms_for_r_zero():
     a = nakayama_algebra(4, 4)
     res = minimal_resolution(simple(a, 1), 20)

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quiverhom.modules as modules
 from quiverhom.algebra import BoundQuiverAlgebra, Quiver, nakayama_algebra
@@ -566,3 +570,77 @@ def test_find_isomorphism_against_the_intertwining_equations(t, n):
                 mi, mj = uniserial(alg, i, t), uniserial(alg, j, t)
                 assert mi.dims == mj.dims == (1,) * t
                 assert find_isomorphism(mi, mj) is None and not is_isomorphic(mi, mj)
+
+
+def _inverse_cokernel(f: ModuleMap) -> tuple[QuiverModule, ModuleMap]:
+    """Reference cokernel: invert the basis [f_v[:, im] | I[:, comp]] and keep the rows past the image."""
+    N, field, q = f.target, f.target.field, f.target.algebra.quiver
+    proj_blocks, section_blocks = [], []
+    for b, nv in zip(f.blocks, N.dims):
+        _, pivots = field.rref(np.hstack([b, field.eye(nv)]))
+        im_cols = [c for c in pivots if c < b.shape[1]]
+        comp_cols = [c - b.shape[1] for c in pivots if c >= b.shape[1]]
+        inv = field.inverse(np.hstack([b[:, im_cols], field.eye(nv)[:, comp_cols]]))
+        assert inv is not None
+        proj_blocks.append(inv[len(im_cols) :, :])
+        section_blocks.append(field.eye(nv)[:, comp_cols])
+    maps = [
+        field.matmul(field.matmul(proj_blocks[v - 1], N.arrow_maps[a]), section_blocks[u - 1])
+        for a, (u, v) in enumerate(q.arrows)
+    ]
+    coker = QuiverModule(N.algebra, [p.shape[0] for p in proj_blocks], maps, name=f"coker({f.source.describe()})")
+    return coker, ModuleMap(N, coker, proj_blocks)
+
+
+def _assert_same_cokernel(f: ModuleMap):
+    (c, proj), (ref_c, ref_proj) = cokernel(f), _inverse_cokernel(f)
+    assert c.name == ref_c.name and c.dims == ref_c.dims
+    assert all(np.array_equal(x, y) for x, y in zip(c.arrow_maps, ref_c.arrow_maps, strict=True))
+    assert all(np.array_equal(x, y) for x, y in zip(proj.blocks, ref_proj.blocks, strict=True))
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_cokernel_matches_the_inverse_assembly(t):
+    for n in range(1, 6):
+        alg = nakayama_algebra(t, n)
+        # Length n + 1 is the projective; projective() builds it as well, under its own name.
+        mods = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+        mods += [projective(alg, i) for i in range(1, t + 1)]
+        for m in mods:
+            for target in mods:
+                for f in hom_basis(m, target):
+                    _assert_same_cokernel(f)
+        for f in (ModuleMap.identity(mods[1]), ModuleMap.zero(mods[0], mods[-1])):
+            _assert_same_cokernel(f)
+        total, _, _ = direct_sum([mods[0], mods[1], mods[-1]])
+        for target in (mods[1], mods[-1]):
+            maps = hom_basis(total, target)
+            assert maps
+            for f in maps:
+                _assert_same_cokernel(f)
+            _assert_same_cokernel(functools.reduce(ModuleMap.__add__, maps))
+
+
+@st.composite
+def _column_blocks(draw):
+    p = draw(st.sampled_from([2, 3, 101]))
+    rows, ka, kb = draw(st.integers(0, 5)), draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    entries = st.lists(st.integers(0, p - 1), min_size=rows * (ka + kb), max_size=rows * (ka + kb))
+    m = np.array(draw(entries), dtype=np.int64).reshape(rows, ka + kb)
+    if kb and draw(st.booleans()):  # repeat a column of b so that some column falls in the span
+        m[:, ka + draw(st.integers(0, kb - 1))] = m[:, ka + draw(st.integers(0, kb - 1))]
+    return GF(p), m[:, :ka], m[:, ka:]
+
+
+@given(_column_blocks())
+@settings(max_examples=150, deadline=None)
+def test_pivots_beyond_picks_the_columns_that_raise_the_rank(case):
+    field, a, b = case
+    r, cols = modules._pivots_beyond(field, a, b)
+    grows = [
+        c
+        for c in range(b.shape[1])
+        if field.rank(np.hstack([a, b[:, : c + 1]])) > field.rank(np.hstack([a, b[:, :c]]))
+    ]
+    assert cols == grows
+    assert np.array_equal(r, field.rref(np.hstack([a, b]))[0])

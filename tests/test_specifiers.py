@@ -63,6 +63,10 @@ def test_syzygy_spec_returns_a_copy_and_renames_nothing(a32, monkeypatch):
         "projective:9",
         "uniserial:1:99",
         "simple:1 ",
+        "simple:३",
+        "syzygy:١:simple:1",
+        "uniserial:1:٢",
+        "simple:²",
     ],
 )
 def test_bad_specifiers_rejected(a32, bad):
