@@ -90,8 +90,10 @@ class RunConfig:
             raise ConfigError(f"max_degree must be in [1,{MAX_DEGREE}], got {self.max_degree}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ConfigError(f"workers must be in [1,{MAX_WORKERS}], got {self.workers}")
-        if self.out:  # checked before any work; an empty path writes to stdout
-            if not isinstance(self.out, str) or Path(self.out).is_dir() or not Path(self.out).parent.is_dir():
+        if self.out is not None:  # checked before any work; an empty path writes to stdout
+            if not isinstance(self.out, str) or "\0" in self.out:
+                raise ConfigError(f"cannot write output file {self.out!r}: not a path string without NUL")
+            if self.out and (Path(self.out).is_dir() or not Path(self.out).parent.is_dir()):
                 raise ConfigError(f"cannot write output file {self.out}: not a file path in an existing directory")
         if self.algebra is not None:
             self._validate_algebra(self.algebra)
@@ -174,8 +176,67 @@ def _emit(cfg: RunConfig, payload: str):
             sys.stdout.write("\n")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+
+
 def _json_payload(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte.
+
+    With indent set, json.dumps runs the stdlib's pure-Python generator encoder;
+    this writer appends the same chunks to one list and joins them once.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o, nl: str, out: list[str]) -> None:
+    """Append o's JSON text; nl is a newline plus the indent of the line o's closing bracket goes on."""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif type(o) is int:
+        out.append(_int_repr(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner, sep = nl + "  ", "{"
+        for key, value in sorted(o.items()):
+            out.append(f"{sep}{inner}{_encode_str(key if isinstance(key, str) else _json_key(key))}: ")
+            _write_json(value, inner, out)
+            sep = ","
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, o)) == {int}:
+            out.append(f"[{inner}{(',' + inner).join(map(_int_repr, o))}{nl}]")
+            return
+        sep = "["
+        for value in o:
+            out.append(sep + inner)
+            _write_json(value, inner, out)
+            sep = ","
+        out.append(nl + "]")
+    else:  # floats keep the stdlib's text (NaN, Infinity); unknown types raise its TypeError
+        out.append(json.dumps(o))
+
+
+def _json_key(key) -> str:
+    """A non-string dict key as the stdlib converts it before quoting."""
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 # -- commands -----------------------------------------------------------------

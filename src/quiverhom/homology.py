@@ -37,6 +37,11 @@ class Resolution:
     the differential term(d) -> term(d-1).  Syzygy and map objects are
     built on first access and kept, named for this resolution's module.
     `extend` grows the degree bound in place.
+
+    The step memo is keyed by content, so once a syzygy's content key
+    repeats an earlier one the chain is a cycle: `content_cycle()` holds
+    (start, length), and every later step is the one `length` degrees
+    back, appended without another memo lookup.
     """
 
     def __init__(self, module: QuiverModule, max_degree: int):
@@ -47,6 +52,9 @@ class Resolution:
         self.max_degree = -1
         self._steps: list[_Step] = []
         self._keys: list[tuple] = [module.content_key()]  # _keys[d]: content key of syzygy(d)
+        # Content key -> first degree it appeared in; dropped once the cycle is found.
+        self._first: dict[tuple, int] | None = {self._keys[0]: 0}
+        self._cycle: tuple[int, int] | None = None
         self._objects: dict[tuple[str, int], object] = {}
         self.extend(max_degree)
 
@@ -56,10 +64,24 @@ class Resolution:
         A syzygy's cover and kernel are computed and checked once per algebra and content.
         """
         for d in range(self.max_degree + 1, max_degree + 1):
-            step = _step(self.algebra, self._keys[d], lambda: self.syzygy(d))
+            if self._cycle is None:
+                step = _step(self.algebra, self._keys[d], lambda: self.syzygy(d))
+                c = self._first.setdefault(step.next_key, d + 1)
+                if c <= d:
+                    self._cycle, self._first = (c, d + 1 - c), None
+            else:
+                step = self._steps[d - self._cycle[1]]
             self._steps.append(step)
             self._keys.append(step.next_key)
             self.max_degree = d
+
+    def content_cycle(self) -> tuple[int, int] | None:
+        """(start, length) of the first repeat syzygy_key(start + length) == syzygy_key(start), if seen yet.
+
+        Keys through degree max_degree + 1 are known; from `start` on, the steps
+        repeat with period `length`.
+        """
+        return self._cycle
 
     def _built(self, kind: str, d: int, cls, *args):
         """This resolution's object of the given kind in degree d: cls(*args, check=False), built once."""
@@ -195,17 +217,21 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
         raise ValueError("Ext degrees start at 1; use hom_basis for degree 0")
     res = minimal_resolution(m, max_degree + 1)
     # Memoized per algebra as (dim Hom(term(d), N), rank of the degree-d matrix): both are
-    # fixed by N and by syzygy(d)'s memo step and its successor.
+    # fixed by N and by syzygy(d)'s memo step and its successor, so they repeat along the
+    # content cycle and are read once per cycle degree.
     memo, target_key = m.algebra._hom_complex_ranks, n.content_key()
-    hom_dims, ranks = [], []
-    for d in range(max_degree + 1):
+    cycle = res.content_cycle()
+    read = max_degree + 1 if cycle is None else min(max_degree + 1, cycle[0] + cycle[1])
+    entries = []
+    for d in range(read):
         key = (res.syzygy_key(d), target_key)
         entry = memo.get(key)
         if entry is None:
             entry = memo[key] = (res.term(d).hom_dim(n), m.field.rank(_hom_complex_matrix(res, n, d)))
-        hom_dims.append(entry[0])
-        ranks.append(entry[1])
-    out = [hom_dims[i] - ranks[i] - ranks[i - 1] for i in range(1, max_degree + 1)]
+        entries.append(entry)
+    for d in range(read, max_degree + 1):
+        entries.append(entries[d - cycle[1]])
+    out = [entries[i][0] - entries[i][1] - entries[i - 1][1] for i in range(1, max_degree + 1)]
     simple_vertex = _simple_vertex_of(n)
     if simple_vertex is not None:
         for i in range(1, max_degree + 1):

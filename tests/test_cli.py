@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quiverhom.cli as cli
 import quiverhom.vanishing as vanishing
@@ -253,6 +256,59 @@ def test_config_out_must_be_a_path_string(capsys, tmp_path):
     code, _, err = run(["ext", "--config", str(cfg), "--algebra", ALG32, "--pair", "simple:1", "simple:2"], capsys)
     assert code == EXIT_CONFIG
     assert err.startswith("error: cannot write output file 5")
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command ran before --out was checked")
+
+
+@pytest.mark.parametrize("value", [False, True, 0, [], {}, "a\u0000b"], ids=["false", "true", "0", "list", "dict", "nul"])
+@pytest.mark.parametrize(
+    "argv",
+    [["ext", "--algebra", ALG32, "--pair", "simple:1", "simple:2"], ["sweep", "--sweep-t", "2", "3", "--sweep-n", "1", "2"]],
+    ids=["ext", "sweep"],
+)
+def test_config_out_must_be_a_path_string_without_nul(monkeypatch, capsys, tmp_path, value, argv):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"out": value}), encoding="utf-8")
+    monkeypatch.setattr(cli, "ext_table", _no_work)
+    monkeypatch.setattr(cli, "run_sweep", _no_work)
+    code, out, err = run(argv + ["--config", str(cfg)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"error: cannot write output file {value!r}")
+
+
+_JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€\u2028\U0001f600') | st.characters(), max_size=6)
+_JSON_LEAVES = (
+    st.integers() | st.booleans() | st.none() | st.floats() | _JSON_TEXT | st.lists(st.integers() | st.booleans())
+)
+
+
+def _json_containers(children):
+    # Keys of one dict must sort together, as json.dumps(sort_keys=True) needs: strings, numbers or None.
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_JSON_TEXT, children, max_size=4)
+        | st.dictionaries(st.integers() | st.floats() | st.booleans(), children, max_size=4)
+        | st.dictionaries(st.none(), children, max_size=1)
+    )
+
+
+@given(st.recursive(_JSON_LEAVES, _json_containers, max_leaves=24))
+@example({"nan": float("nan"), "inf": [float("inf"), -float("inf")], "empty": [{}, [], ()], "mixed": [1, True, 0, False]})
+@example({1.5: None, 2: (), True: {}, -0.0: ""})
+@example({None: [[1, 2], (3,), "é\"\x01"]})
+@settings(max_examples=300, deadline=None)
+def test_json_payload_is_the_stdlib_layout_byte_for_byte(obj):
+    assert cli._json_payload(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [np.int64(3), [1, np.int64(3)], {"a": {"b": np.int64(3)}}], ids=["top", "list", "dict"])
+def test_json_payload_rejects_a_numpy_integer_as_the_stdlib_does(obj):
+    for encode in (cli._json_payload, lambda x: json.dumps(x, sort_keys=True, indent=2)):
+        with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+            encode(obj)
 
 
 # The `ext` CSV of (S_1, S_2) over (3,2) at B = 4; the CI workflow diffs the installed script against it too.

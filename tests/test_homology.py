@@ -27,12 +27,14 @@ from quiverhom.modules import (
     find_isomorphism,
     hom_basis,
     is_isomorphic,
+    is_projective,
     kernel,
     projective,
     projective_cover,
     serial_summands,
     simple,
     uniserial,
+    zero_module,
 )
 
 
@@ -436,6 +438,84 @@ def test_hom_complex_rank_memo_matches_direct_ranks_and_closed_form(t, monkeypat
             assert tables() == warm
         assert alg._hom_complex_ranks == ranks
         assert untouched._hom_complex_ranks == {} and nakayama_algebra(t, n)._hom_complex_ranks == {}
+
+
+def _cycle_corpus(alg) -> list[tuple[QuiverModule, list[tuple[int, int]]]]:
+    """Every uniserial (projectives included), the zero module and one direct sum, each with the
+    (top, length) types of its uniserial summands."""
+    t, n = alg.t, alg.n
+    out = [(uniserial(alg, i, length), [(i, length)]) for i in range(1, t + 1) for length in range(1, n + 2)]
+    out.append((zero_module(alg), []))
+    out.append((direct_sum([uniserial(alg, 1, 1), uniserial(alg, t, n)])[0], [(1, 1), (t, n)]))
+    return out
+
+
+def _first_repeat(keys):
+    first = {}
+    for d, key in enumerate(keys):
+        if key in first:
+            return first[key], d - first[key]
+        first[key] = d
+    return None
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_content_cycle_is_the_first_repeat_of_the_step_memo_walk(t):
+    top = 3 * 2 * t + 2
+    for n in range(1, 9):
+        alg = nakayama_algebra(t, n)
+        for m, _ in _cycle_corpus(alg):
+            res = Resolution(m, top)
+            cycle = res.content_cycle()
+            # The same chain walked through the step memo alone: every key must already be there.
+            steps, keys = alg._resolution_steps, [m.content_key()]
+            for d in range(top + 1):
+                assert steps[keys[d]] is res._steps[d], (t, n, m, d)
+                keys.append(steps[keys[d]].next_key)
+            assert res._keys == keys
+            assert cycle is not None and cycle == _first_repeat(keys), (t, n, m)
+            start, length = cycle
+            if m.is_zero:
+                assert cycle == (0, 1)
+            elif is_projective(m):  # its first syzygy is zero
+                assert cycle == (1, 1)
+            else:
+                assert alg.period_bound % length == 0, (t, n, m, cycle)
+            for d in range(start + length, top + 1):
+                assert res._steps[d] is res._steps[d - length]
+            if start + length >= 2:  # keys known through degree B + 1 stop short of the repeat
+                short = Resolution(m, start + length - 2)
+                assert short.content_cycle() is None
+                short.extend(top)
+                assert short.content_cycle() == cycle and short._steps == res._steps
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_ext_dims_over_the_content_cycle_match_the_per_degree_walk_and_closed_form(t):
+    top = 3 * 2 * t + 1
+    for n in range(1, 9):
+        alg, untouched = nakayama_algebra(t, n), nakayama_algebra(t, n)
+        mods = [m for m, _ in _cycle_corpus(alg)]
+        got = {(a, b): ext_dims(x, y, top) for a, x in enumerate(mods) for b, y in enumerate(mods)}
+        # The per-degree walk: one rank of _hom_complex_matrix per (syzygy, target) content pair.
+        walk, f, corpus = {}, untouched.field, _cycle_corpus(untouched)
+        for a, (x, xs) in enumerate(corpus):
+            res = Resolution(x, top + 1)
+            for b, (y, ys) in enumerate(corpus):
+                entries = []
+                for d in range(top + 1):
+                    key = (res.syzygy_key(d), y.content_key())
+                    if key not in walk:
+                        walk[key] = (res.term(d).hom_dim(y), f.rank(homology._hom_complex_matrix(res, y, d)))
+                    entries.append(walk[key])
+                dims = [entries[i][0] - entries[i][1] - entries[i - 1][1] for i in range(1, top + 1)]
+                closed = [0] * top
+                for u in xs:
+                    for v in ys:
+                        closed = [c + e for c, e in zip(closed, _closed_form_ext(t, n, u, v, top))]
+                assert got[a, b] == dims == closed, (t, n, x, y)
+        assert alg._hom_complex_ranks == walk
+        assert untouched._hom_complex_ranks == {}
 
 
 @pytest.mark.parametrize("t, n", [(3, 2), (4, 3)])
