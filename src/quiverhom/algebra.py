@@ -105,9 +105,11 @@ class BoundQuiverAlgebra:
         self.r: int | None = None
         self.period_bound: int | None = None
         # Memos, filled on first use; those keyed by a module's exact content
-        # (QuiverModule.content_key) hold only results already checked.
+        # (QuiverModule.content_key) hold only results already checked, or turned
+        # from one by the rotation of the circular quiver (see modules._rotations).
         self._relation_generators: tuple[PathWord, ...] | None = None
         self._resolution_steps: dict[tuple, tuple] = {}  # see modules._step
+        self._labeled_projectives: dict[tuple, object] = {}  # summand tuple; see modules._labeled_projective
         self._serial_summands: dict[tuple, tuple] = {}  # see modules._serial_memo
         self._hom_complex_ranks: dict[tuple, tuple] = {}  # (syzygy key, target key); see homology.ext_dims
         self._hom_kernels: dict[tuple, object] = {}  # (source key, target key); see modules.hom_basis

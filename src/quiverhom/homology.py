@@ -19,6 +19,7 @@ from .modules import (
     QuiverModule,
     UnsupportedOperation,
     _pivots_beyond,
+    _rotations,
     _step,
     _Step,
     find_isomorphism,
@@ -218,7 +219,9 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
     res = minimal_resolution(m, max_degree + 1)
     # Memoized per algebra as (dim Hom(term(d), N), rank of the degree-d matrix): both are
     # fixed by N and by syzygy(d)'s memo step and its successor, so they repeat along the
-    # content cycle and are read once per cycle degree.
+    # content cycle and are read once per cycle degree.  The rank is dim Hom(term(d), N) -
+    # dim Hom(syzygy(d), N), so rotating both modules keeps the entry: a miss reads the
+    # entry of a rotated pair when there is one.
     memo, target_key = m.algebra._hom_complex_ranks, n.content_key()
     cycle = res.content_cycle()
     read = max_degree + 1 if cycle is None else min(max_degree + 1, cycle[0] + cycle[1])
@@ -227,7 +230,10 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
         key = (res.syzygy_key(d), target_key)
         entry = memo.get(key)
         if entry is None:
-            entry = memo[key] = (res.term(d).hom_dim(n), m.field.rank(_hom_complex_matrix(res, n, d)))
+            entry = next((memo[r] for _, r in _rotations(m.algebra, *key) if r in memo), None)
+            if entry is None:
+                entry = (res.term(d).hom_dim(n), m.field.rank(_hom_complex_matrix(res, n, d)))
+            memo[key] = entry
         entries.append(entry)
     for d in range(read, max_degree + 1):
         entries.append(entries[d - cycle[1]])
@@ -350,10 +356,11 @@ def detect_period(m: QuiverModule) -> PeriodicityWitness | None:
 
     Every non-projective module has a period dividing the bound, so None
     means M is projective or zero (zero would carry every period).
-    Syzygies are screened by their content keys: a degree whose dims
-    differ from M's is skipped unbuilt, and when the content recurs
-    exactly the witness is the identity, still checked as a module map.
-    Other candidates go to find_isomorphism.
+    Syzygies are screened by their content keys and memoized covers: a
+    degree whose dims or top (its cover's summands) differ from M's is
+    skipped unbuilt, and when the content recurs exactly the witness is
+    the identity, still checked as a module map.  Other candidates go to
+    find_isomorphism.
     """
     bound = m.algebra.period_bound
     if bound is None:
@@ -365,7 +372,7 @@ def detect_period(m: QuiverModule) -> PeriodicityWitness | None:
         key = res.syzygy_key(p)
         if not any(key[0]):
             return None
-        if key[0] != m.dims:
+        if key[0] != m.dims or res.term(p).summands != res.term(0).summands:
             continue
         s = res.syzygy(p)
         if key == res.syzygy_key(0):

@@ -446,6 +446,14 @@ class ProjectiveCover:
         return self.P.module
 
 
+def _labeled_projective(algebra: BoundQuiverAlgebra, summands: tuple[int, ...]) -> LabeledProjective:
+    """The algebra's one LabeledProjective with these summands, built on first use."""
+    P = algebra._labeled_projectives.get(summands)
+    if P is None:
+        P = algebra._labeled_projectives[summands] = LabeledProjective(algebra, summands)
+    return P
+
+
 def projective_cover(m: QuiverModule) -> ProjectiveCover:
     """The projective cover: one P_j per top composition factor, any lift of a top basis."""
     field = m.field
@@ -457,7 +465,7 @@ def projective_cover(m: QuiverModule) -> ProjectiveCover:
         for c in _pivots_beyond(field, radical_matrix(m, v), eye)[1]:
             summands.append(v)
             images.append(eye[:, c])
-    P = LabeledProjective(m.algebra, tuple(summands))
+    P = _labeled_projective(m.algebra, tuple(summands))
     surj = P.map_to(m, images)
     if not surj.is_surjective():
         raise AssertionError("projective cover surjection failed to cover")
@@ -475,16 +483,64 @@ class _Step(NamedTuple):
     next_key: tuple  # content key of the kernel
 
 
+def _turn(x: tuple, k: int) -> tuple:
+    """σ^k of a per-vertex or per-arrow tuple over the circular quiver: entry v moves to v + k."""
+    return x[-k:] + x[:-k]
+
+
+def _turned_key(key: tuple, k: int) -> tuple:
+    """σ^k of a content key (dims, arrow bytes): arrow a runs a + 1 -> a + 2, so both tuples turn by k."""
+    dims, arrows = key
+    return _turn(dims, k), _turn(arrows, k)
+
+
+def _rotations(algebra: BoundQuiverAlgebra, *keys: tuple):
+    """(k, σ^-k of each content key) for k = 1..t-1 over kΓ/J^{n+1}; nothing over any other algebra.
+
+    The rotation σ: v -> v + 1, a -> a + 1 is an automorphism of kΓ/J^{n+1}, so a module and its
+    turn by σ^k have the same syzygy chain up to σ^k and the same Ext dimensions against turned targets.
+    """
+    if algebra.is_selfinjective_nakayama:
+        for k in range(1, algebra.t):
+            yield k, tuple(_turned_key(key, -k) for key in keys)
+
+
+def _turned_step(algebra: BoundQuiverAlgebra, step: _Step, k: int) -> _Step | None:
+    """The step of σ^k M from M's step, or None when σ^k breaks the vertex order of the cover's summands.
+
+    σ^k M has M's radical matrix at each vertex, so its cover picks the same pivot columns and, when
+    the turned summands are still nondecreasing, lists them in the same places: every block and the
+    kernel basis are M's, moved k vertices on.
+    """
+    summands = tuple(algebra.wrap(j + k) for j in step.term.summands)
+    if any(a > b for a, b in zip(summands, summands[1:])):
+        return None
+    return _Step(
+        _labeled_projective(algebra, summands),
+        *(_turn(x, k) for x in (step.surj_blocks, step.ker_dims, step.ker_maps, step.incl_blocks)),
+        _turned_key(step.next_key, k),
+    )
+
+
 def _step(algebra: BoundQuiverAlgebra, key: tuple, module) -> _Step:
-    """The memo step of the module with this content key; on a miss, module() is covered with every check."""
+    """The memo step of the module with this content key.
+
+    On a miss, a memo step of a rotation σ^-k M is turned by σ^k when it keeps its summands in
+    vertex order; otherwise module() is covered with every check.  Either way the step is stored
+    under the exact key.
+    """
     steps = algebra._resolution_steps
     step = steps.get(key)
     if step is None:
-        cover = projective_cover(module())
-        ker, incl = kernel(cover.surjection)
-        step = steps[key] = _Step(
-            cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, incl.blocks, ker.content_key()
-        )
+        for k, (src,) in _rotations(algebra, key):
+            hit = steps.get(src)
+            if hit is not None and (step := _turned_step(algebra, hit, k)) is not None:
+                break
+        else:
+            cover = projective_cover(module())
+            ker, incl = kernel(cover.surjection)
+            step = _Step(cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, incl.blocks, ker.content_key())
+        steps[key] = step
     return step
 
 

@@ -1,5 +1,10 @@
+import math
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quiverhom.homology as homology
 import quiverhom.modules as modules
@@ -626,6 +631,90 @@ def test_detect_period_matches_the_find_isomorphism_search(t, monkeypatch):
         with monkeypatch.context() as mp:  # a warm memo answers without decomposing anything
             mp.setattr(modules, "serial_summands", _no_chains)
             check()
+
+
+def test_detect_period_sends_a_candidate_with_the_top_of_m_to_find_isomorphism(monkeypatch):
+    # Over (2, 4), Omega^2 (M(1, 1) + M(2, 3)) = M(1, 3) + M(2, 1): same dims and top, not isomorphic.
+    alg = nakayama_algebra(2, 4)
+    m = direct_sum([uniserial(alg, 1, 1), uniserial(alg, 2, 3)])[0]
+    seen = []
+
+    def recording(s, target):
+        iso = find_isomorphism(s, target)
+        seen.append((s.name, iso is None))
+        return iso
+
+    monkeypatch.setattr(homology, "find_isomorphism", recording)
+    w = detect_period(m)
+    assert seen[0] == (f"syzygy:2:{m.describe()}", True)
+    assert decompose_serial(w.resolution.syzygy(2)) == [(1, 3), (2, 1)]
+    assert w.period == _closed_form_period(2, 4, [(1, 1), (2, 3)]) == 4
+    # M(1, 2) with doubled arrows never recurs in content; Omega^2 of it has its dims but top S_2,
+    # so only the degree-4 candidate reaches find_isomorphism.
+    u = uniserial(alg, 1, 2)
+    scaled = QuiverModule(alg, u.dims, [2 * a for a in u.arrow_maps], name="scaled")
+    seen.clear()
+    assert detect_period(scaled).period == 4 and seen == [("syzygy:4:scaled", False)]
+
+
+def _random_basis(m: QuiverModule, rng: random.Random) -> QuiverModule:
+    """M in a random basis g_v of each vertex space: arrows g_v M_a g_u^-1."""
+    f, q = m.field, m.algebra.quiver
+    g = []
+    for d in m.dims:
+        x = np.zeros((d, d), dtype=np.int64)
+        while not f.is_invertible(x):
+            x = np.array([rng.randrange(f.p) for _ in range(d * d)], dtype=np.int64).reshape(d, d)
+        g.append(x)
+    maps = [
+        f.matmul(f.matmul(g[q.target(a) - 1], x), f.inverse(g[q.source(a) - 1])) for a, x in enumerate(m.arrow_maps)
+    ]
+    return QuiverModule(m.algebra, m.dims, maps, name=f"random-basis:{m.describe()}")
+
+
+def _omega_types(t, n, types, p):
+    """The sorted (top, length) types of Omega^p of a sum of uniserials, by Omega M(i, a) = M(i + a, n + 1 - a)."""
+    for _ in range(p):
+        types = [((i + a - 1) % t + 1, n + 1 - a) for i, a in types]
+    return sorted(types)
+
+
+def _closed_form_period(t, n, types):
+    """The least p >= 1 at which Omega^p permutes the (non-projective) summands."""
+    return next(p for p in range(1, 2 * t + 1) if _omega_types(t, n, types, p) == sorted(types))
+
+
+@st.composite
+def _sums_in_random_bases(draw):
+    t, n = draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    types = draw(st.lists(st.tuples(st.integers(1, t), st.integers(1, n)), min_size=1, max_size=3))
+    return t, n, types, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_sums_in_random_bases())
+@settings(max_examples=60, deadline=None)
+def test_sums_in_random_bases_match_the_closed_forms(case):
+    """Their content cycles often start past degree 0, where a rotated step may break the summand order."""
+    t, n, types, seed = case
+    alg = nakayama_algebra(t, n)
+    m = _random_basis(direct_sum([uniserial(alg, *ty) for ty in types])[0], random.Random(seed))
+    top = 4 * t + 2
+    res = minimal_resolution(m, top + 2 * t)
+    period = _closed_form_period(t, n, types)
+    # The cycle repeats the summand types, so the period divides its length; the length in turn
+    # divides the lcm of the summands' own periods (the swap in M(1, 1) + M(2, 3) over (2, 3)
+    # has period 1 and a cycle of length 2).
+    start, length = res.content_cycle()
+    assert length % period == 0 and math.lcm(*(_closed_form_period(t, n, [ty]) for ty in types)) % length == 0
+    assert res.syzygy_key(start + length) == res.syzygy_key(start)
+    assert all(decompose_serial(res.syzygy(d)) == _omega_types(t, n, types, d) for d in range(start + length + 1))
+    assert decompose_serial(m) == sorted(types)
+    w = detect_period(m)
+    assert w.period == period
+    w.iso._validate()
+    for target in [(j, b) for j in range(1, t + 1) for b in range(1, n + 2)]:
+        closed = [sum(e) for e in zip(*(_closed_form_ext(t, n, ty, target, top) for ty in types))]
+        assert ext_dims(m, uniserial(alg, *target), top) == closed, (target, types)
 
 
 def _no_cover(m):

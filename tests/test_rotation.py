@@ -1,0 +1,123 @@
+"""The step memo and the Hom-complex memo read through the rotation σ: v -> v + 1 of kΓ/J^{n+1}.
+
+Every test compares the library with rotation against the same library with the rotation
+lookup switched off, on a fresh algebra with the same inputs.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+import quiverhom.homology as homology
+import quiverhom.modules as modules
+from quiverhom.algebra import nakayama_algebra
+from quiverhom.homology import minimal_resolution
+from quiverhom.linalg import GF
+from quiverhom.modules import QuiverModule, direct_sum, uniserial
+from quiverhom.vanishing import nakayama_report
+from test_homology import _random_basis
+
+
+def _no_rotations(algebra, *keys):
+    return iter(())
+
+
+def _rotation_off(mp):
+    mp.setattr(modules, "_rotations", _no_rotations)
+    mp.setattr(homology, "_rotations", _no_rotations)
+
+
+def _turned(m: QuiverModule, k: int) -> QuiverModule:
+    """σ^k M: vertex v + k carries M_v, and arrow a + k acts as M's arrow a (arrow a runs a + 1 -> a + 2)."""
+    t = len(m.dims)
+    dims = [m.dims[(v - k) % t] for v in range(t)]
+    maps = [m.arrow_maps[(a - k) % t] for a in range(t)]
+    return QuiverModule(m.algebra, dims, maps, name=f"turned:{k}:{m.describe()}")
+
+
+def _corpus(alg, seed: int) -> list[QuiverModule]:
+    """Every uniserial, then sums of 2-3 uniserials in random bases, each followed by its rotations."""
+    t, n = alg.t, alg.n
+    rng = random.Random(seed)
+    out = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+    for _ in range(4):
+        parts = [uniserial(alg, rng.randint(1, t), rng.randint(1, n)) for _ in range(rng.randint(2, 3))]
+        m = _random_basis(direct_sum(parts)[0], rng)
+        out.extend(_turned(m, k) for k in range(t))
+    return out
+
+
+def _counting_covers(mp) -> list:
+    covered = []
+    cover = modules.projective_cover
+
+    def counting(m):
+        covered.append(m.content_key())
+        return cover(m)
+
+    mp.setattr(modules, "projective_cover", counting)
+    return covered
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_turned_steps_are_the_covered_steps_array_for_array(t, monkeypatch):
+    turned = multi = 0
+    for n in range(1, 9):
+        on, off = nakayama_algebra(t, n), nakayama_algebra(t, n)
+        with monkeypatch.context() as mp:
+            covered = _counting_covers(mp)
+            for m in _corpus(on, 100 * t + n):
+                minimal_resolution(m, 2 * t + 1)
+        with monkeypatch.context() as mp:
+            _rotation_off(mp)
+            for m in _corpus(off, 100 * t + n):
+                minimal_resolution(m, 2 * t + 1)
+        steps, want = on._resolution_steps, off._resolution_steps
+        assert steps.keys() == want.keys(), (t, n)
+        for key, step in steps.items():
+            ref = want[key]
+            assert step.term.summands == ref.term.summands, (t, n, key)
+            for got, exp in ((step.surj_blocks, ref.surj_blocks), (step.ker_maps, ref.ker_maps),
+                             (step.incl_blocks, ref.incl_blocks)):
+                assert len(got) == len(exp) == t
+                assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, exp)), (t, n, key)
+            assert step.ker_dims == ref.ker_dims and step.next_key == ref.next_key, (t, n, key)
+            if key not in covered:
+                turned += 1
+                multi += len(step.term.summands) > 1
+        assert len(covered) == len(set(covered)) < len(steps)
+        # Terms with equal summands are one object.
+        terms = {}
+        for step in steps.values():
+            assert terms.setdefault(step.term.summands, step.term) is step.term
+    assert turned > 0 and multi > 0
+
+
+def test_a_turn_that_breaks_the_summand_order_is_covered(monkeypatch):
+    alg = nakayama_algebra(3, 2)
+    base = direct_sum([uniserial(alg, 1, 1), uniserial(alg, 3, 2)])[0]  # tops (1, 3)
+    minimal_resolution(base, 0)
+    covered = _counting_covers(monkeypatch)
+    # σ carries the tops to (2, 1): out of vertex order, so the step is covered, not turned.
+    res = minimal_resolution(_turned(base, 1), 0)
+    assert len(covered) == 1 and res.term(0).summands == (1, 2)
+    # σ^2 M is σ of the covered σM, whose tops (1, 2) stay in order as (2, 3): turned, not covered.
+    res = minimal_resolution(_turned(base, 2), 0)
+    assert len(covered) == 1 and res.term(0).summands == (2, 3)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_nakayama_report_equals_the_report_without_rotation(t, monkeypatch):
+    for n in range(1, 9):
+        max_degree = 2 * t + 3
+        with monkeypatch.context() as mp:
+            covered = _counting_covers(mp)
+            got = nakayama_report(t, n, max_degree, GF(101))
+        # Omega^2 of a simple is a simple and Omega S_i = M(i + 1, n): every step but S_1's and
+        # Omega S_1's is turned from theirs (and for n = 1, Omega S_1 = S_2 is turned too).
+        assert len(covered) == (1 if n == 1 else 2), (t, n)
+        with monkeypatch.context() as mp:
+            _rotation_off(mp)
+            want = nakayama_report(t, n, max_degree, GF(101))
+        assert got == want, (t, n)
