@@ -1,9 +1,11 @@
 """Syzygies, minimal projective resolutions, Ext tables, and periodicity.
 
-Resolutions are built by iterated projective covers; Ext dimensions are
-read off the Hom complex of the resolution, and independently from
-Betti multiplicities whenever the target is simple.  The two routes are
-cross-asserted on every simple-target computation.
+Resolutions are built by iterated projective covers.  Ext dimensions are
+read off the Hom complex of the resolution, whose rank in degree d is
+dim Hom(term(d), N) - dim Hom(syzygy(d), N), the latter the nullity of
+the intertwining system that `hom_basis` solves.  For a simple target
+they are cross-asserted against Betti multiplicities in every distinct
+degree, through the end of the source's syzygy content cycle.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .modules import (
     ModuleMap,
     QuiverModule,
     UnsupportedOperation,
+    _hom_dim,
     _pivots_beyond,
     _rotations,
     _step,
@@ -182,78 +185,51 @@ class ExtTable:
         return "\n".join(lines)
 
 
-def _hom_complex_matrix(res: Resolution, n: QuiverModule, d: int) -> np.ndarray:
-    """Matrix of Hom(term(d), N) -> Hom(term(d+1), N), precomposition with diff(d+1).
-
-    A map from term(d) is its stacked generator images y_s.  Summand s of term(d+1) gives the
-    rows of f(x) = sum of x_k N_path y_s' over the vertex-j basis vectors k = (s', path) of
-    term(d), where x is the generator's column of the diff block at its vertex j.
-    """
-    src, dst, diff, p = res.term(d), res.term(d + 1), res.diff(d + 1), n.field.p
-    offs = [0]
-    for j in src.summands:
-        offs.append(offs[-1] + n.dims[j - 1])
-    rows = []
-    for s, j in enumerate(dst.summands):
-        x = diff.block(j)[:, dst.generator_index(s)].tolist()
-        out = [[0] * offs[-1] for _ in range(n.dims[j - 1])]
-        for c, (s2, path) in zip(x, src._basis[j]):
-            if c:
-                for row, block_row in zip(out, n.path_action(path).tolist()):
-                    for k, y in enumerate(block_row, start=offs[s2]):
-                        row[k] += c * y
-        rows.extend([y % p for y in row] for row in out)
-    return np.array(rows, dtype=np.int64).reshape(len(rows), offs[-1])
-
-
 def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
     """dim Ext^i(M, N) for i = 1..max_degree via the Hom complex of the resolution.
 
     When N is simple the Betti-multiplicity route is computed as well and
-    the two values are asserted equal in every degree.
+    the two values are asserted equal in every degree through the end of
+    the source's content cycle; each later degree repeats one of those.
     """
     if m.algebra is not n.algebra:
         raise ValueError("Ext requires modules over the same algebra")
     if max_degree < 1:
         raise ValueError("Ext degrees start at 1; use hom_basis for degree 0")
     res = minimal_resolution(m, max_degree + 1)
-    # Memoized per algebra as (dim Hom(term(d), N), rank of the degree-d matrix): both are
-    # fixed by N and by syzygy(d)'s memo step and its successor, so they repeat along the
-    # content cycle and are read once per cycle degree.  The rank is dim Hom(term(d), N) -
-    # dim Hom(syzygy(d), N), so rotating both modules keeps the entry: a miss reads the
-    # entry of a rotated pair when there is one.
+    # Memoized per algebra as (h, rank) in degree d: h = dim Hom(term(d), N), and the rank of
+    # precomposition with diff(d+1), whose kernel is Hom(syzygy(d), N).  Both are fixed by N and
+    # syzygy(d)'s content, not by a basis, so a miss reads a rotated pair's entry when there is one.
+    # Past the content cycle (start c, length l) degree i repeats degree i - l step for step, so
+    # entries and the Betti check run through degree min(B, c + l); later degrees are laps of the last l.
     memo, target_key = m.algebra._hom_complex_ranks, n.content_key()
     cycle = res.content_cycle()
-    read = max_degree + 1 if cycle is None else min(max_degree + 1, cycle[0] + cycle[1])
+    top = max_degree if cycle is None else min(max_degree, cycle[0] + cycle[1])
     entries = []
-    for d in range(read):
+    for d in range(top + 1):
         key = (res.syzygy_key(d), target_key)
         entry = memo.get(key)
         if entry is None:
             entry = next((memo[r] for _, r in _rotations(m.algebra, *key) if r in memo), None)
             if entry is None:
-                entry = (res.term(d).hom_dim(n), m.field.rank(_hom_complex_matrix(res, n, d)))
+                h = res.term(d).hom_dim(n)
+                entry = (h, h - _hom_dim(res.syzygy(d), n))
             memo[key] = entry
         entries.append(entry)
-    for d in range(read, max_degree + 1):
-        entries.append(entries[d - cycle[1]])
-    out = [entries[i][0] - entries[i][1] - entries[i - 1][1] for i in range(1, max_degree + 1)]
-    simple_vertex = _simple_vertex_of(n)
-    if simple_vertex is not None:
-        for i in range(1, max_degree + 1):
-            betti = res.betti_multiplicity(i, simple_vertex)
+    out = [entries[i][0] - entries[i][1] - entries[i - 1][1] for i in range(1, top + 1)]
+    if n.total_dim == 1:  # N = S_j: Ext^i(M, S_j) is the multiplicity of P_j in term(i)
+        j = n.dims.index(1) + 1
+        for i in range(1, top + 1):
+            betti = res.betti_multiplicity(i, j)
             if betti != out[i - 1]:
                 raise AssertionError(
                     f"Ext oracle mismatch at degree {i}: complex gives {out[i - 1]}, "
                     f"Betti multiplicity gives {betti}"
                 )
+    if top < max_degree:
+        laps = (max_degree - top) // cycle[1] + 1
+        out = (out + out[-cycle[1] :] * laps)[:max_degree]
     return out
-
-
-def _simple_vertex_of(n: QuiverModule) -> int | None:
-    if n.total_dim != 1:
-        return None
-    return 1 + next(i for i, d in enumerate(n.dims) if d == 1)
 
 
 def ext_table(m: QuiverModule, n: QuiverModule, max_degree: int) -> ExtTable:

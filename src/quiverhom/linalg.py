@@ -4,10 +4,11 @@ Matrices are numpy int64 arrays with all entries reduced modulo p.
 Everything here is integer arithmetic; there is no floating point and
 no tolerance anywhere.  Elimination (rref, rank, kernels, solves and
 inverses) runs on lists of Python ints, which cannot overflow: arrays
-go in and come out.  The small linear systems the library solves (Hom
-kernels, Hom-complex matrices) are assembled on Python ints too.
-GF.matmul is still the one place where int64 products are reduced,
-also over the zero-padded stacks of the batched intertwining check.
+go in and come out.  The library's one kind of linear system, the Hom
+system, is assembled on Python ints too.  GF.matmul is the one place
+where int64 products are reduced, also over the zero-padded stacks of
+the batched intertwining check, and it raises ValueError for an inner
+dimension past the bound that keeps them exact.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class GF:
     """
 
     # int64 accumulation in a matrix product is exact while
-    # cols * (p-1)^2 < 2^63; this cap leaves orders of magnitude of slack
-    # at the matrix sizes in scope.
+    # inner * (p-1)^2 <= 2^63 - 1, which matmul enforces; under this cap
+    # the inner dimension may reach 8,388,672 (p = 1048573).
     MAX_CHARACTERISTIC = 2**20
 
     def __init__(self, p: int):
@@ -50,6 +51,7 @@ class GF:
                 f"characteristic {p} exceeds exact-arithmetic bound {self.MAX_CHARACTERISTIC}"
             )
         self.p = p
+        self._max_inner = (2**63 - 1) // (p - 1) ** 2
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GF) and other.p == self.p
@@ -86,6 +88,8 @@ class GF:
         return pow(x, self.p - 2, self.p)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if a.shape[-1] > self._max_inner:  # past it, int64 accumulation could overflow
+            raise ValueError(f"{a.shape} @ {b.shape} over GF({self.p}): inner dimension above {self._max_inner}")
         return (a @ b) % self.p
 
     def _echelon(self, m: np.ndarray) -> tuple[list[list[int]], list[int]]:

@@ -9,7 +9,8 @@ batch before the maps are built.  Both go through one check: the blocks
 (one map, or a stack of maps) are zero-padded into a single stack, and
 N_a f_u = f_v M_a is compared for every arrow at once, in two broadcast
 products with each module's padded (arrows, D, D) arrow tensor.  The
-Hom system itself is assembled on Python ints.
+Hom system is assembled in one place, on Python ints; `hom_basis` reads
+its checked kernel and `homology.ext_dims` its rank alone.
 """
 
 from __future__ import annotations
@@ -295,14 +296,11 @@ class LabeledProjective:
     def total_dim(self) -> int:
         return self.module.total_dim
 
-    def generator_index(self, s: int) -> int:
-        """Position of the summand's generator e_j inside the vertex-j space."""
-        return self._pos[(s, self.algebra.quiver.trivial_path(self.summands[s]))]
-
     def generator_vector(self, s: int) -> np.ndarray:
         """Unit vector of the summand's generator e_j inside the vertex-j space."""
-        vec = np.zeros(self.module.dims[self.summands[s] - 1], dtype=np.int64)
-        vec[self.generator_index(s)] = 1
+        j = self.summands[s]
+        vec = np.zeros(self.module.dims[j - 1], dtype=np.int64)
+        vec[self._pos[(s, self.algebra.quiver.trivial_path(j))]] = 1
         return vec
 
     def map_to(self, target: QuiverModule, images) -> ModuleMap:
@@ -561,10 +559,7 @@ def hom_basis(m: QuiverModule, n: QuiverModule) -> list[ModuleMap]:
     """
     if m.algebra is not n.algebra:
         raise ValueError("hom_basis requires modules over the same algebra")
-    t = m.algebra.quiver.vertex_count
-    col_off = [0]
-    for v in range(t):
-        col_off.append(col_off[-1] + n.dims[v] * m.dims[v])
+    col_off = _hom_offsets(m, n)
     if col_off[-1] == 0:
         return []
     memo, key = m.algebra._hom_kernels, (m.content_key(), n.content_key())
@@ -581,9 +576,17 @@ def _hom_blocks(m: QuiverModule, n: QuiverModule, ker: np.ndarray, col_off: list
     return [ker[col_off[w] : col_off[w + 1]].T.reshape(k, n.dims[w], m.dims[w]) for w in range(len(m.dims))]
 
 
-def _checked_hom_kernel(m: QuiverModule, n: QuiverModule, col_off: list[int]) -> np.ndarray:
-    """The kernel of the intertwining system, each column checked on every arrow; read-only."""
-    field, p, width = m.field, m.field.p, col_off[-1]
+def _hom_offsets(m: QuiverModule, n: QuiverModule) -> list[int]:
+    """col_off[w], the first column of block f_w (n_w x m_w) among the Hom system's unknowns."""
+    col_off = [0]
+    for a, b in zip(n.dims, m.dims):
+        col_off.append(col_off[-1] + a * b)
+    return col_off
+
+
+def _hom_system(m: QuiverModule, n: QuiverModule, col_off: list[int]) -> np.ndarray:
+    """The intertwining system N_a f_u - f_v M_a = 0 over every arrow, assembled on Python ints."""
+    p, width = m.field.p, col_off[-1]
     system = []
     for a, (u, v) in enumerate(m.algebra.quiver.arrows):
         u, v = u - 1, v - 1
@@ -597,7 +600,18 @@ def _checked_hom_kernel(m: QuiverModule, n: QuiverModule, col_off: list[int]) ->
                 for s, x in enumerate(ma_t[c], start=col_off[v] + i * m.dims[v]):
                     row[s] -= x
                 system.append([x % p for x in row])
-    ker = field.kernel_matrix(np.array(system, dtype=np.int64).reshape(len(system), width))
+    return np.array(system, dtype=np.int64).reshape(len(system), width)
+
+
+def _hom_dim(m: QuiverModule, n: QuiverModule) -> int:
+    """dim Hom(M, N), the nullity of the intertwining system: its rank alone, with no basis to check."""
+    col_off = _hom_offsets(m, n)
+    return col_off[-1] - m.field.rank(_hom_system(m, n, col_off))
+
+
+def _checked_hom_kernel(m: QuiverModule, n: QuiverModule, col_off: list[int]) -> np.ndarray:
+    """The kernel of the intertwining system, each column checked on every arrow; read-only."""
+    ker = m.field.kernel_matrix(_hom_system(m, n, col_off))
     a = _failed_arrow(m, n, _hom_blocks(m, n, ker, col_off))
     if a is not None:
         raise AssertionError(f"Hom basis does not intertwine arrow {a}")

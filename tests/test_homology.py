@@ -326,8 +326,8 @@ def test_minimal_resolution_grows_the_cached_object(a32):
     assert minimal_resolution(m, 5) is res and res.max_degree == 9
 
 
-def _no_matrix(*args):
-    raise AssertionError("a warm memo rebuilt a Hom-complex matrix")
+def _no_hom_system(*args):
+    raise AssertionError("a warm memo solved a Hom system again")
 
 
 def _no_hom_dim(*args):
@@ -335,18 +335,40 @@ def _no_hom_dim(*args):
 
 
 def test_ext_dims_raises_when_betti_route_disagrees(monkeypatch):
-    alg = nakayama_algebra(3, 2)
+    # The Betti route is read once per distinct degree, 1..c + l for the content cycle (c, l):
+    # a fault in any one of them is caught, by a cold memo and by a warm one.  S_1's cycle
+    # starts at 0, the sheared sum's at 2.
     honest = Resolution.betti_multiplicity
-    monkeypatch.setattr(Resolution, "betti_multiplicity", lambda self, d, j: honest(self, d, j) + (d == 3))
-    for warm in (False, True):
-        assert bool(alg._hom_complex_ranks) is warm
-        with pytest.raises(AssertionError, match="Ext oracle mismatch at degree 3"):
-            ext_dims(simple(alg, 1), simple(alg, 2), 4)
-        monkeypatch.setattr(homology, "_hom_complex_matrix", _no_matrix)
+    sources = [(lambda alg: simple(alg, 1), [(1, 1)], 0), (lambda alg: _sheared_sum(alg, 1), _sheared_sum_types(1, 2), 2)]
+    for source, types, want_start in sources:
+        start, length = minimal_resolution(source(nakayama_algebra(3, 2)), 10).content_cycle()
+        assert start == want_start
+        for bad in range(start + length + 1):  # bad = 0 injects no fault
+            alg, read = nakayama_algebra(3, 2), []
+
+            def faulty(self, d, j, bad=bad, read=read):
+                read.append(d)
+                return honest(self, d, j) + (d == bad)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(Resolution, "betti_multiplicity", faulty)
+                for warm in (False, True):
+                    assert bool(alg._hom_complex_ranks) is warm
+                    if bad:
+                        with pytest.raises(AssertionError, match=f"Ext oracle mismatch at degree {bad}:"):
+                            ext_dims(source(alg), simple(alg, 2), 10)
+                    else:
+                        assert ext_dims(source(alg), simple(alg, 2), 10) == _closed_form_sums(3, 2, types, [(2, 1)], 10)
+                    mp.setattr(homology, "_hom_dim", _no_hom_system)
+            # Each call stops at the faulty degree, or reads through c + l < B = 10 and no further.
+            assert read == 2 * list(range(1, (bad or start + length) + 1)), (start, length, bad)
 
 
 def _numpy_hom_complex_matrix(res, n, d):
     """Hom(term(d), N) -> Hom(term(d+1), N) assembled with numpy arrays, one summand block at a time.
+
+    The independent oracle for the (dim Hom(term(d), N), rank) entries that ext_dims reads off the
+    intertwining system: this matrix is built from the differential and N's path actions instead.
 
     Summand s of term(d+1), at vertex j, gives the rows of f(x) for x = diff(d+1) applied to its
     generator vector: the block of summand s' adds x[(s', path)] * N_path for each vertex-j basis path.
@@ -375,23 +397,16 @@ def _sheared(m):
     return QuiverModule(m.algebra, m.dims, maps, name=f"sheared:{m.describe()}")
 
 
-@pytest.mark.parametrize("t", [2, 3, 4])
-def test_hom_complex_matrix_matches_the_numpy_assembly(t):
-    entries = set()
-    for n in range(1, 7):
-        alg = nakayama_algebra(t, n)
-        mods = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
-        # Uniserials give 0/1 matrices; two summands with one top, in a changed basis, give sums beyond p.
-        mods.append(_sheared(direct_sum([uniserial(alg, 1, n), uniserial(alg, 1, max(1, n - 1))])[0]))
-        for m in mods:
-            res = Resolution(m, 2 * t + 2)
-            for target in mods:
-                for d in range(2 * t + 2):
-                    got, want = homology._hom_complex_matrix(res, target, d), _numpy_hom_complex_matrix(res, target, d)
-                    assert got.dtype == np.int64 and got.shape == want.shape, (t, n, m, target, d)
-                    assert np.array_equal(got, want), (t, n, m, target, d)
-                    entries |= set(np.unique(got).tolist())
-    assert len(entries) > 2
+def _sheared_sum_types(i, n):
+    return [(i, n), (i, max(1, n - 1))]
+
+
+def _sheared_sum(alg, i):
+    """M(i, n) + M(i, max(1, n - 1)), two summands with one top, sheared: its matrices hold entries beyond 0/1.
+
+    For n >= 2 its content cycle starts at degree 2.
+    """
+    return _sheared(direct_sum([uniserial(alg, *ty) for ty in _sheared_sum_types(i, alg.n)])[0])
 
 
 def _closed_form_ext(t, n, source, target, degree):
@@ -409,6 +424,11 @@ def _closed_form_ext(t, n, source, target, degree):
     return out
 
 
+def _closed_form_sums(t, n, xs, ys, degree):
+    """Ext^k between direct sums of uniserials with the (top, length) types xs and ys: sums of the closed form."""
+    return [sum(e) for e in zip([0] * degree, *(_closed_form_ext(t, n, x, y, degree) for x in xs for y in ys))]
+
+
 def _closed_form_stable_hom(t, n, source, target):
     """dim stHom(M(i, a), M(j, b)); zero when either length is n + 1 (a projective)."""
     (i, a), (j, b) = source, target
@@ -420,25 +440,25 @@ def test_hom_complex_rank_memo_matches_direct_ranks_and_closed_form(t, monkeypat
     top = 2 * t + 2
     for n in range(1, 6):
         alg, untouched = nakayama_algebra(t, n), nakayama_algebra(t, n)
-        types = [(i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
 
         def tables():
-            mods = {ty: uniserial(alg, *ty) for ty in types}  # new objects, so new resolutions
-            return {(x, y): ext_dims(mods[x], mods[y], top) for x in types for y in types}
+            mods = [m for m, _ in _cycle_corpus(alg)]  # new objects, so new resolutions
+            return {(a, b): ext_dims(x, y, top) for a, x in enumerate(mods) for b, y in enumerate(mods)}
 
         warm = tables()
         ranks = dict(alg._hom_complex_ranks)
         assert ranks and untouched._hom_complex_ranks == {}
-        f = untouched.field
-        for x in types:
-            res = Resolution(uniserial(untouched, *x), top + 1)
-            for y in types:
-                target = uniserial(untouched, *y)
-                direct = [f.rank(homology._hom_complex_matrix(res, target, d)) for d in range(top + 1)]
-                dims = [res.term(i).hom_dim(target) - direct[i] - direct[i - 1] for i in range(1, top + 1)]
-                assert warm[x, y] == dims == _closed_form_ext(t, n, x, y, top), (t, n, x, y)
+        f, corpus = untouched.field, _cycle_corpus(untouched)
+        for a, (x, xs) in enumerate(corpus):
+            res = Resolution(x, top + 1)
+            for b, (y, ys) in enumerate(corpus):
+                direct = [f.rank(_numpy_hom_complex_matrix(res, y, d)) for d in range(top + 1)]
+                for d in range(top + 1):
+                    assert ranks[res.syzygy_key(d), y.content_key()] == (res.term(d).hom_dim(y), direct[d]), (x, y, d)
+                dims = [res.term(i).hom_dim(y) - direct[i] - direct[i - 1] for i in range(1, top + 1)]
+                assert warm[a, b] == dims == _closed_form_sums(t, n, xs, ys, top), (t, n, x, y)
         with monkeypatch.context() as mp:
-            mp.setattr(homology, "_hom_complex_matrix", _no_matrix)
+            mp.setattr(homology, "_hom_dim", _no_hom_system)
             mp.setattr(LabeledProjective, "hom_dim", _no_hom_dim)
             assert tables() == warm
         assert alg._hom_complex_ranks == ranks
@@ -446,12 +466,13 @@ def test_hom_complex_rank_memo_matches_direct_ranks_and_closed_form(t, monkeypat
 
 
 def _cycle_corpus(alg) -> list[tuple[QuiverModule, list[tuple[int, int]]]]:
-    """Every uniserial (projectives included), the zero module and one direct sum, each with the
-    (top, length) types of its uniserial summands."""
+    """Every uniserial (projectives included), the zero module, one direct sum and one sheared sum,
+    each with the (top, length) types of its uniserial summands."""
     t, n = alg.t, alg.n
     out = [(uniserial(alg, i, length), [(i, length)]) for i in range(1, t + 1) for length in range(1, n + 2)]
     out.append((zero_module(alg), []))
     out.append((direct_sum([uniserial(alg, 1, 1), uniserial(alg, t, n)])[0], [(1, 1), (t, n)]))
+    out.append((_sheared_sum(alg, 1), _sheared_sum_types(1, alg.n)))
     return out
 
 
@@ -502,7 +523,7 @@ def test_ext_dims_over_the_content_cycle_match_the_per_degree_walk_and_closed_fo
         alg, untouched = nakayama_algebra(t, n), nakayama_algebra(t, n)
         mods = [m for m, _ in _cycle_corpus(alg)]
         got = {(a, b): ext_dims(x, y, top) for a, x in enumerate(mods) for b, y in enumerate(mods)}
-        # The per-degree walk: one rank of _hom_complex_matrix per (syzygy, target) content pair.
+        # The per-degree walk: one rank of the numpy Hom complex per (syzygy, target) content pair.
         walk, f, corpus = {}, untouched.field, _cycle_corpus(untouched)
         for a, (x, xs) in enumerate(corpus):
             res = Resolution(x, top + 1)
@@ -511,16 +532,46 @@ def test_ext_dims_over_the_content_cycle_match_the_per_degree_walk_and_closed_fo
                 for d in range(top + 1):
                     key = (res.syzygy_key(d), y.content_key())
                     if key not in walk:
-                        walk[key] = (res.term(d).hom_dim(y), f.rank(homology._hom_complex_matrix(res, y, d)))
+                        walk[key] = (res.term(d).hom_dim(y), f.rank(_numpy_hom_complex_matrix(res, y, d)))
                     entries.append(walk[key])
                 dims = [entries[i][0] - entries[i][1] - entries[i - 1][1] for i in range(1, top + 1)]
-                closed = [0] * top
-                for u in xs:
-                    for v in ys:
-                        closed = [c + e for c, e in zip(closed, _closed_form_ext(t, n, u, v, top))]
-                assert got[a, b] == dims == closed, (t, n, x, y)
+                assert got[a, b] == dims == _closed_form_sums(t, n, xs, ys, top), (t, n, x, y)
         assert alg._hom_complex_ranks == walk
         assert untouched._hom_complex_ranks == {}
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_rank_only_hom_dim_is_the_width_of_the_checked_hom_basis(t):
+    for n in range(1, 7):
+        alg = nakayama_algebra(t, n)
+        mods = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+        mods += [zero_module(alg), _sheared_sum(alg, 1), _sheared_sum(alg, t)]
+        for x in mods:
+            for y in mods:
+                assert modules._hom_dim(x, y) == len(hom_basis(x, y)), (t, n, x, y)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_ext_dims_at_bounds_around_the_content_cycle_match_the_closed_form(t):
+    # B = c + l - 1 stops short of the cycle's end, B = c + l reads it exactly, and every larger B
+    # fills the degrees past c + l with whole laps of the last l values.
+    big = 10000
+    for n in range(1, 5):
+        sources = [
+            (lambda alg: uniserial(alg, 1, 1), [(1, 1)], 0),
+            (lambda alg: uniserial(alg, 2, n), [(2, n)], 0),
+            (lambda alg: _sheared_sum(alg, 1), _sheared_sum_types(1, n), 2 if n >= 2 else 0),
+        ]
+        for source, types, want_start in sources:
+            targets = [(j, 1) for j in range(1, t + 1)] + [(1, n)]
+            closed = {y: _closed_form_sums(t, n, types, [y], big) for y in targets}
+            start, length = minimal_resolution(source(nakayama_algebra(t, n)), 4 * t).content_cycle()
+            assert start == want_start, (t, n, types)
+            for b in sorted({start + length - 1, start + length, start + length + 1, big} - {0}):
+                alg = nakayama_algebra(t, n)  # a cold memo for each bound
+                m = source(alg)
+                for y in targets:
+                    assert ext_dims(m, uniserial(alg, *y), b) == closed[y][:b], (t, n, types, b, y)
 
 
 @pytest.mark.parametrize("t, n", [(3, 2), (4, 3)])

@@ -19,6 +19,23 @@ def test_rejects_composite_characteristic():
         GF(1)
 
 
+def test_matmul_enforces_the_int64_exactness_bound():
+    # Zero-stride operands: the inner dimension is large, but nothing large is allocated.
+    f = GF(1048573)  # the largest prime <= GF.MAX_CHARACTERISTIC
+    limit = (2**63 - 1) // (f.p - 1) ** 2
+    assert limit == 8_388_672
+    top = np.int64(f.p - 1)
+    # At the bound the int64 sum limit * (p - 1)^2 is exact, and (p - 1)^2 = 1 mod p.
+    at = f.matmul(np.broadcast_to(top, (1, limit)), np.broadcast_to(top, (limit, 1)))
+    assert at.tolist() == [[limit % f.p]]
+    for a, b in [((1, limit + 1), (limit + 1, 1)), ((2, 3, limit + 1), (limit + 1, 4)), ((limit + 1,), (limit + 1,))]:
+        with pytest.raises(ValueError, match=r"GF\(1048573\): inner dimension above 8388672"):
+            f.matmul(np.broadcast_to(top, a), np.broadcast_to(top, b))
+    # Over GF(2) the bound is 2^63 - 1, so the same inner dimension passes.
+    ones = np.broadcast_to(np.int64(1), (limit + 1,))
+    assert GF(2).matmul(ones, ones) == (limit + 1) % 2
+
+
 def test_rref_identity_fixed():
     f = GF(5)
     m = f.eye(2)
