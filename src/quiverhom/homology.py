@@ -21,6 +21,8 @@ from .modules import (
     QuiverModule,
     UnsupportedOperation,
     _hom_dim,
+    _hom_stack,
+    _padded,
     _pivots_beyond,
     _rotations,
     _step,
@@ -293,6 +295,9 @@ def stable_hom_dim(m: QuiverModule, n: QuiverModule) -> int:
     Over a selfinjective algebra a map factors through a projective iff
     it factors through the projective cover of its target.  The cover is
     read from the algebra's step memo, and computed into it on a miss.
+    The surjection is composed with the whole basis of Hom(M, cover) in
+    one product of zero-padded stacks, and the stable dimension is
+    dim Hom(M, N) minus the rank of those composites.
     """
     if not m.algebra.is_selfinjective_nakayama:
         raise UnsupportedOperation("stable Hom requires a selfinjective algebra")
@@ -303,15 +308,11 @@ def stable_hom_dim(m: QuiverModule, n: QuiverModule) -> int:
     through = hom_basis(m, step.term.module)
     if not through:
         return len(basis)
-    f = m.field
-    # Row j is the surjection composed with through[j], flattened vertex by vertex.
-    rows = np.hstack(
-        [
-            f.matmul(s, np.stack([h.blocks[v] for h in through])).reshape(len(through), -1)
-            for v, s in enumerate(step.surj_blocks)
-        ]
-    )
-    return len(basis) - f.rank(rows)
+    # The surjection composed with every through map in one product of zero-padded stacks,
+    # (t, D_N, D_P) against (k, t, D_P, D_M); row j is the composite with through[j], flattened.
+    f, P = m.field, step.term.module
+    rows = f.matmul(_padded(step.surj_blocks, max(n.dims), max(P.dims))[0], _hom_stack(m, P))
+    return len(basis) - f.rank(rows.reshape(len(through), -1))
 
 
 # -- periodicity ------------------------------------------------------------

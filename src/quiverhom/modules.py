@@ -10,7 +10,10 @@ batch before the maps are built.  Both go through one check: the blocks
 N_a f_u = f_v M_a is compared for every arrow at once, in two broadcast
 products with each module's padded (arrows, D, D) arrow tensor.  The
 Hom system is assembled in one place, on Python ints; `hom_basis` reads
-its checked kernel and `homology.ext_dims` its rank alone.
+its checked kernel and `homology.ext_dims` its rank alone.  Over
+kΓ/J^{n+1} the kernel memo is also read through the rotation σ: a
+turned kernel is re-based to the turned system's own free columns, the
+array a solve would give, and passes the same batched check.
 """
 
 from __future__ import annotations
@@ -193,17 +196,22 @@ def _failed_arrow(m: QuiverModule, n: QuiverModule, f) -> int | None:
     arrow's equation are two broadcast products with the padded arrow tensors; the padding is
     zero on both sides.  An empty stack holds no map and passes at once.
     """
-    k = len(f[0]) if f[0].ndim == 3 else 1
-    if k == 0:
+    if f[0].ndim == 3 and len(f[0]) == 0:
         return None
     field, q = m.field, m.algebra.quiver
     na, ma = n._padded_arrows(), m._padded_arrows()
-    stack = np.zeros((k, len(f), na.shape[1], ma.shape[1]), dtype=np.int64)
-    for w, b in enumerate(f):
-        stack[:, w, : b.shape[-2], : b.shape[-1]] = b
+    stack = _padded(f, na.shape[1], ma.shape[1])
     lhs = field.matmul(na, stack[:, q.arrow_sources])
     bad = np.flatnonzero(np.any(lhs != field.matmul(stack[:, q.arrow_targets], ma), axis=(0, 2, 3)))
     return int(bad[0]) if bad.size else None
+
+
+def _padded(f, rows: int, cols: int) -> np.ndarray:
+    """f[w], one block or a (k, r_w, c_w) stack per vertex, zero-padded into one (k, vertices, rows, cols) stack."""
+    stack = np.zeros((len(f[0]) if f[0].ndim == 3 else 1, len(f), rows, cols), dtype=np.int64)
+    for w, b in enumerate(f):
+        stack[:, w, : b.shape[-2], : b.shape[-1]] = b
+    return stack
 
 
 # -- standard modules ------------------------------------------------
@@ -551,23 +559,44 @@ def is_projective(m: QuiverModule) -> bool:
 
 
 def hom_basis(m: QuiverModule, n: QuiverModule) -> list[ModuleMap]:
-    """A basis of Hom(M, N), by solving the intertwining equations.
+    """A basis of Hom(M, N): the kernel of the intertwining equations, one map per free column.
 
     The whole basis is checked against every arrow in one batch, and the
     checked kernel is kept in the algebra's memo under the content pair
     (M, N); on a hit the maps are built from it without solving again.
+    On a miss, a memo kernel of (σ^-k M, σ^-k N) is turned by σ^k and
+    re-based to this system's free columns, the basis a solve would give,
+    and checked the same way; otherwise the system is solved.
     """
     if m.algebra is not n.algebra:
         raise ValueError("hom_basis requires modules over the same algebra")
     col_off = _hom_offsets(m, n)
     if col_off[-1] == 0:
         return []
+    f = _hom_blocks(m, n, _hom_kernel(m, n, col_off), col_off)
+    return [ModuleMap(m, n, [fw[j] for fw in f], check=False) for j in range(len(f[0]))]
+
+
+def _hom_stack(m: QuiverModule, n: QuiverModule) -> np.ndarray:
+    """The memo's Hom basis of (M, N) as one zero-padded (k, vertices, D_N, D_M) stack, hom_basis's map j at j."""
+    col_off = _hom_offsets(m, n)
+    return _padded(_hom_blocks(m, n, _hom_kernel(m, n, col_off), col_off), max(n.dims), max(m.dims))
+
+
+def _hom_kernel(m: QuiverModule, n: QuiverModule, col_off: list[int]) -> np.ndarray:
+    """The memo's checked kernel of the Hom system of (M, N), turned from a rotation's or solved on a miss."""
     memo, key = m.algebra._hom_kernels, (m.content_key(), n.content_key())
     ker = memo.get(key)
     if ker is None:
-        ker = memo[key] = _checked_hom_kernel(m, n, col_off)
-    f = _hom_blocks(m, n, ker, col_off)
-    return [ModuleMap(m, n, [fw[j] for fw in f], check=False) for j in range(ker.shape[1])]
+        for k, src in _rotations(m.algebra, *key):
+            hit = memo.get(src)
+            if hit is not None:
+                ker = _turned_hom_kernel(m, n, hit, k, col_off)
+                break
+        else:
+            ker = _checked_hom_kernel(m, n, col_off)
+        memo[key] = ker
+    return ker
 
 
 def _hom_blocks(m: QuiverModule, n: QuiverModule, ker: np.ndarray, col_off: list[int]) -> list[np.ndarray]:
@@ -610,8 +639,27 @@ def _hom_dim(m: QuiverModule, n: QuiverModule) -> int:
 
 
 def _checked_hom_kernel(m: QuiverModule, n: QuiverModule, col_off: list[int]) -> np.ndarray:
-    """The kernel of the intertwining system, each column checked on every arrow; read-only."""
-    ker = m.field.kernel_matrix(_hom_system(m, n, col_off))
+    """The kernel of the intertwining system, solved, each column checked on every arrow; read-only."""
+    return _checked(m, n, m.field.kernel_matrix(_hom_system(m, n, col_off)), col_off)
+
+
+def _turned_hom_kernel(m: QuiverModule, n: QuiverModule, hit: np.ndarray, k: int, col_off: list[int]) -> np.ndarray:
+    """The checked kernel of (M, N) from the memo kernel of (σ^-k M, σ^-k N); read-only.
+
+    Block w of (M, N) is block w - k of the source pair, so the hit's rows roll on by col_off[k],
+    the width of blocks 0..k-1: its last col_off[k] rows come first.  The rolled columns span the
+    kernel, in another basis.  kernel_matrix gives one column per free column c (1 at c, 0 at the
+    other free columns), and c is free iff some kernel vector has its last nonzero entry at c.  So
+    the basis is the RREF of the transpose read right to left, turned back, its rows in ascending
+    free column: the array a solve would give, entry for entry.
+    """
+    c = col_off[-1] - col_off[k]
+    rows, _ = m.field.rref(np.concatenate((hit[c:], hit[:c]))[::-1].T)
+    return _checked(m, n, np.ascontiguousarray(rows[::-1, ::-1].T), col_off)
+
+
+def _checked(m: QuiverModule, n: QuiverModule, ker: np.ndarray, col_off: list[int]) -> np.ndarray:
+    """ker, read-only, once each of its columns intertwines every arrow as a map M -> N."""
     a = _failed_arrow(m, n, _hom_blocks(m, n, ker, col_off))
     if a is not None:
         raise AssertionError(f"Hom basis does not intertwine arrow {a}")

@@ -1,7 +1,8 @@
-"""The step memo and the Hom-complex memo read through the rotation σ: v -> v + 1 of kΓ/J^{n+1}.
+"""The step memo, the Hom-complex memo and the Hom-kernel memo read through the rotation σ: v -> v + 1 of kΓ/J^{n+1}.
 
-Every test compares the library with rotation against the same library with the rotation
-lookup switched off, on a fresh algebra with the same inputs.
+The tests compare the library with rotation against the same library with the rotation
+lookup switched off, on a fresh algebra with the same inputs, and check that a turned read
+keeps the checks of a computed one.
 """
 
 import random
@@ -12,9 +13,9 @@ import pytest
 import quiverhom.homology as homology
 import quiverhom.modules as modules
 from quiverhom.algebra import nakayama_algebra
-from quiverhom.homology import minimal_resolution
+from quiverhom.homology import minimal_resolution, stable_hom_dim
 from quiverhom.linalg import GF
-from quiverhom.modules import QuiverModule, direct_sum, uniserial
+from quiverhom.modules import QuiverModule, direct_sum, hom_basis, projective, uniserial
 from quiverhom.vanishing import nakayama_report
 from test_homology import _random_basis
 
@@ -121,3 +122,112 @@ def test_nakayama_report_equals_the_report_without_rotation(t, monkeypatch):
             _rotation_off(mp)
             want = nakayama_report(t, n, max_degree, GF(101))
         assert got == want, (t, n)
+
+
+def _counting_solves(mp) -> list:
+    solved = []
+    solve = modules._checked_hom_kernel
+
+    def counting(m, n, col_off):
+        solved.append((m.content_key(), n.content_key()))
+        return solve(m, n, col_off)
+
+    mp.setattr(modules, "_checked_hom_kernel", counting)
+    return solved
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_turned_hom_kernels_are_the_solved_kernels_array_for_array(t, monkeypatch):
+    turned = 0
+    for n in range(1, 9):
+        on, off = nakayama_algebra(t, n), nakayama_algebra(t, n)
+        maps = {}
+        for alg in (on, off):
+            with monkeypatch.context() as mp:
+                if alg is on:
+                    solved = _counting_solves(mp)
+                else:
+                    _rotation_off(mp)
+                mods = _corpus(alg, 100 * t + n) + [projective(alg, i) for i in range(1, t + 1)]
+                maps[alg] = [hom_basis(x, y) for x in mods for y in mods]
+        kernels, want = on._hom_kernels, off._hom_kernels
+        assert kernels.keys() == want.keys(), (t, n)
+        for key, ker in kernels.items():
+            assert ker.shape == want[key].shape and np.array_equal(ker, want[key]), (t, n, key)
+            assert not ker.flags.writeable
+        for got, exp in zip(maps[on], maps[off], strict=True):
+            assert len(got) == len(exp), (t, n)
+            for g, e in zip(got, exp):
+                assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(g.blocks, e.blocks, strict=True))
+        assert len(solved) == len(set(solved)) < len(kernels)
+        turned += len(kernels) - len(solved)
+    assert turned > 0
+
+
+def test_a_turned_hom_kernel_is_checked_before_it_is_stored():
+    alg = nakayama_algebra(3, 2)
+    m = n = uniserial(alg, 2, 2)
+    src_m = src_n = uniserial(alg, 1, 2)
+    key, src = (m.content_key(), n.content_key()), (src_m.content_key(), src_n.content_key())
+    assert tuple(modules._turned_key(x, -1) for x in key) == src
+    # The solved kernel of σ^-1 (M, M) = (M(1, 2), M(1, 2)), a writeable array, with its one
+    # column swapped for a unit vector that the system does not kill.
+    col_off = modules._hom_offsets(src_m, src_n)
+    system = modules._hom_system(src_m, src_n, col_off)
+    planted = alg.field.kernel_matrix(system)
+    assert planted.shape[1] == 1
+    planted[:, 0] = alg.field.eye(col_off[-1])[:, next(c for c in range(col_off[-1]) if np.any(system[:, c]))]
+    before = planted.copy()
+    alg._hom_kernels[src] = planted
+    with pytest.raises(AssertionError, match="does not intertwine"):
+        hom_basis(m, n)
+    assert key not in alg._hom_kernels
+    assert np.array_equal(planted, before)
+
+
+def _stacked_stable_hom_dim(m: QuiverModule, n: QuiverModule) -> int:
+    """stable_hom_dim composed vertex by vertex: one np.stack of the through maps' blocks per vertex."""
+    basis = hom_basis(m, n)
+    if not basis:
+        return 0
+    step = modules._step(n.algebra, n.content_key(), lambda: n)
+    through = hom_basis(m, step.term.module)
+    if not through:
+        return len(basis)
+    f = m.field
+    rows = np.hstack(
+        [
+            f.matmul(s, np.stack([h.blocks[v] for h in through])).reshape(len(through), -1)
+            for v, s in enumerate(step.surj_blocks)
+        ]
+    )
+    return len(basis) - f.rank(rows)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_stable_hom_in_one_product_equals_the_per_vertex_composition(t):
+    for n in range(1, 6):
+        alg = nakayama_algebra(t, n)
+        mods = _corpus(alg, 100 * t + n)
+        for x in mods:
+            for y in mods:
+                assert stable_hom_dim(x, y) == _stacked_stable_hom_dim(x, y), (t, n, x, y)
+
+
+def test_stable_hom_solves_one_hom_system_per_rotation_orbit_in_any_query_order(monkeypatch):
+    t, n = 6, 8
+    counts = []
+    for seed in (1, 2):
+        alg = nakayama_algebra(t, n)
+        mods = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 1)]
+        pairs = [(x, y) for x in mods for y in mods]
+        random.Random(seed).shuffle(pairs)
+        with monkeypatch.context() as mp:
+            solved = _counting_solves(mp)
+            for x, y in pairs:
+                stable_hom_dim(x, y)
+        # Every content pair here is (uniserial, uniserial) or (uniserial, P_j); σ moves each
+        # through t distinct pairs, so one solve per orbit is one per t memo entries.
+        assert len(solved) * t == len(alg._hom_kernels)
+        counts.append(len(solved))
+    assert counts == [397, 397]
