@@ -113,6 +113,7 @@ class BoundQuiverAlgebra:
         self._serial_summands: dict[tuple, tuple] = {}  # see modules._serial_memo
         self._hom_complex_ranks: dict[tuple, tuple] = {}  # (syzygy key, target key); see homology.ext_dims
         self._hom_kernels: dict[tuple, object] = {}  # (source key, target key); see modules.hom_basis
+        self._towers: dict[tuple, tuple] = {}  # see koszul.build_periodicity_tower
 
     def _enumerate_basis(self):
         frontier = [self.quiver.trivial_path(v) for v in range(1, self.quiver.vertex_count + 1)]

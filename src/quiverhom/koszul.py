@@ -5,17 +5,37 @@ degree-(d-1) projective term out along a map eta: syzygy^d(X) -> X,
 yielding a short exact sequence 0 -> X -> C -> syzygy^{d-1}(X) -> 0.
 The cone of an isomorphism is projective, which is the operational base
 case the gap checker consumes.
+
+Each checked tower is kept in the algebra's tower memo under its
+module's content key, as read-only tuples: the period p, the content
+keys of syzygy^p and syzygy^{p-1}, the summands of term(p-1), and the
+blocks of eta, the cone, the two parts [leg | inclusion]: P + X ->> C of
+the cokernel projection, and the projection.  Over kΓ/J^{n+1} the memo
+is read through the rotation σ, as the step memo is: the tower of σ^k M
+is M's turned by k when σ^k carries those keys and summands to σ^k M's
+own resolution, and is built otherwise.  A read tower passes every
+check a built one does (eta, leg, inclusion and projection are checked
+module maps, the sequence is exact, the cone projective) and what a
+build has by construction: eta is invertible, [leg | inclusion] kills
+the graph [incl; -eta], and projection o [leg | inclusion] = [eps | 0].
+A failure raises AssertionError and stores nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .homology import Resolution, detect_period
+import numpy as np
+
+from .homology import Resolution, detect_period, minimal_resolution
 from .modules import (
     ModuleMap,
     QuiverModule,
     UnsupportedOperation,
+    _rotations,
+    _turn,
+    _turned_key,
     cokernel,
     direct_sum,
     is_projective,
@@ -32,6 +52,9 @@ class KoszulStep:
     cone: QuiverModule
     inclusion: ModuleMap  # X -> C
     projection: ModuleMap  # C -> syzygy^{d-1}(X)
+    # P_{d-1} -> C; [leg | inclusion]: P_{d-1} + X ->> C is the pushout's cokernel projection.
+    # koszul_object and the tower memo fill it; it defaults to None for steps built elsewhere.
+    leg: ModuleMap | None = None
 
     def check_exact(self) -> bool:
         """Vertex-wise exactness of 0 -> X -> C -> syzygy^{d-1}(X) -> 0."""
@@ -82,7 +105,7 @@ def koszul_object(resolution: Resolution, eta: ModuleMap, degree: int) -> Koszul
         blocks.append(sol.T)
     projection = ModuleMap(cone, resolution.syzygy(degree - 1), blocks)
     step = KoszulStep(
-        source=x, degree=degree, eta=eta, cone=cone, inclusion=inclusion, projection=projection
+        source=x, degree=degree, eta=eta, cone=cone, inclusion=inclusion, projection=projection, leg=quot.compose(inc_p)
     )
     if not step.check_exact():
         raise AssertionError("cone short exact sequence failed exactness")
@@ -129,18 +152,104 @@ class ReductionTower:
         return self.steps[-1].cone if self.steps else self.base
 
 
+class _Tower(NamedTuple):
+    """A checked one-step periodicity tower of a module X, by content: what σ^k X needs to rebuild it."""
+
+    period: int
+    syzygy_keys: tuple  # content keys of syzygy^p(X) and syzygy^{p-1}(X)
+    summands: tuple  # of term(p-1)
+    eta: tuple  # per-vertex blocks of syzygy^p(X) -> X
+    cone_dims: tuple
+    cone_maps: tuple  # per arrow
+    leg: tuple  # term(p-1) -> C
+    inclusion: tuple  # X -> C
+    projection: tuple  # C -> syzygy^{p-1}(X)
+
+
+def _tower_entry(res: Resolution, step: KoszulStep) -> _Tower:
+    """The memo entry of a checked step of res.module, its arrays made read-only."""
+    p, cone = step.degree, step.cone
+    eta, leg, inclusion, projection = (f.blocks for f in (step.eta, step.leg, step.inclusion, step.projection))
+    for blocks in (cone.arrow_maps, eta, leg, inclusion, projection):
+        for a in blocks:
+            a.flags.writeable = False
+    keys = (res.syzygy_key(p), res.syzygy_key(p - 1))
+    return _Tower(p, keys, res.term(p - 1).summands, eta, cone.dims, cone.arrow_maps, leg, inclusion, projection)
+
+
+def _turned_tower(m: QuiverModule, hit: _Tower, k: int) -> tuple[KoszulStep, _Tower] | None:
+    """M's checked step and memo entry, turned from the memo tower of σ^-k M; None when σ^k misses M's resolution.
+
+    The rotation is an automorphism, so the hit's period is M's least period too.  Its tuples are
+    turned by k only when σ^k carries its syzygy keys and term summands to M's, so that the blocks
+    land on M's own objects.  The pushout identities a direct build has by construction are
+    checked here, and with them the cone is the pushout: [leg | inclusion] is a module map onto C.
+    """
+    alg, p = m.algebra, hit.period
+    res = minimal_resolution(m, p)
+    entry = _Tower(
+        p,
+        tuple(_turned_key(x, k) for x in hit.syzygy_keys),
+        tuple(alg.wrap(j + k) for j in hit.summands),
+        *(_turn(x, k) for x in hit[3:]),
+    )
+    if (entry.syzygy_keys, entry.summands) != ((res.syzygy_key(p), res.syzygy_key(p - 1)), res.term(p - 1).summands):
+        return None
+    cone = QuiverModule(alg, entry.cone_dims, entry.cone_maps, name=f"cone(d={p}, {m.describe()})", check=False)
+    maps = []
+    for name, src, dst, blocks in (
+        ("eta", res.syzygy(p), m, entry.eta),
+        ("leg", res.term(p - 1).module, cone, entry.leg),
+        ("inclusion", m, cone, entry.inclusion),
+        ("projection", cone, res.syzygy(p - 1), entry.projection),
+    ):
+        try:
+            maps.append(ModuleMap(src, dst, blocks))
+        except ValueError:
+            raise AssertionError(f"turned tower: {name} is not a module map") from None
+    eta, leg, inclusion, projection = maps
+    step = KoszulStep(m, p, eta, cone, inclusion, projection, leg)
+    # The identities a direct build has by construction, vertex by vertex, with incl: syzygy^p ->
+    # term(p-1) and eps: term(p-1) ->> syzygy^{p-1}: [leg | inclusion] kills the graph [incl; -eta],
+    # and projection o leg = eps (projection o inclusion = 0 is check_exact's), so
+    # projection o [leg | inclusion] = [eps | 0].
+    f, incl, eps = m.field, res.syzygy_inclusion(p).blocks, res.cover_surjection(p - 1).blocks
+    graph = zip(leg.blocks, incl, inclusion.blocks, eta.blocks)
+    if any(np.any(f.matmul(g, a) != f.matmul(i, e)) for g, a, i, e in graph):
+        raise AssertionError("turned tower: [leg | inclusion] does not kill [incl; -eta]")
+    if any(np.any(f.matmul(q, g) != e) for q, g, e in zip(projection.blocks, leg.blocks, eps)):
+        raise AssertionError("turned tower: projection o leg is not the cover surjection")
+    if not eta.is_invertible():
+        raise AssertionError("turned tower: eta is not an isomorphism")
+    if not step.check_exact():
+        raise AssertionError("turned cone short exact sequence failed exactness")
+    return step, entry
+
+
 def build_periodicity_tower(m: QuiverModule) -> ReductionTower | None:
     """The one-step tower whose cone is the Koszul object of a periodicity isomorphism.
 
     Projective (complexity-0) modules need no steps and come back as the
     empty tower; every other module has a period, so None means the search failed.
+    A memo tower of M, or of σ^-k M turned by k, is read with every check
+    (see _turned_tower); otherwise the tower is built.  Only a tower whose cone
+    is projective is stored, under M's content key.
     """
     if is_projective(m):
         return ReductionTower(base=m, steps=())
-    witness = detect_period(m)
-    if witness is None:
-        return None
-    step = koszul_object(witness.resolution, witness.iso, witness.period)
+    towers, key = m.algebra._towers, m.content_key()
+    for k, (src,) in ((0, (key,)), *_rotations(m.algebra, key)):
+        hit = towers.get(src)
+        if hit is not None and (read := _turned_tower(m, hit, k)) is not None:
+            step, entry = read
+            break
+    else:
+        witness = detect_period(m)
+        if witness is None:
+            return None
+        step = koszul_object(witness.resolution, witness.iso, witness.period)
+        entry = _tower_entry(witness.resolution, step)
     if not is_projective(step.cone):
         raise AssertionError("cone of a periodicity isomorphism must be projective")
+    towers.setdefault(key, entry)
     return ReductionTower(base=m, steps=(step,))

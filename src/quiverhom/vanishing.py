@@ -397,7 +397,8 @@ def gap_suite_cell(t: int, n: int, max_degree: int, field_p: int, uniserial_pair
             verified_gaps += 1
         else:
             no_gaps += 1
-        # Cone Ext vanishing and the shift identity; koszul_object already checked the cone's exactness.
+        # Cone Ext vanishing and the shift identity.  The cone already passed check_exact, whether
+        # koszul_object built it or it was turned from a rotation's memo tower.
         for step in tower.steps:
             cone_table = ext_table(step.cone, nmod, max_degree)
             if any(cone_table.dims):

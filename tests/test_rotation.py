@@ -1,4 +1,4 @@
-"""The step memo, the Hom-complex memo and the Hom-kernel memo read through the rotation σ: v -> v + 1 of kΓ/J^{n+1}.
+"""The step, Hom-complex, Hom-kernel and tower memos read through the rotation σ: v -> v + 1 of kΓ/J^{n+1}.
 
 The tests compare the library with rotation against the same library with the rotation
 lookup switched off, on a fresh algebra with the same inputs, and check that a turned read
@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 import quiverhom.homology as homology
+import quiverhom.koszul as koszul
 import quiverhom.modules as modules
 from quiverhom.algebra import nakayama_algebra
 from quiverhom.homology import minimal_resolution, stable_hom_dim
+from quiverhom.koszul import build_periodicity_tower
 from quiverhom.linalg import GF
-from quiverhom.modules import QuiverModule, direct_sum, hom_basis, projective, uniserial
-from quiverhom.vanishing import nakayama_report
+from quiverhom.modules import QuiverModule, direct_sum, hom_basis, is_projective, projective, uniserial
+from quiverhom.vanishing import gap_suite_cell, nakayama_report
 from test_homology import _random_basis
 
 
@@ -27,6 +29,7 @@ def _no_rotations(algebra, *keys):
 def _rotation_off(mp):
     mp.setattr(modules, "_rotations", _no_rotations)
     mp.setattr(homology, "_rotations", _no_rotations)
+    mp.setattr(koszul, "_rotations", _no_rotations)
 
 
 def _turned(m: QuiverModule, k: int) -> QuiverModule:
@@ -231,3 +234,101 @@ def test_stable_hom_solves_one_hom_system_per_rotation_orbit_in_any_query_order(
         assert len(solved) * t == len(alg._hom_kernels)
         counts.append(len(solved))
     assert counts == [397, 397]
+
+
+def _counting_towers(mp) -> list:
+    """One entry per build_periodicity_tower call that builds: True when a memo tower was read first and missed."""
+    built, reads = [], []
+    read, build = koszul._turned_tower, koszul.koszul_object
+
+    def reading(m, hit, k):
+        reads.append(m)
+        return read(m, hit, k)
+
+    def building(res, eta, degree):
+        built.append(any(m is res.module for m in reads))
+        return build(res, eta, degree)
+
+    mp.setattr(koszul, "_turned_tower", reading)
+    mp.setattr(koszul, "koszul_object", building)
+    return built
+
+
+def _orbit(key: tuple, t: int) -> tuple:
+    return min(modules._turned_key(key, k) for k in range(t))
+
+
+def _same_blocks(got, exp) -> bool:
+    return len(got) == len(exp) and all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, exp))
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_turned_towers_are_the_built_towers_array_for_array(t, monkeypatch):
+    turned = fallbacks = 0
+    for n in range(1, 9):
+        on, off = nakayama_algebra(t, n), nakayama_algebra(t, n)
+        towers = {}
+        for alg in (on, off):
+            with monkeypatch.context() as mp:
+                if alg is on:
+                    built = _counting_towers(mp)
+                else:
+                    _rotation_off(mp)
+                towers[alg] = [build_periodicity_tower(m) for m in _corpus(alg, 100 * t + n)]
+        for got, exp in zip(towers[on], towers[off], strict=True):
+            assert got is not None and exp is not None and len(got.steps) == len(exp.steps) <= 1, (t, n)
+            for g, e in zip(got.steps, exp.steps):
+                assert g.degree == e.degree and g.cone.content_key() == e.cone.content_key(), (t, n)
+                for name in ("eta", "inclusion", "projection", "leg"):
+                    assert _same_blocks(getattr(g, name).blocks, getattr(e, name).blocks), (t, n, name)
+        memo, want = on._towers, off._towers
+        assert memo.keys() == want.keys(), (t, n)
+        for key, entry in memo.items():
+            ref = want[key]
+            assert entry[:3] == ref[:3] and entry.cone_dims == ref.cone_dims, (t, n, key)
+            for name in ("eta", "cone_maps", "leg", "inclusion", "projection"):
+                assert _same_blocks(getattr(entry, name), getattr(ref, name)), (t, n, key, name)
+                assert not any(a.flags.writeable for a in getattr(entry, name))
+        # One direct build per σ-orbit of non-projective contents, plus a build after each missed read.
+        orbits = {_orbit(m.content_key(), t) for m in _corpus(on, 100 * t + n) if not is_projective(m)}
+        assert len(built) == len(orbits) + sum(built), (t, n, len(built), len(orbits))
+        turned += len(memo) - len(built)
+        fallbacks += sum(built)
+    print(f"t = {t}: {turned} towers turned, {fallbacks} fallbacks to a direct build")
+    assert turned > 0 and fallbacks < turned
+
+
+GAP_SUITE_CELLS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 5), (4, 1), (4, 3), (4, 4), (5, 4), (6, 8)]
+
+
+def test_gap_suite_cells_equal_the_cells_without_rotation(monkeypatch):
+    with monkeypatch.context() as mp:
+        built = _counting_towers(mp)
+        got = [gap_suite_cell(t, n, 40, 101, 50) for t, n in GAP_SUITE_CELLS]
+    with monkeypatch.context() as mp:
+        _rotation_off(mp)
+        direct = _counting_towers(mp)
+        want = [gap_suite_cell(t, n, 40, 101, 50) for t, n in GAP_SUITE_CELLS]
+    assert got == want
+    assert all(cell["violations"] == [] for cell in got)
+    # The 129 non-projective sources fall into 41 σ-orbits, and no turned read misses.
+    assert (len(built), sum(built), len(direct)) == (41, 0, 129)
+
+
+def test_a_turned_tower_is_checked_before_it_is_stored():
+    alg = nakayama_algebra(3, 2)
+    m, src = uniserial(alg, 2, 2), uniserial(alg, 1, 2)
+    key = m.content_key()
+    assert modules._turned_key(key, -1) == src.content_key()
+    build_periodicity_tower(src)
+    entry = alg._towers[src.content_key()]
+    # The checked tower of σ^-1 M = M(1, 2), with one nonzero projection block changed by 1.
+    v = next(v for v, b in enumerate(entry.projection) if b.size)
+    wrong = entry.projection[v].copy()
+    wrong[0, 0] = (wrong[0, 0] + 1) % alg.field.p
+    planted = entry._replace(projection=entry.projection[:v] + (wrong,) + entry.projection[v + 1 :])
+    alg._towers[src.content_key()] = planted
+    with pytest.raises(AssertionError, match="turned tower"):
+        build_periodicity_tower(m)
+    assert key not in alg._towers
+    assert alg._towers[src.content_key()] is planted and wrong[0, 0] == (entry.projection[v][0, 0] + 1) % alg.field.p
