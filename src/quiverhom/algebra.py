@@ -108,6 +108,7 @@ class BoundQuiverAlgebra:
         # (QuiverModule.content_key) hold only results already checked, or turned
         # from one by the rotation of the circular quiver (see modules._rotations).
         self._relation_generators: tuple[PathWord, ...] | None = None
+        self._relation_arrows: np.ndarray | None = None  # set with _relation_generators
         self._resolution_steps: dict[tuple, tuple] = {}  # see modules._step
         self._labeled_projectives: dict[tuple, object] = {}  # summand tuple; see modules._labeled_projective
         self._serial_summands: dict[tuple, tuple] = {}  # see modules._serial_memo
@@ -137,7 +138,15 @@ class BoundQuiverAlgebra:
             for _ in range(self.nilpotency):
                 frontier = [self.quiver.extend(p, a) for p in frontier for a in self.quiver.arrows_from[p.end]]
             self._relation_generators = tuple(frontier)
+            arrows = np.array([p.arrows for p in frontier], dtype=np.intp).reshape(len(frontier), self.nilpotency)
+            arrows.flags.writeable = False
+            self._relation_arrows = arrows
         return self._relation_generators
+
+    def relation_arrows(self) -> np.ndarray:
+        """The relation generators as one read-only (paths, nilpotency) array of arrow indices, in the same order."""
+        self.relation_generators()
+        return self._relation_arrows
 
     def unique_path(self, v: int, length: int) -> PathWord:
         """The single basis path of the given length starting at v (Nakayama only).

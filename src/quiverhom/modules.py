@@ -9,11 +9,15 @@ batch before the maps are built.  Both go through one check: the blocks
 (one map, or a stack of maps) are zero-padded into a single stack, and
 N_a f_u = f_v M_a is compared for every arrow at once, in two broadcast
 products with each module's padded (arrows, D, D) arrow tensor.  The
-Hom system is assembled in one place, on Python ints; `hom_basis` reads
-its checked kernel and `homology.ext_dims` its rank alone.  Over
-kΓ/J^{n+1} the kernel memo is also read through the rotation σ: a
-turned kernel is re-based to the turned system's own free columns, the
-array a solve would give, and passes the same batched check.
+relation check of a new module reads the same tensor: the algebra's
+relation paths, an (R, N) array of arrow indices, advance together in
+N - 1 batched products, and the first path not acting as zero is
+named.  The Hom system is assembled in one place, on Python ints;
+`hom_basis` reads its checked kernel and `homology.ext_dims` its rank
+alone.  Over kΓ/J^{n+1} the kernel memo is also read through the
+rotation σ: a turned kernel is re-based to the turned system's own free
+columns, the array a solve would give, and passes the same batched
+check.
 """
 
 from __future__ import annotations
@@ -57,9 +61,16 @@ class QuiverModule:
             want = (self.dims[q.target(a) - 1], self.dims[q.source(a) - 1])
             if m.shape != want:
                 raise ValueError(f"arrow {a} matrix has shape {m.shape}, expected {want}")
-        for rel in self.algebra.relation_generators():
-            if np.any(self.path_action(rel)):
-                raise ValueError(f"relation path {rel} does not act as zero")
+        # Every relation path at once: row r of the (paths, N) index array picks one padded arrow
+        # per step, so N - 1 batched products give all path matrices, zero-padded to (D, D).
+        rels, arrows = self.algebra.relation_arrows(), self._padded_arrows()
+        acc = arrows[rels[:, 0]]
+        for step in rels.T[1:]:
+            acc = self.field.matmul(arrows[step], acc)
+        bad = np.flatnonzero(acc.any(axis=(1, 2)))
+        if bad.size:
+            rel = self.algebra.relation_generators()[bad[0]]
+            raise ValueError(f"relation path {rel} does not act as zero")
 
     # -- basic structure ----------------------------------------------
 
@@ -128,6 +139,8 @@ class ModuleMap:
         if self.source.algebra is not self.target.algebra:
             raise ValueError("source and target live over different algebras")
         q = self.source.algebra.quiver
+        if len(self.blocks) != q.vertex_count:
+            raise ValueError(f"{len(self.blocks)} blocks for {q.vertex_count} vertices")
         for v in range(1, q.vertex_count + 1):
             want = (self.target.dims[v - 1], self.source.dims[v - 1])
             if self.blocks[v - 1].shape != want:
@@ -201,9 +214,10 @@ def _failed_arrow(m: QuiverModule, n: QuiverModule, f) -> int | None:
     field, q = m.field, m.algebra.quiver
     na, ma = n._padded_arrows(), m._padded_arrows()
     stack = _padded(f, na.shape[1], ma.shape[1])
-    lhs = field.matmul(na, stack[:, q.arrow_sources])
-    bad = np.flatnonzero(np.any(lhs != field.matmul(stack[:, q.arrow_targets], ma), axis=(0, 2, 3)))
-    return int(bad[0]) if bad.size else None
+    differs = field.matmul(na, stack[:, q.arrow_sources]) != field.matmul(stack[:, q.arrow_targets], ma)
+    if not differs.any():
+        return None
+    return int(np.flatnonzero(differs.any(axis=(0, 2, 3)))[0])
 
 
 def _padded(f, rows: int, cols: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quiverhom.modules as modules
-from quiverhom.algebra import BoundQuiverAlgebra, Quiver, nakayama_algebra
+from quiverhom.algebra import BoundQuiverAlgebra, Quiver, circular_quiver, nakayama_algebra
 from quiverhom.homology import minimal_resolution
 from quiverhom.linalg import GF
 from quiverhom.modules import (
@@ -336,11 +336,120 @@ def test_module_validation_rejects_broken_relations(a32):
         QuiverModule(a32, (1, 1, 1), [np.array([[1]])] * 3)
 
 
+def _first_broken_relation(alg, dims, maps):
+    """The first relation path, in relation_generators() order, acting as nonzero: arrow by arrow."""
+    p = alg.field.p
+    for rel in alg.relation_generators():
+        m = np.eye(dims[rel.start - 1], dtype=np.int64)
+        for a in rel.arrows:
+            m = np.asarray(maps[a], dtype=np.int64) @ m % p
+        if m.any():
+            return rel
+    return None
+
+
+def _relation_check_agrees(alg, dims, maps) -> bool:
+    """Build the module checked; it is rejected exactly when the reference finds a broken relation, naming it."""
+    want = _first_broken_relation(alg, dims, maps)
+    if want is not None:
+        with pytest.raises(ValueError) as err:
+            QuiverModule(alg, dims, maps)
+        assert str(err.value) == f"relation path {want} does not act as zero"
+        return False
+    m = QuiverModule(alg, dims, maps)
+    assert not set(m._path_cache) & set(alg.relation_generators())
+    return True
+
+
+def _random_module_data(alg, rng, density):
+    q, p = alg.quiver, alg.field.p
+    dims = [int(d) for d in rng.integers(0, 3, size=q.vertex_count)]
+    maps = []
+    for s, t in q.arrows:
+        shape = (dims[t - 1], dims[s - 1])
+        maps.append(rng.integers(1, p, size=shape) * (rng.random(shape) < density))
+    return dims, maps
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_batched_relation_check_matches_the_arrow_by_arrow_reference(t):
+    rng = np.random.default_rng(t)
+    accepted, failing = 0, set()
+    for n in (1, 2, 3, 4):
+        alg = nakayama_algebra(t, n)
+        valid = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+        valid.append(direct_sum([valid[0], valid[-1], valid[n]])[0])
+        for _ in range(40):
+            dims, maps = _random_module_data(alg, rng, rng.choice([0.3, 0.6, 1.0]))
+            accepted += _relation_check_agrees(alg, dims, maps)
+            failing.add(_first_broken_relation(alg, dims, maps))
+        for m in valid:
+            assert _relation_check_agrees(alg, m.dims, m.arrow_maps)
+            # One changed entry of one arrow matrix may break some relation, or none.
+            a = int(rng.integers(t))
+            if not m.arrow_maps[a].size:
+                continue
+            maps = [x.copy() for x in m.arrow_maps]
+            r, c = (int(rng.integers(k)) for k in maps[a].shape)
+            maps[a][r, c] = (maps[a][r, c] + rng.integers(1, alg.field.p)) % alg.field.p
+            accepted += _relation_check_agrees(alg, m.dims, maps)
+            failing.add(_first_broken_relation(alg, m.dims, maps))
+    # Both verdicts occur, and rejections name more than one relation path.
+    assert accepted and len(failing - {None}) > 1
+
+
+def test_batched_relation_check_with_branching_paths():
+    # Vertex 1 has two outgoing arrows, so relation paths from 1 branch; vertex 4 is a sink.
+    quiver = Quiver(4, [(1, 2), (1, 3), (2, 3), (3, 1), (3, 4)])
+    rng = np.random.default_rng(7)
+    for nilpotency in (1, 2, 3):
+        alg = BoundQuiverAlgebra(quiver, nilpotency)
+        rels = alg.relation_arrows()
+        assert rels.shape == (len(alg.relation_generators()), nilpotency)
+        assert [tuple(r) for r in rels] == [p.arrows for p in alg.relation_generators()]
+        accepted, failing = 0, set()
+        for _ in range(60):
+            dims, maps = _random_module_data(alg, rng, rng.choice([0.2, 0.5, 1.0]))
+            accepted += _relation_check_agrees(alg, dims, maps)
+            failing.add(_first_broken_relation(alg, dims, maps))
+        assert accepted and len(failing - {None}) > 1
+
+
+def test_relation_check_without_arrows_has_no_relation_paths():
+    alg = BoundQuiverAlgebra(Quiver(2, []), 2)
+    assert alg.relation_generators() == () and alg.relation_arrows().shape == (0, 2)
+    assert QuiverModule(alg, (1, 2), []).dims == (1, 2)
+
+
+def test_relation_check_at_nilpotency_one_rejects_every_nonzero_arrow():
+    alg = BoundQuiverAlgebra(circular_quiver(3), 1)
+    assert alg.relation_arrows().tolist() == [[0], [1], [2]]
+    zero = [np.zeros((1, 1), dtype=np.int64)] * 3
+    assert _relation_check_agrees(alg, (1, 1, 1), zero)
+    for a in range(3):
+        maps = [np.array([[5]]) if k >= a else m for k, m in enumerate(zero)]
+        assert _first_broken_relation(alg, (1, 1, 1), maps).arrows == (a,)
+        assert not _relation_check_agrees(alg, (1, 1, 1), maps)
+
+
 def test_module_map_validation(a32):
     # P_1 -> S_2 hitting the second radical layer is not a module map.
     m = projective(a32, 1)
     with pytest.raises(ValueError):
         ModuleMap(m, simple(a32, 2), [np.zeros((0, 1)), np.array([[1]]), np.zeros((0, 1))])
+
+
+def test_module_map_rejects_too_few_blocks(a32):
+    s1 = simple(a32, 1)
+    with pytest.raises(ValueError, match="1 blocks for 3 vertices"):
+        ModuleMap(s1, s1, [np.eye(1)])
+
+
+def test_module_map_rejects_too_many_blocks(a32):
+    s1 = simple(a32, 1)
+    blocks = [np.eye(1), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))]
+    with pytest.raises(ValueError, match="4 blocks for 3 vertices"):
+        ModuleMap(s1, s1, blocks)
 
 
 def test_direct_sum_inclusion_projection(a32):
