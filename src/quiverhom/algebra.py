@@ -106,7 +106,7 @@ class BoundQuiverAlgebra:
         self.period_bound: int | None = None
         # Memos, filled on first use; those keyed by a module's exact content
         # (QuiverModule.content_key) hold only results already checked, or turned
-        # from one by the rotation of the circular quiver (see modules._rotations).
+        # from one by the rotation of the circular quiver (see modules._memo_read).
         self._relation_generators: tuple[PathWord, ...] | None = None
         self._relation_arrows: np.ndarray | None = None  # set with _relation_generators
         self._resolution_steps: dict[tuple, tuple] = {}  # see modules._step
@@ -114,7 +114,7 @@ class BoundQuiverAlgebra:
         self._serial_summands: dict[tuple, tuple] = {}  # see modules._serial_memo
         self._hom_complex_ranks: dict[tuple, tuple] = {}  # (syzygy key, target key); see homology.ext_dims
         self._hom_kernels: dict[tuple, object] = {}  # (source key, target key); see modules.hom_basis
-        self._towers: dict[tuple, tuple] = {}  # see koszul.build_periodicity_tower
+        self._towers: dict[tuple, object] = {}  # checked KoszulSteps; see koszul.build_periodicity_tower
 
     def _enumerate_basis(self):
         frontier = [self.quiver.trivial_path(v) for v in range(1, self.quiver.vertex_count + 1)]

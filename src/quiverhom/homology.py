@@ -24,7 +24,8 @@ from .modules import (
     _hom_stack,
     _padded,
     _pivots_beyond,
-    _rotations,
+    _itself,
+    _memo_read,
     _step,
     _Step,
     find_isomorphism,
@@ -51,8 +52,6 @@ class Resolution:
     """
 
     def __init__(self, module: QuiverModule, max_degree: int):
-        if max_degree < 0:
-            raise ValueError(f"degree bound must be >= 0, got {max_degree}")
         self.module = module
         self.algebra = module.algebra
         self.max_degree = -1
@@ -65,13 +64,15 @@ class Resolution:
         self.extend(max_degree)
 
     def extend(self, max_degree: int) -> None:
-        """Grow the resolution in place through the given degree; a lower bound is a no-op.
+        """Grow the resolution in place through the given degree; a lower bound is a no-op, a negative one an error.
 
         A syzygy's cover and kernel are computed and checked once per algebra and content.
         """
+        if max_degree < 0:
+            raise ValueError(f"degree bound must be >= 0, got {max_degree}")
         for d in range(self.max_degree + 1, max_degree + 1):
             if self._cycle is None:
-                step = _step(self.algebra, self._keys[d], lambda: self.syzygy(d))
+                step = _step(self.algebra, self._keys[d], self.syzygy, d)
                 c = self._first.setdefault(step.next_key, d + 1)
                 if c <= d:
                     self._cycle, self._first = (c, d + 1 - c), None
@@ -204,20 +205,13 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
     # syzygy(d)'s content, not by a basis, so a miss reads a rotated pair's entry when there is one.
     # Past the content cycle (start c, length l) degree i repeats degree i - l step for step, so
     # entries and the Betti check run through degree min(B, c + l); later degrees are laps of the last l.
-    memo, target_key = m.algebra._hom_complex_ranks, n.content_key()
+    alg, target_key = m.algebra, n.content_key()
     cycle = res.content_cycle()
     top = max_degree if cycle is None else min(max_degree, cycle[0] + cycle[1])
-    entries = []
-    for d in range(top + 1):
-        key = (res.syzygy_key(d), target_key)
-        entry = memo.get(key)
-        if entry is None:
-            entry = next((memo[r] for _, r in _rotations(m.algebra, *key) if r in memo), None)
-            if entry is None:
-                h = res.term(d).hom_dim(n)
-                entry = (h, h - _hom_dim(res.syzygy(d), n))
-            memo[key] = entry
-        entries.append(entry)
+    entries = [
+        _memo_read(alg, alg._hom_complex_ranks, (res.syzygy_key(d), target_key), _itself, _rank_entry, res, d, n)
+        for d in range(top + 1)
+    ]
     out = [entries[i][0] - entries[i][1] - entries[i - 1][1] for i in range(1, top + 1)]
     if n.total_dim == 1:  # N = S_j: Ext^i(M, S_j) is the multiplicity of P_j in term(i)
         j = n.dims.index(1) + 1
@@ -232,6 +226,12 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
         laps = (max_degree - top) // cycle[1] + 1
         out = (out + out[-cycle[1] :] * laps)[:max_degree]
     return out
+
+
+def _rank_entry(res: Resolution, d: int, n: QuiverModule) -> tuple[int, int]:
+    """(dim Hom(term(d), N), that minus dim Hom(syzygy(d), N)): the Hom-complex entry of degree d."""
+    h = res.term(d).hom_dim(n)
+    return h, h - _hom_dim(res.syzygy(d), n)
 
 
 def ext_table(m: QuiverModule, n: QuiverModule, max_degree: int) -> ExtTable:
@@ -304,7 +304,7 @@ def stable_hom_dim(m: QuiverModule, n: QuiverModule) -> int:
     basis = hom_basis(m, n)
     if not basis:
         return 0
-    step = _step(n.algebra, n.content_key(), lambda: n)
+    step = _step(n.algebra, n.content_key(), _itself, n)
     through = hom_basis(m, step.term.module)
     if not through:
         return len(basis)

@@ -6,25 +6,23 @@ yielding a short exact sequence 0 -> X -> C -> syzygy^{d-1}(X) -> 0.
 The cone of an isomorphism is projective, which is the operational base
 case the gap checker consumes.
 
-Each checked tower is kept in the algebra's tower memo under its
-module's content key, as read-only tuples: the period p, the content
-keys of syzygy^p and syzygy^{p-1}, the summands of term(p-1), and the
-blocks of eta, the cone, the two parts [leg | inclusion]: P + X ->> C of
-the cokernel projection, and the projection.  Over kΓ/J^{n+1} the memo
-is read through the rotation σ, as the step memo is: the tower of σ^k M
-is M's turned by k when σ^k carries those keys and summands to σ^k M's
-own resolution, and is built otherwise.  A read tower passes every
-check a built one does (eta, leg, inclusion and projection are checked
-module maps, the sequence is exact, the cone projective) and what a
-build has by construction: eta is invertible, [leg | inclusion] kills
-the graph [incl; -eta], and projection o [leg | inclusion] = [eps | 0].
-A failure raises AssertionError and stores nothing.
+Each checked tower step is kept in the algebra's tower memo under its
+module's content key, its arrays read-only; an exact hit returns it as
+stored.  Over kΓ/J^{n+1} the memo is read through the rotation σ by
+modules._memo_read, as the step memo is: the step of σ^k M is M's with
+its blocks turned by k when σ^k carries M's syzygy keys and term
+summands to σ^k M's own resolution, and is built otherwise.  A turned
+step passes every check a built one does (eta, leg, inclusion and
+projection are checked module maps, the sequence is exact, the cone
+projective) and what a build has by construction: eta is invertible,
+[leg | inclusion] kills the graph [incl; -eta], and
+projection o [leg | inclusion] = [eps | 0].  A failure raises
+AssertionError and stores nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from .modules import (
     ModuleMap,
     QuiverModule,
     UnsupportedOperation,
-    _rotations,
+    _memo_read,
     _turn,
     _turned_key,
     cokernel,
@@ -53,7 +51,7 @@ class KoszulStep:
     inclusion: ModuleMap  # X -> C
     projection: ModuleMap  # C -> syzygy^{d-1}(X)
     # P_{d-1} -> C; [leg | inclusion]: P_{d-1} + X ->> C is the pushout's cokernel projection.
-    # koszul_object and the tower memo fill it; it defaults to None for steps built elsewhere.
+    # koszul_object and _turned_tower fill it, so every memo step has one; None elsewhere by default.
     leg: ModuleMap | None = None
 
     def check_exact(self) -> bool:
@@ -152,59 +150,52 @@ class ReductionTower:
         return self.steps[-1].cone if self.steps else self.base
 
 
-class _Tower(NamedTuple):
-    """A checked one-step periodicity tower of a module X, by content: what σ^k X needs to rebuild it."""
-
-    period: int
-    syzygy_keys: tuple  # content keys of syzygy^p(X) and syzygy^{p-1}(X)
-    summands: tuple  # of term(p-1)
-    eta: tuple  # per-vertex blocks of syzygy^p(X) -> X
-    cone_dims: tuple
-    cone_maps: tuple  # per arrow
-    leg: tuple  # term(p-1) -> C
-    inclusion: tuple  # X -> C
-    projection: tuple  # C -> syzygy^{p-1}(X)
-
-
-def _tower_entry(res: Resolution, step: KoszulStep) -> _Tower:
-    """The memo entry of a checked step of res.module, its arrays made read-only."""
-    p, cone = step.degree, step.cone
-    eta, leg, inclusion, projection = (f.blocks for f in (step.eta, step.leg, step.inclusion, step.projection))
-    for blocks in (cone.arrow_maps, eta, leg, inclusion, projection):
-        for a in blocks:
+def _stored(step: KoszulStep) -> KoszulStep:
+    """A checked step, once its cone is projective, with its arrays made read-only for the tower memo."""
+    if not is_projective(step.cone):
+        raise AssertionError("cone of a periodicity isomorphism must be projective")
+    for f in (step.eta, step.leg, step.inclusion, step.projection):
+        for a in f.blocks:
             a.flags.writeable = False
-    keys = (res.syzygy_key(p), res.syzygy_key(p - 1))
-    return _Tower(p, keys, res.term(p - 1).summands, eta, cone.dims, cone.arrow_maps, leg, inclusion, projection)
+    for a in step.cone.arrow_maps:
+        a.flags.writeable = False
+    return step
 
 
-def _turned_tower(m: QuiverModule, hit: _Tower, k: int) -> tuple[KoszulStep, _Tower] | None:
-    """M's checked step and memo entry, turned from the memo tower of σ^-k M; None when σ^k misses M's resolution.
+def _built_tower(m: QuiverModule) -> KoszulStep | None:
+    """The step of M's periodicity isomorphism, built by koszul_object; None when no period is found."""
+    witness = detect_period(m)
+    if witness is None:
+        return None
+    return _stored(koszul_object(witness.resolution, witness.iso, witness.period))
 
-    The rotation is an automorphism, so the hit's period is M's least period too.  Its tuples are
-    turned by k only when σ^k carries its syzygy keys and term summands to M's, so that the blocks
-    land on M's own objects.  The pushout identities a direct build has by construction are
+
+def _turned_tower(hit: KoszulStep, k: int, m: QuiverModule) -> KoszulStep | None:
+    """M's checked step, turned from the memo step of σ^-k M; None when σ^k misses M's resolution.
+
+    The rotation is an automorphism, so the hit's period is M's least period too.  Its blocks are
+    turned by k only when σ^k carries the source's syzygy keys and term summands to M's, so that
+    they land on M's own objects.  The pushout identities a direct build has by construction are
     checked here, and with them the cone is the pushout: [leg | inclusion] is a module map onto C.
     """
-    alg, p = m.algebra, hit.period
-    res = minimal_resolution(m, p)
-    entry = _Tower(
-        p,
-        tuple(_turned_key(x, k) for x in hit.syzygy_keys),
-        tuple(alg.wrap(j + k) for j in hit.summands),
-        *(_turn(x, k) for x in hit[3:]),
-    )
-    if (entry.syzygy_keys, entry.summands) != ((res.syzygy_key(p), res.syzygy_key(p - 1)), res.term(p - 1).summands):
+    alg, p = m.algebra, hit.degree
+    src, res = minimal_resolution(hit.source, p), minimal_resolution(m, p)
+    if (
+        any(_turned_key(src.syzygy_key(d), k) != res.syzygy_key(d) for d in (p, p - 1))
+        or tuple(alg.wrap(j + k) for j in src.term(p - 1).summands) != res.term(p - 1).summands
+    ):
         return None
-    cone = QuiverModule(alg, entry.cone_dims, entry.cone_maps, name=f"cone(d={p}, {m.describe()})", check=False)
+    dims, arrows = _turn(hit.cone.dims, k), _turn(hit.cone.arrow_maps, k)
+    cone = QuiverModule(alg, dims, arrows, name=f"cone(d={p}, {m.describe()})", check=False)
     maps = []
-    for name, src, dst, blocks in (
-        ("eta", res.syzygy(p), m, entry.eta),
-        ("leg", res.term(p - 1).module, cone, entry.leg),
-        ("inclusion", m, cone, entry.inclusion),
-        ("projection", cone, res.syzygy(p - 1), entry.projection),
+    for name, dom, cod in (
+        ("eta", res.syzygy(p), m),
+        ("leg", res.term(p - 1).module, cone),
+        ("inclusion", m, cone),
+        ("projection", cone, res.syzygy(p - 1)),
     ):
         try:
-            maps.append(ModuleMap(src, dst, blocks))
+            maps.append(ModuleMap(dom, cod, _turn(getattr(hit, name).blocks, k)))
         except ValueError:
             raise AssertionError(f"turned tower: {name} is not a module map") from None
     eta, leg, inclusion, projection = maps
@@ -223,7 +214,7 @@ def _turned_tower(m: QuiverModule, hit: _Tower, k: int) -> tuple[KoszulStep, _To
         raise AssertionError("turned tower: eta is not an isomorphism")
     if not step.check_exact():
         raise AssertionError("turned cone short exact sequence failed exactness")
-    return step, entry
+    return _stored(step)
 
 
 def build_periodicity_tower(m: QuiverModule) -> ReductionTower | None:
@@ -231,25 +222,13 @@ def build_periodicity_tower(m: QuiverModule) -> ReductionTower | None:
 
     Projective (complexity-0) modules need no steps and come back as the
     empty tower; every other module has a period, so None means the search failed.
-    A memo tower of M, or of σ^-k M turned by k, is read with every check
-    (see _turned_tower); otherwise the tower is built.  Only a tower whose cone
-    is projective is stored, under M's content key.
+    The tower memo holds checked steps by content: an exact hit is returned as
+    stored, a memo step of σ^-k M is turned by k with every check (see
+    _turned_tower), and otherwise the step is built.  Only a step whose cone is
+    projective is stored, under M's content key.
     """
     if is_projective(m):
         return ReductionTower(base=m, steps=())
-    towers, key = m.algebra._towers, m.content_key()
-    for k, (src,) in ((0, (key,)), *_rotations(m.algebra, key)):
-        hit = towers.get(src)
-        if hit is not None and (read := _turned_tower(m, hit, k)) is not None:
-            step, entry = read
-            break
-    else:
-        witness = detect_period(m)
-        if witness is None:
-            return None
-        step = koszul_object(witness.resolution, witness.iso, witness.period)
-        entry = _tower_entry(witness.resolution, step)
-    if not is_projective(step.cone):
-        raise AssertionError("cone of a periodicity isomorphism must be projective")
-    towers.setdefault(key, entry)
-    return ReductionTower(base=m, steps=(step,))
+    alg = m.algebra
+    step = _memo_read(alg, alg._towers, m.content_key(), _turned_tower, _built_tower, m)
+    return None if step is None else ReductionTower(base=m, steps=(step,))

@@ -14,9 +14,10 @@ relation paths, an (R, N) array of arrow indices, advance together in
 N - 1 batched products, and the first path not acting as zero is
 named.  The Hom system is assembled in one place, on Python ints;
 `hom_basis` reads its checked kernel and `homology.ext_dims` its rank
-alone.  Over kΓ/J^{n+1} the kernel memo is also read through the
-rotation σ: a turned kernel is re-based to the turned system's own free
-columns, the array a solve would give, and passes the same batched
+alone.  Over kΓ/J^{n+1} every content-keyed memo that σ acts on (steps,
+Hom kernels, Hom-complex ranks, towers) is read by one reader,
+`_memo_read`.  A turned kernel is re-based to the turned system's own
+free columns, the array a solve would give, and passes the same batched
 check.
 """
 
@@ -514,24 +515,46 @@ def _turned_key(key: tuple, k: int) -> tuple:
     return _turn(dims, k), _turn(arrows, k)
 
 
-def _rotations(algebra: BoundQuiverAlgebra, *keys: tuple):
-    """(k, σ^-k of each content key) for k = 1..t-1 over kΓ/J^{n+1}; nothing over any other algebra.
+def _rotations(algebra: BoundQuiverAlgebra, key: tuple):
+    """(k, σ^-k of a memo key) for k = 1..t-1 over kΓ/J^{n+1}; nothing over any other algebra.
 
-    The rotation σ: v -> v + 1, a -> a + 1 is an automorphism of kΓ/J^{n+1}, so a module and its
-    turn by σ^k have the same syzygy chain up to σ^k and the same Ext dimensions against turned targets.
+    A memo key is one content key or a (source, target) pair of them.  The rotation σ: v -> v + 1,
+    a -> a + 1 is an automorphism of kΓ/J^{n+1}, so a module and its turn by σ^k have the same
+    syzygy chain up to σ^k and the same Ext dimensions against turned targets.
     """
     if algebra.is_selfinjective_nakayama:
+        pair = isinstance(key[0][0], tuple)  # a content key starts with its dims, a pair with a content key
         for k in range(1, algebra.t):
-            yield k, tuple(_turned_key(key, -k) for key in keys)
+            yield k, tuple(_turned_key(x, -k) for x in key) if pair else _turned_key(key, -k)
 
 
-def _turned_step(algebra: BoundQuiverAlgebra, step: _Step, k: int) -> _Step | None:
+def _memo_read(algebra: BoundQuiverAlgebra, memo: dict, key: tuple, turn, build, *args):
+    """memo[key]; on a miss the first σ^-k entry that turn(hit, k, *args) does not refuse, else build(*args).
+
+    turn and build return None to refuse; what is found is stored under key unless it is None.
+    Every content-keyed memo read through the rotation goes through here.
+    """
+    entry = memo.get(key)
+    if entry is None:
+        for k, src in _rotations(algebra, key):
+            hit = memo.get(src)
+            if hit is not None and (entry := turn(hit, k, *args)) is not None:
+                break
+        else:
+            entry = build(*args)
+        if entry is not None:
+            memo[key] = entry
+    return entry
+
+
+def _turned_step(step: _Step, k: int, *_) -> _Step | None:
     """The step of σ^k M from M's step, or None when σ^k breaks the vertex order of the cover's summands.
 
     σ^k M has M's radical matrix at each vertex, so its cover picks the same pivot columns and, when
     the turned summands are still nondecreasing, lists them in the same places: every block and the
     kernel basis are M's, moved k vertices on.
     """
+    algebra = step.term.algebra
     summands = tuple(algebra.wrap(j + k) for j in step.term.summands)
     if any(a > b for a, b in zip(summands, summands[1:])):
         return None
@@ -542,31 +565,31 @@ def _turned_step(algebra: BoundQuiverAlgebra, step: _Step, k: int) -> _Step | No
     )
 
 
-def _step(algebra: BoundQuiverAlgebra, key: tuple, module) -> _Step:
-    """The memo step of the module with this content key.
+def _covered_step(module, args: tuple) -> _Step:
+    """The step of module(*args), covered with every check."""
+    cover = projective_cover(module(*args))
+    ker, incl = kernel(cover.surjection)
+    return _Step(cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, incl.blocks, ker.content_key())
+
+
+def _step(algebra: BoundQuiverAlgebra, key: tuple, module, *args) -> _Step:
+    """The memo step of the module with this content key, module(*args).
 
     On a miss, a memo step of a rotation σ^-k M is turned by σ^k when it keeps its summands in
-    vertex order; otherwise module() is covered with every check.  Either way the step is stored
-    under the exact key.
+    vertex order; otherwise module(*args) is covered with every check.  Either way the step is
+    stored under the exact key.
     """
-    steps = algebra._resolution_steps
-    step = steps.get(key)
-    if step is None:
-        for k, (src,) in _rotations(algebra, key):
-            hit = steps.get(src)
-            if hit is not None and (step := _turned_step(algebra, hit, k)) is not None:
-                break
-        else:
-            cover = projective_cover(module())
-            ker, incl = kernel(cover.surjection)
-            step = _Step(cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, incl.blocks, ker.content_key())
-        steps[key] = step
-    return step
+    return _memo_read(algebra, algebra._resolution_steps, key, _turned_step, _covered_step, module, args)
+
+
+def _itself(x, *_):
+    """x unchanged: `_step`'s module for a module at hand, or the turn of an entry that σ leaves as is."""
+    return x
 
 
 def is_projective(m: QuiverModule) -> bool:
     """Exact test: the cover surjection is an isomorphism iff dims agree; the cover is the memo step's."""
-    return m.is_zero or _step(m.algebra, m.content_key(), lambda: m).term.module.dims == m.dims
+    return m.is_zero or _step(m.algebra, m.content_key(), _itself, m).term.module.dims == m.dims
 
 
 # -- hom spaces ---------------------------------------------------------
@@ -599,18 +622,8 @@ def _hom_stack(m: QuiverModule, n: QuiverModule) -> np.ndarray:
 
 def _hom_kernel(m: QuiverModule, n: QuiverModule, col_off: list[int]) -> np.ndarray:
     """The memo's checked kernel of the Hom system of (M, N), turned from a rotation's or solved on a miss."""
-    memo, key = m.algebra._hom_kernels, (m.content_key(), n.content_key())
-    ker = memo.get(key)
-    if ker is None:
-        for k, src in _rotations(m.algebra, *key):
-            hit = memo.get(src)
-            if hit is not None:
-                ker = _turned_hom_kernel(m, n, hit, k, col_off)
-                break
-        else:
-            ker = _checked_hom_kernel(m, n, col_off)
-        memo[key] = ker
-    return ker
+    key = (m.content_key(), n.content_key())
+    return _memo_read(m.algebra, m.algebra._hom_kernels, key, _turned_hom_kernel, _checked_hom_kernel, m, n, col_off)
 
 
 def _hom_blocks(m: QuiverModule, n: QuiverModule, ker: np.ndarray, col_off: list[int]) -> list[np.ndarray]:
@@ -657,7 +670,7 @@ def _checked_hom_kernel(m: QuiverModule, n: QuiverModule, col_off: list[int]) ->
     return _checked(m, n, m.field.kernel_matrix(_hom_system(m, n, col_off)), col_off)
 
 
-def _turned_hom_kernel(m: QuiverModule, n: QuiverModule, hit: np.ndarray, k: int, col_off: list[int]) -> np.ndarray:
+def _turned_hom_kernel(hit: np.ndarray, k: int, m: QuiverModule, n: QuiverModule, col_off: list[int]) -> np.ndarray:
     """The checked kernel of (M, N) from the memo kernel of (σ^-k M, σ^-k N); read-only.
 
     Block w of (M, N) is block w - k of the source pair, so the hit's rows roll on by col_off[k],

@@ -267,6 +267,20 @@ def test_extended_resolution_equals_fresh_build(t, n, make):
     assert grown.is_minimal()
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+def test_a_negative_degree_bound_is_rejected_in_either_call_order(cached):
+    s = simple(nakayama_algebra(3, 2), 2)
+    if cached:
+        minimal_resolution(s, 3)
+    with pytest.raises(ValueError, match="degree bound must be >= 0, got -1"):
+        minimal_resolution(s, -1)
+    assert (s._resolution_cache is None) is not cached
+    res = Resolution(s, 2)
+    with pytest.raises(ValueError, match="got -5"):
+        res.extend(-5)
+    assert res.max_degree == 2
+
+
 def _unmemoized_chain(m, degree):
     """Terms, syzygies and differentials from covers and kernels iterated by hand."""
     terms, syzygies, diffs, incl = [], [m], [None], None

@@ -5,19 +5,19 @@ lookup switched off, on a fresh algebra with the same inputs, and check that a t
 keeps the checks of a computed one.
 """
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-import quiverhom.homology as homology
 import quiverhom.koszul as koszul
 import quiverhom.modules as modules
 from quiverhom.algebra import nakayama_algebra
 from quiverhom.homology import minimal_resolution, stable_hom_dim
 from quiverhom.koszul import build_periodicity_tower
 from quiverhom.linalg import GF
-from quiverhom.modules import QuiverModule, direct_sum, hom_basis, is_projective, projective, uniserial
+from quiverhom.modules import ModuleMap, QuiverModule, direct_sum, hom_basis, is_projective, projective, uniserial
 from quiverhom.vanishing import gap_suite_cell, nakayama_report
 from test_homology import _random_basis
 
@@ -28,8 +28,6 @@ def _no_rotations(algebra, *keys):
 
 def _rotation_off(mp):
     mp.setattr(modules, "_rotations", _no_rotations)
-    mp.setattr(homology, "_rotations", _no_rotations)
-    mp.setattr(koszul, "_rotations", _no_rotations)
 
 
 def _turned(m: QuiverModule, k: int) -> QuiverModule:
@@ -241,9 +239,9 @@ def _counting_towers(mp) -> list:
     built, reads = [], []
     read, build = koszul._turned_tower, koszul.koszul_object
 
-    def reading(m, hit, k):
+    def reading(hit, k, m):
         reads.append(m)
-        return read(m, hit, k)
+        return read(hit, k, m)
 
     def building(res, eta, degree):
         built.append(any(m is res.module for m in reads))
@@ -283,12 +281,13 @@ def test_turned_towers_are_the_built_towers_array_for_array(t, monkeypatch):
                     assert _same_blocks(getattr(g, name).blocks, getattr(e, name).blocks), (t, n, name)
         memo, want = on._towers, off._towers
         assert memo.keys() == want.keys(), (t, n)
-        for key, entry in memo.items():
+        for key, step in memo.items():
             ref = want[key]
-            assert entry[:3] == ref[:3] and entry.cone_dims == ref.cone_dims, (t, n, key)
-            for name in ("eta", "cone_maps", "leg", "inclusion", "projection"):
-                assert _same_blocks(getattr(entry, name), getattr(ref, name)), (t, n, key, name)
-                assert not any(a.flags.writeable for a in getattr(entry, name))
+            assert step.degree == ref.degree and step.cone.content_key() == ref.cone.content_key(), (t, n, key)
+            assert not any(a.flags.writeable for a in step.cone.arrow_maps)
+            for name in ("eta", "leg", "inclusion", "projection"):
+                assert _same_blocks(getattr(step, name).blocks, getattr(ref, name).blocks), (t, n, key, name)
+                assert not any(a.flags.writeable for a in getattr(step, name).blocks)
         # One direct build per σ-orbit of non-projective contents, plus a build after each missed read.
         orbits = {_orbit(m.content_key(), t) for m in _corpus(on, 100 * t + n) if not is_projective(m)}
         assert len(built) == len(orbits) + sum(built), (t, n, len(built), len(orbits))
@@ -321,14 +320,85 @@ def test_a_turned_tower_is_checked_before_it_is_stored():
     key = m.content_key()
     assert modules._turned_key(key, -1) == src.content_key()
     build_periodicity_tower(src)
-    entry = alg._towers[src.content_key()]
-    # The checked tower of σ^-1 M = M(1, 2), with one nonzero projection block changed by 1.
-    v = next(v for v, b in enumerate(entry.projection) if b.size)
-    wrong = entry.projection[v].copy()
-    wrong[0, 0] = (wrong[0, 0] + 1) % alg.field.p
-    planted = entry._replace(projection=entry.projection[:v] + (wrong,) + entry.projection[v + 1 :])
+    step = alg._towers[src.content_key()]
+    # The checked step of σ^-1 M = M(1, 2), with one entry of a nonzero projection block changed by 1.
+    blocks = [b.copy() for b in step.projection.blocks]
+    v = next(v for v, b in enumerate(blocks) if b.size)
+    blocks[v][0, 0] = (blocks[v][0, 0] + 1) % alg.field.p
+    wrong = ModuleMap(step.cone, step.projection.target, blocks, check=False)
+    planted = dataclasses.replace(step, projection=wrong)
     alg._towers[src.content_key()] = planted
     with pytest.raises(AssertionError, match="turned tower"):
         build_periodicity_tower(m)
     assert key not in alg._towers
-    assert alg._towers[src.content_key()] is planted and wrong[0, 0] == (entry.projection[v][0, 0] + 1) % alg.field.p
+    assert alg._towers[src.content_key()] is planted and planted.projection is wrong
+    assert wrong.blocks[v][0, 0] == (step.projection.blocks[v][0, 0] + 1) % alg.field.p
+
+
+def test_the_memo_reader_reads_exact_then_turned_then_built():
+    alg = nakayama_algebra(3, 2)
+    key = uniserial(alg, 2, 2).content_key()
+    calls = []
+
+    def turn(hit, k, *args):
+        calls.append(("turn", hit, k, args))
+        return None if hit == "refused" else f"{hit} turned by {k}"
+
+    def build(*args):
+        calls.append(("build", args))
+        return None if args == ("none",) else "built"
+
+    memo = {key: "exact"}
+    assert modules._memo_read(alg, memo, key, turn, build, "arg") == "exact" and calls == []
+    # σ^-1 of the key is refused, so σ^-2 is turned.
+    memo = {modules._turned_key(key, -1): "refused", modules._turned_key(key, -2): "hit"}
+    assert modules._memo_read(alg, memo, key, turn, build, "arg") == "hit turned by 2"
+    assert calls == [("turn", "refused", 1, ("arg",)), ("turn", "hit", 2, ("arg",))]
+    assert memo[key] == "hit turned by 2"
+    # Every rotation refused: build.
+    calls.clear()
+    memo = {modules._turned_key(key, -k): "refused" for k in (1, 2)}
+    assert modules._memo_read(alg, memo, key, turn, build, "arg") == "built"
+    assert [c[0] for c in calls] == ["turn", "turn", "build"] and memo[key] == "built"
+    # A build that refuses is returned and not stored.
+    calls.clear()
+    memo = {}
+    assert modules._memo_read(alg, memo, key, turn, build, "none") is None
+    assert calls == [("build", ("none",))] and memo == {}
+
+
+def _read_only_step(step) -> bool:
+    maps = (step.eta, step.leg, step.inclusion, step.projection)
+    return not any(a.flags.writeable for a in (*step.cone.arrow_maps, *(b for f in maps for b in f.blocks)))
+
+
+def test_an_exact_tower_hit_is_the_stored_step_unchecked_again(monkeypatch):
+    alg = nakayama_algebra(3, 2)
+    m1, m2 = uniserial(alg, 1, 2), uniserial(alg, 1, 2)
+    stored = build_periodicity_tower(m1).steps[0]
+    assert alg._towers[m1.content_key()] is stored and _read_only_step(stored)
+
+    def never(*args):
+        raise AssertionError("an exact hit turned or built a tower")
+
+    monkeypatch.setattr(koszul, "_turned_tower", never)
+    monkeypatch.setattr(koszul, "koszul_object", never)
+    tower = build_periodicity_tower(m2)
+    assert tower.base is m2 and len(tower.steps) == 1 and tower.steps[0] is stored
+
+
+def test_a_turned_tower_is_stored_read_only():
+    alg = nakayama_algebra(3, 2)
+    m, src = uniserial(alg, 2, 2), uniserial(alg, 1, 2)
+    build_periodicity_tower(src)
+    tower = build_periodicity_tower(m)
+    step = alg._towers[m.content_key()]
+    assert tower.base is m and tower.steps[0] is step and step.source is m
+    assert _read_only_step(step) and _read_only_step(alg._towers[src.content_key()])
+
+
+def test_a_tower_without_a_period_is_none_and_not_stored(monkeypatch):
+    alg = nakayama_algebra(3, 2)
+    monkeypatch.setattr(koszul, "detect_period", lambda m: None)
+    assert build_periodicity_tower(uniserial(alg, 1, 2)) is None
+    assert alg._towers == {}
