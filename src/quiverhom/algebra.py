@@ -17,6 +17,11 @@ from .linalg import GF
 DEFAULT_FIELD_P = 101
 
 
+def _turn(x: tuple, k: int) -> tuple:
+    """σ^k of a per-vertex or per-arrow tuple over the circular quiver: entry v moves to v + k."""
+    return x[-k:] + x[:-k]
+
+
 @dataclass(frozen=True)
 class PathWord:
     """A directed path: start vertex plus an arrow index sequence (empty = e_i)."""
@@ -104,17 +109,22 @@ class BoundQuiverAlgebra:
         self.n: int | None = None
         self.r: int | None = None
         self.period_bound: int | None = None
-        # Memos, filled on first use; those keyed by a module's exact content
-        # (QuiverModule.content_key) hold only results already checked, or turned
-        # from one by the rotation of the circular quiver (see modules._memo_read).
+        # Content ids, interned by _content_id: _contents[i] is the exact (dims, arrow bytes) of id i, and
+        # _orbits[i] the ids of its turns σ^0 .. σ^{t-1} over kΓ/J^{n+1} (a σ-fixed one repeats), else (i,).
+        self._ids: dict[tuple, int] = {}
+        self._contents: list[tuple] = []
+        self._orbits: list[tuple[int, ...]] = []
+        # Memos, filled on first use; those keyed by content ids (QuiverModule.content_key)
+        # hold only results already checked, or turned from one by the rotation of the
+        # circular quiver (see modules._memo_read).
         self._relation_generators: tuple[PathWord, ...] | None = None
         self._relation_arrows: np.ndarray | None = None  # set with _relation_generators
-        self._resolution_steps: dict[tuple, tuple] = {}  # see modules._step
+        self._resolution_steps: dict[int, tuple] = {}  # see modules._step
         self._labeled_projectives: dict[tuple, object] = {}  # summand tuple; see modules._labeled_projective
-        self._serial_summands: dict[tuple, tuple] = {}  # see modules._serial_memo
-        self._hom_complex_ranks: dict[tuple, tuple] = {}  # (syzygy key, target key); see homology.ext_dims
-        self._hom_kernels: dict[tuple, object] = {}  # (source key, target key); see modules.hom_basis
-        self._towers: dict[tuple, object] = {}  # checked KoszulSteps; see koszul.build_periodicity_tower
+        self._serial_summands: dict[int, tuple] = {}  # see modules._serial_memo
+        self._hom_complex_ranks: dict[tuple, tuple] = {}  # (syzygy id, target id); see homology.ext_dims
+        self._hom_kernels: dict[tuple, object] = {}  # (source id, target id); see modules.hom_basis
+        self._towers: dict[int, object] = {}  # checked KoszulSteps; see koszul.build_periodicity_tower
 
     def _enumerate_basis(self):
         frontier = [self.quiver.trivial_path(v) for v in range(1, self.quiver.vertex_count + 1)]
@@ -123,6 +133,22 @@ class BoundQuiverAlgebra:
             frontier = [self.quiver.extend(p, a) for p in frontier for a in self.quiver.arrows_from[p.end]]
             basis.extend(frontier)
         return basis
+
+    def _content_id(self, content: tuple) -> int:
+        """The id of an exact content (dims, arrow bytes); the first content of a σ-orbit interns all of it.
+
+        Over kΓ/J^{n+1} arrow a runs a + 1 -> a + 2, so σ^k turns both tuples by k.
+        """
+        i = self._ids.get(content)
+        if i is None:
+            t = self.t if self.is_selfinjective_nakayama else 1
+            turns = [(_turn(content[0], k), _turn(content[1], k)) for k in range(t)]
+            row = tuple(self._ids.setdefault(c, len(self._ids)) for c in turns)
+            new = len(self._ids) - len(self._contents)  # the orbit's distinct contents: turns[:new]
+            self._contents.extend(turns[:new])
+            self._orbits.extend(row[k:] + row[:k] for k in range(new))
+            i = row[0]
+        return i
 
     @property
     def dimension(self) -> int:

@@ -45,10 +45,11 @@ class Resolution:
     built on first access and kept, named for this resolution's module.
     `extend` grows the degree bound in place.
 
-    The step memo is keyed by content, so once a syzygy's content key
-    repeats an earlier one the chain is a cycle: `content_cycle()` holds
-    (start, length), and every later step is the one `length` degrees
-    back, appended without another memo lookup.
+    The step memo is keyed by content id, so once a syzygy's id repeats an
+    earlier one the chain is a cycle: `content_cycle()` holds (start,
+    length), and no step is stored past it.  Degree d >= start reads the
+    stored degree start + (d - start) % length, so a resolution holds
+    start + length steps at any degree bound.
     """
 
     def __init__(self, module: QuiverModule, max_degree: int):
@@ -56,9 +57,9 @@ class Resolution:
         self.algebra = module.algebra
         self.max_degree = -1
         self._steps: list[_Step] = []
-        self._keys: list[tuple] = [module.content_key()]  # _keys[d]: content key of syzygy(d)
-        # Content key -> first degree it appeared in; dropped once the cycle is found.
-        self._first: dict[tuple, int] | None = {self._keys[0]: 0}
+        self._keys: list[int] = [module.content_key()]  # _keys[d]: content id of syzygy(d)
+        # Content id -> first degree it appeared in; dropped once the cycle is found.
+        self._first: dict[int, int] | None = {self._keys[0]: 0}
         self._cycle: tuple[int, int] | None = None
         self._objects: dict[tuple[str, int], object] = {}
         self.extend(max_degree)
@@ -67,20 +68,21 @@ class Resolution:
         """Grow the resolution in place through the given degree; a lower bound is a no-op, a negative one an error.
 
         A syzygy's cover and kernel are computed and checked once per algebra and content.
+        Once the content cycle is known, only the bound moves.
         """
         if max_degree < 0:
             raise ValueError(f"degree bound must be >= 0, got {max_degree}")
-        for d in range(self.max_degree + 1, max_degree + 1):
-            if self._cycle is None:
+        if self._cycle is None:
+            for d in range(self.max_degree + 1, max_degree + 1):
                 step = _step(self.algebra, self._keys[d], self.syzygy, d)
+                self._steps.append(step)
+                self._keys.append(step.next_key)
+                self.max_degree = d
                 c = self._first.setdefault(step.next_key, d + 1)
                 if c <= d:
                     self._cycle, self._first = (c, d + 1 - c), None
-            else:
-                step = self._steps[d - self._cycle[1]]
-            self._steps.append(step)
-            self._keys.append(step.next_key)
-            self.max_degree = d
+                    break
+        self.max_degree = max(self.max_degree, max_degree)
 
     def content_cycle(self) -> tuple[int, int] | None:
         """(start, length) of the first repeat syzygy_key(start + length) == syzygy_key(start), if seen yet.
@@ -90,6 +92,13 @@ class Resolution:
         """
         return self._cycle
 
+    def _at(self, d: int) -> int:
+        """The stored degree of degree d: d itself, or past the cycle's start its place in the cycle."""
+        if self._cycle is None or d < self._cycle[0]:
+            return d
+        c, length = self._cycle
+        return c + (d - c) % length
+
     def _built(self, kind: str, d: int, cls, *args):
         """This resolution's object of the given kind in degree d: cls(*args, check=False), built once."""
         obj = self._objects.get((kind, d))
@@ -98,34 +107,34 @@ class Resolution:
         return obj
 
     def term(self, d: int) -> LabeledProjective:
-        return self._steps[d].term
+        return self._steps[self._at(d)].term
 
-    def syzygy_key(self, d: int) -> tuple:
-        """The content key of syzygy(d), read without building the syzygy."""
-        return self._keys[d]
+    def syzygy_key(self, d: int) -> int:
+        """The content id of syzygy(d), read without building the syzygy."""
+        return self._keys[self._at(d)]
 
     def diff(self, d: int) -> ModuleMap:
         """term(d) ->> syzygy(d) -> term(d-1), composed from the two steps' blocks."""
         if d < 1:
             raise ValueError("differentials are indexed from degree 1")
-        lo, up, f = self._steps[d - 1], self._steps[d], self.algebra.field
+        lo, up, f = self._steps[self._at(d - 1)], self._steps[self._at(d)], self.algebra.field
         blocks = (f.matmul(a, b) for a, b in zip(lo.incl_blocks, up.surj_blocks))
         return self._built("diff", d, ModuleMap, up.term.module, lo.term.module, blocks)
 
     def syzygy(self, d: int) -> QuiverModule:
         if d == 0:
             return self.module
-        s, name = self._steps[d - 1], f"syzygy:{d}:{self.module.describe()}"
+        s, name = self._steps[self._at(d - 1)], f"syzygy:{d}:{self.module.describe()}"
         return self._built("syzygy", d, QuiverModule, self.algebra, s.ker_dims, s.ker_maps, name)
 
     def syzygy_inclusion(self, d: int) -> ModuleMap:
         if d < 1:
             raise ValueError("syzygy inclusions are indexed from degree 1")
-        s = self._steps[d - 1]
+        s = self._steps[self._at(d - 1)]
         return self._built("incl", d, ModuleMap, self.syzygy(d), s.term.module, s.incl_blocks)
 
     def cover_surjection(self, d: int) -> ModuleMap:
-        s = self._steps[d]
+        s = self._steps[self._at(d)]
         return self._built("cover", d, ModuleMap, s.term.module, self.syzygy(d), s.surj_blocks)
 
     def betti(self, d: int) -> list[tuple[int, int]]:
@@ -202,7 +211,8 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
     res = minimal_resolution(m, max_degree + 1)
     # Memoized per algebra as (h, rank) in degree d: h = dim Hom(term(d), N), and the rank of
     # precomposition with diff(d+1), whose kernel is Hom(syzygy(d), N).  Both are fixed by N and
-    # syzygy(d)'s content, not by a basis, so a miss reads a rotated pair's entry when there is one.
+    # syzygy(d)'s content, not by a basis, so the entry is keyed by their content ids and a miss
+    # reads a rotated pair's entry when there is one.
     # Past the content cycle (start c, length l) degree i repeats degree i - l step for step, so
     # entries and the Betti check run through degree min(B, c + l); later degrees are laps of the last l.
     alg, target_key = m.algebra, n.content_key()
@@ -333,7 +343,7 @@ def detect_period(m: QuiverModule) -> PeriodicityWitness | None:
 
     Every non-projective module has a period dividing the bound, so None
     means M is projective or zero (zero would carry every period).
-    Syzygies are screened by their content keys and memoized covers: a
+    Syzygies are screened by their content ids and memoized covers: a
     degree whose dims or top (its cover's summands) differ from M's is
     skipped unbuilt, and when the content recurs exactly the witness is
     the identity, still checked as a module map.  Other candidates go to
@@ -347,9 +357,10 @@ def detect_period(m: QuiverModule) -> PeriodicityWitness | None:
     res = minimal_resolution(m, bound)
     for p in range(1, bound + 1):
         key = res.syzygy_key(p)
-        if not any(key[0]):
+        dims = m.algebra._contents[key][0]
+        if not any(dims):
             return None
-        if key[0] != m.dims or res.term(p).summands != res.term(0).summands:
+        if dims != m.dims or res.term(p).summands != res.term(0).summands:
             continue
         s = res.syzygy(p)
         if key == res.syzygy_key(0):

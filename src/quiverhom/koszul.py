@@ -7,10 +7,10 @@ The cone of an isomorphism is projective, which is the operational base
 case the gap checker consumes.
 
 Each checked tower step is kept in the algebra's tower memo under its
-module's content key, its arrays read-only; an exact hit returns it as
+module's content id, its arrays read-only; an exact hit returns it as
 stored.  Over kΓ/J^{n+1} the memo is read through the rotation σ by
 modules._memo_read, as the step memo is: the step of σ^k M is M's with
-its blocks turned by k when σ^k carries M's syzygy keys and term
+its blocks turned by k when σ^k carries M's syzygy ids and term
 summands to σ^k M's own resolution, and is built otherwise.  A turned
 step passes every check a built one does (eta, leg, inclusion and
 projection are checked module maps, the sequence is exact, the cone
@@ -174,14 +174,14 @@ def _turned_tower(hit: KoszulStep, k: int, m: QuiverModule) -> KoszulStep | None
     """M's checked step, turned from the memo step of σ^-k M; None when σ^k misses M's resolution.
 
     The rotation is an automorphism, so the hit's period is M's least period too.  Its blocks are
-    turned by k only when σ^k carries the source's syzygy keys and term summands to M's, so that
+    turned by k only when σ^k carries the source's syzygy ids and term summands to M's, so that
     they land on M's own objects.  The pushout identities a direct build has by construction are
     checked here, and with them the cone is the pushout: [leg | inclusion] is a module map onto C.
     """
     alg, p = m.algebra, hit.degree
     src, res = minimal_resolution(hit.source, p), minimal_resolution(m, p)
     if (
-        any(_turned_key(src.syzygy_key(d), k) != res.syzygy_key(d) for d in (p, p - 1))
+        any(_turned_key(alg, src.syzygy_key(d), k) != res.syzygy_key(d) for d in (p, p - 1))
         or tuple(alg.wrap(j + k) for j in src.term(p - 1).summands) != res.term(p - 1).summands
     ):
         return None
@@ -225,7 +225,7 @@ def build_periodicity_tower(m: QuiverModule) -> ReductionTower | None:
     The tower memo holds checked steps by content: an exact hit is returned as
     stored, a memo step of σ^-k M is turned by k with every check (see
     _turned_tower), and otherwise the step is built.  Only a step whose cone is
-    projective is stored, under M's content key.
+    projective is stored, under M's content id.
     """
     if is_projective(m):
         return ReductionTower(base=m, steps=())

@@ -14,11 +14,13 @@ relation paths, an (R, N) array of arrow indices, advance together in
 N - 1 batched products, and the first path not acting as zero is
 named.  The Hom system is assembled in one place, on Python ints;
 `hom_basis` reads its checked kernel and `homology.ext_dims` its rank
-alone.  Over kΓ/J^{n+1} every content-keyed memo that σ acts on (steps,
-Hom kernels, Hom-complex ranks, towers) is read by one reader,
-`_memo_read`.  A turned kernel is re-based to the turned system's own
-free columns, the array a solve would give, and passes the same batched
-check.
+alone.  A module's content key is the small-int id its algebra interns
+for its exact content, with the ids of the content's σ-orbit beside it.
+Over kΓ/J^{n+1} every content-keyed memo that σ acts on (steps, Hom
+kernels, Hom-complex ranks, towers) is read by one reader, `_memo_read`,
+which probes σ^-k of a key by indexing that orbit row.  A turned kernel
+is re-based to the turned system's own free columns, the array a solve
+would give, and passes the same batched check.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import BoundQuiverAlgebra, PathWord
+from .algebra import BoundQuiverAlgebra, PathWord, _turn
 
 
 class UnsupportedOperation(RuntimeError):
@@ -114,10 +116,10 @@ class QuiverModule:
     def describe(self) -> str:
         return self.name or f"module(dims={list(self.dims)})"
 
-    def content_key(self) -> tuple:
-        """The exact content (dims and arrow matrix bytes), the key of the algebra's memos."""
+    def content_key(self) -> int:
+        """The algebra's id of this exact content (dims and arrow matrix bytes), the key of its memos."""
         if self._content_key is None:
-            self._content_key = (self.dims, tuple(a.tobytes() for a in self.arrow_maps))
+            self._content_key = self.algebra._content_id((self.dims, tuple(a.tobytes() for a in self.arrow_maps)))
         return self._content_key
 
     def __repr__(self) -> str:
@@ -501,34 +503,31 @@ class _Step(NamedTuple):
     ker_dims: tuple
     ker_maps: tuple
     incl_blocks: tuple  # kernel -> term.module
-    next_key: tuple  # content key of the kernel
+    next_key: int  # content id of the kernel
 
 
-def _turn(x: tuple, k: int) -> tuple:
-    """σ^k of a per-vertex or per-arrow tuple over the circular quiver: entry v moves to v + k."""
-    return x[-k:] + x[:-k]
+def _turned_key(algebra: BoundQuiverAlgebra, key: int, k: int) -> int:
+    """σ^k of a content id: entry k mod t of its σ-orbit row."""
+    row = algebra._orbits[key]
+    return row[k % len(row)]
 
 
-def _turned_key(key: tuple, k: int) -> tuple:
-    """σ^k of a content key (dims, arrow bytes): arrow a runs a + 1 -> a + 2, so both tuples turn by k."""
-    dims, arrows = key
-    return _turn(dims, k), _turn(arrows, k)
-
-
-def _rotations(algebra: BoundQuiverAlgebra, key: tuple):
+def _rotations(algebra: BoundQuiverAlgebra, key):
     """(k, σ^-k of a memo key) for k = 1..t-1 over kΓ/J^{n+1}; nothing over any other algebra.
 
-    A memo key is one content key or a (source, target) pair of them.  The rotation σ: v -> v + 1,
-    a -> a + 1 is an automorphism of kΓ/J^{n+1}, so a module and its turn by σ^k have the same
-    syzygy chain up to σ^k and the same Ext dimensions against turned targets.
+    A memo key is one content id or a (source, target) pair of them, and σ^-k of an id is entry
+    t - k of its σ-orbit row.  The rotation σ: v -> v + 1, a -> a + 1 is an automorphism of
+    kΓ/J^{n+1}, so a module and its turn by σ^k have the same syzygy chain up to σ^k and the same
+    Ext dimensions against turned targets.
     """
     if algebra.is_selfinjective_nakayama:
-        pair = isinstance(key[0][0], tuple)  # a content key starts with its dims, a pair with a content key
+        orbits, pair = algebra._orbits, isinstance(key, tuple)
+        a, b = (orbits[key[0]], orbits[key[1]]) if pair else (orbits[key], None)
         for k in range(1, algebra.t):
-            yield k, tuple(_turned_key(x, -k) for x in key) if pair else _turned_key(key, -k)
+            yield k, (a[-k], b[-k]) if pair else a[-k]
 
 
-def _memo_read(algebra: BoundQuiverAlgebra, memo: dict, key: tuple, turn, build, *args):
+def _memo_read(algebra: BoundQuiverAlgebra, memo: dict, key: int | tuple, turn, build, *args):
     """memo[key]; on a miss the first σ^-k entry that turn(hit, k, *args) does not refuse, else build(*args).
 
     turn and build return None to refuse; what is found is stored under key unless it is None.
@@ -561,7 +560,7 @@ def _turned_step(step: _Step, k: int, *_) -> _Step | None:
     return _Step(
         _labeled_projective(algebra, summands),
         *(_turn(x, k) for x in (step.surj_blocks, step.ker_dims, step.ker_maps, step.incl_blocks)),
-        _turned_key(step.next_key, k),
+        _turned_key(algebra, step.next_key, k),
     )
 
 
@@ -572,7 +571,7 @@ def _covered_step(module, args: tuple) -> _Step:
     return _Step(cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, incl.blocks, ker.content_key())
 
 
-def _step(algebra: BoundQuiverAlgebra, key: tuple, module, *args) -> _Step:
+def _step(algebra: BoundQuiverAlgebra, key: int, module, *args) -> _Step:
     """The memo step of the module with this content key, module(*args).
 
     On a miss, a memo step of a rotation σ^-k M is turned by σ^k when it keeps its summands in

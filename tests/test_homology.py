@@ -462,13 +462,14 @@ def test_hom_complex_rank_memo_matches_direct_ranks_and_closed_form(t, monkeypat
         warm = tables()
         ranks = dict(alg._hom_complex_ranks)
         assert ranks and untouched._hom_complex_ranks == {}
-        f, corpus = untouched.field, _cycle_corpus(untouched)
+        f, corpus, by_content = untouched.field, _cycle_corpus(untouched), _by_content(alg, ranks)
         for a, (x, xs) in enumerate(corpus):
             res = Resolution(x, top + 1)
             for b, (y, ys) in enumerate(corpus):
                 direct = [f.rank(_numpy_hom_complex_matrix(res, y, d)) for d in range(top + 1)]
                 for d in range(top + 1):
-                    assert ranks[res.syzygy_key(d), y.content_key()] == (res.term(d).hom_dim(y), direct[d]), (x, y, d)
+                    key = untouched._contents[res.syzygy_key(d)], untouched._contents[y.content_key()]
+                    assert by_content[key] == (res.term(d).hom_dim(y), direct[d]), (x, y, d)
                 dims = [res.term(i).hom_dim(y) - direct[i] - direct[i - 1] for i in range(1, top + 1)]
                 assert warm[a, b] == dims == _closed_form_sums(t, n, xs, ys, top), (t, n, x, y)
         with monkeypatch.context() as mp:
@@ -507,12 +508,13 @@ def test_content_cycle_is_the_first_repeat_of_the_step_memo_walk(t):
         for m, _ in _cycle_corpus(alg):
             res = Resolution(m, top)
             cycle = res.content_cycle()
-            # The same chain walked through the step memo alone: every key must already be there.
+            # The same chain walked through the step memo alone: every key must already be there,
+            # and every degree reads the walk's step, also past the cycle where none is stored.
             steps, keys = alg._resolution_steps, [m.content_key()]
             for d in range(top + 1):
-                assert steps[keys[d]] is res._steps[d], (t, n, m, d)
+                assert res.syzygy_key(d) == keys[d] and res.term(d) is steps[keys[d]].term, (t, n, m, d)
                 keys.append(steps[keys[d]].next_key)
-            assert res._keys == keys
+            assert res.syzygy_key(top + 1) == keys[top + 1]
             assert cycle is not None and cycle == _first_repeat(keys), (t, n, m)
             start, length = cycle
             if m.is_zero:
@@ -522,12 +524,16 @@ def test_content_cycle_is_the_first_repeat_of_the_step_memo_walk(t):
             else:
                 assert alg.period_bound % length == 0, (t, n, m, cycle)
             for d in range(start + length, top + 1):
-                assert res._steps[d] is res._steps[d - length]
+                assert res.term(d) is res.term(d - length) and res.syzygy_key(d) == res.syzygy_key(d - length)
             if start + length >= 2:  # keys known through degree B + 1 stop short of the repeat
                 short = Resolution(m, start + length - 2)
                 assert short.content_cycle() is None
                 short.extend(top)
                 assert short.content_cycle() == cycle and short._steps == res._steps
+            # Past the cycle only the bound moves: the resolution holds start + length steps.
+            res.extend(10000)
+            assert res.max_degree == 10000 and len(res._steps) <= start + length, (t, n, m)
+            assert res.term(10000) is steps[keys[start + (10000 - start) % length]].term
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
@@ -550,7 +556,7 @@ def test_ext_dims_over_the_content_cycle_match_the_per_degree_walk_and_closed_fo
                     entries.append(walk[key])
                 dims = [entries[i][0] - entries[i][1] - entries[i - 1][1] for i in range(1, top + 1)]
                 assert got[a, b] == dims == _closed_form_sums(t, n, xs, ys, top), (t, n, x, y)
-        assert alg._hom_complex_ranks == walk
+        assert _by_content(alg, alg._hom_complex_ranks) == _by_content(untouched, walk)
         assert untouched._hom_complex_ranks == {}
 
 
@@ -720,6 +726,12 @@ def test_detect_period_sends_a_candidate_with_the_top_of_m_to_find_isomorphism(m
     scaled = QuiverModule(alg, u.dims, [2 * a for a in u.arrow_maps], name="scaled")
     seen.clear()
     assert detect_period(scaled).period == 4 and seen == [("syzygy:4:scaled", False)]
+
+
+def _by_content(alg, memo: dict) -> dict:
+    """A memo keyed by content ids, or pairs of them, re-keyed by exact content: ids mean nothing across algebras."""
+    content = alg._contents
+    return {content[k] if isinstance(k, int) else tuple(content[x] for x in k): v for k, v in memo.items()}
 
 
 def _random_basis(m: QuiverModule, rng: random.Random) -> QuiverModule:

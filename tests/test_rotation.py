@@ -13,13 +13,23 @@ import pytest
 
 import quiverhom.koszul as koszul
 import quiverhom.modules as modules
-from quiverhom.algebra import nakayama_algebra
+from quiverhom.algebra import BoundQuiverAlgebra, Quiver, circular_quiver, nakayama_algebra
 from quiverhom.homology import minimal_resolution, stable_hom_dim
 from quiverhom.koszul import build_periodicity_tower
 from quiverhom.linalg import GF
-from quiverhom.modules import ModuleMap, QuiverModule, direct_sum, hom_basis, is_projective, projective, uniserial
+from quiverhom.modules import (
+    ModuleMap,
+    QuiverModule,
+    direct_sum,
+    hom_basis,
+    is_projective,
+    projective,
+    simple,
+    uniserial,
+    zero_module,
+)
 from quiverhom.vanishing import gap_suite_cell, nakayama_report
-from test_homology import _random_basis
+from test_homology import _by_content, _random_basis
 
 
 def _no_rotations(algebra, *keys):
@@ -50,6 +60,59 @@ def _corpus(alg, seed: int) -> list[QuiverModule]:
     return out
 
 
+def _content(m: QuiverModule) -> tuple:
+    return m.dims, tuple(a.tobytes() for a in m.arrow_maps)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_content_ids_are_interned_with_their_whole_rotation_orbit(t):
+    for n in range(1, 9):
+        alg = nakayama_algebra(t, n)
+        corpus = _corpus(alg, 100 * t + n)
+        turned = [[_turned(m, k) for k in range(t)] for m in corpus]
+        ids, contents = {}, {}
+        for m in corpus + [x for row in turned for x in row]:
+            ids.setdefault(_content(m), set()).add(m.content_key())
+            contents.setdefault(m.content_key(), set()).add(_content(m))
+            assert alg._contents[m.content_key()] == _content(m), (t, n, m)
+        # Two modules share an id iff their dims and arrow bytes are equal.
+        assert all(len(v) == 1 for v in ids.values()) and all(len(v) == 1 for v in contents.values()), (t, n)
+        assert sorted(contents) == list(range(len(alg._contents))) and len(alg._orbits) == len(alg._contents)
+        for m, row in zip(corpus, turned):
+            key = m.content_key()
+            assert alg._orbits[key] == tuple(x.content_key() for x in row), (t, n, m)
+            assert all(modules._turned_key(alg, key, k) == row[k % t].content_key() for k in range(-t, 2 * t))
+            assert list(modules._rotations(alg, key)) == [(k, row[-k].content_key()) for k in range(1, t)]
+        x, y = corpus[0], corpus[-1]
+        pairs = [(k, (_turned(x, -k).content_key(), _turned(y, -k).content_key())) for k in range(1, t)]
+        assert list(modules._rotations(alg, (x.content_key(), y.content_key()))) == pairs
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 6])
+def test_a_content_fixed_by_a_rotation_has_a_repeating_orbit_row(t):
+    alg = nakayama_algebra(t, 2)
+    zero = zero_module(alg).content_key()
+    assert alg._orbits[zero] == (zero,) * t
+    for d in (d for d in range(1, t + 1) if t % d == 0):
+        # The simples at 1, 1 + d, 1 + 2d, ...: σ^d fixes their sum, and no smaller turn does.
+        key = direct_sum([simple(alg, v) for v in range(1, t + 1, d)])[0].content_key()
+        row = alg._orbits[key]
+        assert len(set(row)) == d and all(row[k] == row[k % d] for k in range(t)), (t, d, row)
+        assert [alg._orbits[i] for i in row] == [row[k:] + row[:k] for k in range(t)]
+
+
+def test_over_any_other_algebra_a_content_id_has_a_one_entry_row_and_no_rotations():
+    for alg in (BoundQuiverAlgebra(circular_quiver(3), 3), BoundQuiverAlgebra(Quiver(3, [(1, 2), (2, 3)]), 2)):
+        mods = [simple(alg, 1), simple(alg, 2), projective(alg, 1), zero_module(alg)]
+        for m in mods:
+            key = m.content_key()
+            assert alg._orbits[key] == (key,) and alg._contents[key] == _content(m)
+            assert modules._turned_key(alg, key, 1) == key
+            assert list(modules._rotations(alg, key)) == []
+        assert list(modules._rotations(alg, (mods[0].content_key(), mods[1].content_key()))) == []
+        assert len({m.content_key() for m in mods}) == len(mods) == len(alg._contents)
+
+
 def _counting_covers(mp) -> list:
     covered = []
     cover = modules.projective_cover
@@ -75,16 +138,18 @@ def test_turned_steps_are_the_covered_steps_array_for_array(t, monkeypatch):
             _rotation_off(mp)
             for m in _corpus(off, 100 * t + n):
                 minimal_resolution(m, 2 * t + 1)
-        steps, want = on._resolution_steps, off._resolution_steps
-        assert steps.keys() == want.keys(), (t, n)
+        # Ids mean nothing across algebras: the two memos are compared by exact content.
+        steps, want = on._resolution_steps, _by_content(off, off._resolution_steps)
+        assert _by_content(on, steps).keys() == want.keys(), (t, n)
         for key, step in steps.items():
-            ref = want[key]
+            ref = want[on._contents[key]]
             assert step.term.summands == ref.term.summands, (t, n, key)
             for got, exp in ((step.surj_blocks, ref.surj_blocks), (step.ker_maps, ref.ker_maps),
                              (step.incl_blocks, ref.incl_blocks)):
                 assert len(got) == len(exp) == t
                 assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, exp)), (t, n, key)
-            assert step.ker_dims == ref.ker_dims and step.next_key == ref.next_key, (t, n, key)
+            assert step.ker_dims == ref.ker_dims, (t, n, key)
+            assert on._contents[step.next_key] == off._contents[ref.next_key], (t, n, key)
             if key not in covered:
                 turned += 1
                 multi += len(step.term.summands) > 1
@@ -151,10 +216,11 @@ def test_turned_hom_kernels_are_the_solved_kernels_array_for_array(t, monkeypatc
                     _rotation_off(mp)
                 mods = _corpus(alg, 100 * t + n) + [projective(alg, i) for i in range(1, t + 1)]
                 maps[alg] = [hom_basis(x, y) for x in mods for y in mods]
-        kernels, want = on._hom_kernels, off._hom_kernels
-        assert kernels.keys() == want.keys(), (t, n)
+        kernels, want = on._hom_kernels, _by_content(off, off._hom_kernels)
+        assert _by_content(on, kernels).keys() == want.keys(), (t, n)
         for key, ker in kernels.items():
-            assert ker.shape == want[key].shape and np.array_equal(ker, want[key]), (t, n, key)
+            ref = want[on._contents[key[0]], on._contents[key[1]]]
+            assert ker.shape == ref.shape and np.array_equal(ker, ref), (t, n, key)
             assert not ker.flags.writeable
         for got, exp in zip(maps[on], maps[off], strict=True):
             assert len(got) == len(exp), (t, n)
@@ -170,7 +236,7 @@ def test_a_turned_hom_kernel_is_checked_before_it_is_stored():
     m = n = uniserial(alg, 2, 2)
     src_m = src_n = uniserial(alg, 1, 2)
     key, src = (m.content_key(), n.content_key()), (src_m.content_key(), src_n.content_key())
-    assert tuple(modules._turned_key(x, -1) for x in key) == src
+    assert tuple(modules._turned_key(alg, x, -1) for x in key) == src
     # The solved kernel of σ^-1 (M, M) = (M(1, 2), M(1, 2)), a writeable array, with its one
     # column swapped for a unit vector that the system does not kill.
     col_off = modules._hom_offsets(src_m, src_n)
@@ -252,8 +318,8 @@ def _counting_towers(mp) -> list:
     return built
 
 
-def _orbit(key: tuple, t: int) -> tuple:
-    return min(modules._turned_key(key, k) for k in range(t))
+def _orbit(alg, key: int, t: int) -> int:
+    return min(modules._turned_key(alg, key, k) for k in range(t))
 
 
 def _same_blocks(got, exp) -> bool:
@@ -276,20 +342,22 @@ def test_turned_towers_are_the_built_towers_array_for_array(t, monkeypatch):
         for got, exp in zip(towers[on], towers[off], strict=True):
             assert got is not None and exp is not None and len(got.steps) == len(exp.steps) <= 1, (t, n)
             for g, e in zip(got.steps, exp.steps):
-                assert g.degree == e.degree and g.cone.content_key() == e.cone.content_key(), (t, n)
+                assert g.degree == e.degree, (t, n)
+                assert on._contents[g.cone.content_key()] == off._contents[e.cone.content_key()], (t, n)
                 for name in ("eta", "inclusion", "projection", "leg"):
                     assert _same_blocks(getattr(g, name).blocks, getattr(e, name).blocks), (t, n, name)
-        memo, want = on._towers, off._towers
-        assert memo.keys() == want.keys(), (t, n)
+        memo, want = on._towers, _by_content(off, off._towers)
+        assert _by_content(on, memo).keys() == want.keys(), (t, n)
         for key, step in memo.items():
-            ref = want[key]
-            assert step.degree == ref.degree and step.cone.content_key() == ref.cone.content_key(), (t, n, key)
+            ref = want[on._contents[key]]
+            assert step.degree == ref.degree, (t, n, key)
+            assert on._contents[step.cone.content_key()] == off._contents[ref.cone.content_key()], (t, n, key)
             assert not any(a.flags.writeable for a in step.cone.arrow_maps)
             for name in ("eta", "leg", "inclusion", "projection"):
                 assert _same_blocks(getattr(step, name).blocks, getattr(ref, name).blocks), (t, n, key, name)
                 assert not any(a.flags.writeable for a in getattr(step, name).blocks)
         # One direct build per σ-orbit of non-projective contents, plus a build after each missed read.
-        orbits = {_orbit(m.content_key(), t) for m in _corpus(on, 100 * t + n) if not is_projective(m)}
+        orbits = {_orbit(on, m.content_key(), t) for m in _corpus(on, 100 * t + n) if not is_projective(m)}
         assert len(built) == len(orbits) + sum(built), (t, n, len(built), len(orbits))
         turned += len(memo) - len(built)
         fallbacks += sum(built)
@@ -318,7 +386,7 @@ def test_a_turned_tower_is_checked_before_it_is_stored():
     alg = nakayama_algebra(3, 2)
     m, src = uniserial(alg, 2, 2), uniserial(alg, 1, 2)
     key = m.content_key()
-    assert modules._turned_key(key, -1) == src.content_key()
+    assert modules._turned_key(alg, key, -1) == src.content_key()
     build_periodicity_tower(src)
     step = alg._towers[src.content_key()]
     # The checked step of σ^-1 M = M(1, 2), with one entry of a nonzero projection block changed by 1.
@@ -351,13 +419,13 @@ def test_the_memo_reader_reads_exact_then_turned_then_built():
     memo = {key: "exact"}
     assert modules._memo_read(alg, memo, key, turn, build, "arg") == "exact" and calls == []
     # σ^-1 of the key is refused, so σ^-2 is turned.
-    memo = {modules._turned_key(key, -1): "refused", modules._turned_key(key, -2): "hit"}
+    memo = {modules._turned_key(alg, key, -1): "refused", modules._turned_key(alg, key, -2): "hit"}
     assert modules._memo_read(alg, memo, key, turn, build, "arg") == "hit turned by 2"
     assert calls == [("turn", "refused", 1, ("arg",)), ("turn", "hit", 2, ("arg",))]
     assert memo[key] == "hit turned by 2"
     # Every rotation refused: build.
     calls.clear()
-    memo = {modules._turned_key(key, -k): "refused" for k in (1, 2)}
+    memo = {modules._turned_key(alg, key, -k): "refused" for k in (1, 2)}
     assert modules._memo_read(alg, memo, key, turn, build, "arg") == "built"
     assert [c[0] for c in calls] == ["turn", "turn", "build"] and memo[key] == "built"
     # A build that refuses is returned and not stored.
