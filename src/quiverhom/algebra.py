@@ -123,7 +123,7 @@ class BoundQuiverAlgebra:
         self._labeled_projectives: dict[tuple, object] = {}  # summand tuple; see modules._labeled_projective
         self._serial_summands: dict[int, tuple] = {}  # see modules._serial_memo
         self._hom_complex_ranks: dict[tuple, tuple] = {}  # (syzygy id, target id); see homology.ext_dims
-        self._hom_kernels: dict[tuple, object] = {}  # (source id, target id); see modules.hom_basis
+        self._hom_kernels: dict[tuple, object] = {}  # (source id, target id): padded Hom stack; see modules._hom_stack
         self._towers: dict[int, object] = {}  # checked KoszulSteps; see koszul.build_periodicity_tower
 
     def _enumerate_basis(self):

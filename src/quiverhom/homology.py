@@ -305,9 +305,9 @@ def stable_hom_dim(m: QuiverModule, n: QuiverModule) -> int:
     Over a selfinjective algebra a map factors through a projective iff
     it factors through the projective cover of its target.  The cover is
     read from the algebra's step memo, and computed into it on a miss.
-    The surjection is composed with the whole basis of Hom(M, cover) in
-    one product of zero-padded stacks, and the stable dimension is
-    dim Hom(M, N) minus the rank of those composites.
+    The surjection is composed with the whole basis of Hom(M, cover), the
+    memo's zero-padded stack read as it is, in one product, and the stable
+    dimension is dim Hom(M, N) minus the rank of those composites.
     """
     if not m.algebra.is_selfinjective_nakayama:
         raise UnsupportedOperation("stable Hom requires a selfinjective algebra")

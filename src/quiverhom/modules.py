@@ -5,22 +5,23 @@ arrow; the matrix of an arrow i -> j maps the vertex-i space into the
 vertex-j space, and a path acts by applying its arrows in written
 order.  Every map produced here satisfies the intertwining equations
 exactly and is validated on construction, or, for a Hom basis, in one
-batch before the maps are built.  Both go through one check: the blocks
-(one map, or a stack of maps) are zero-padded into a single stack, and
-N_a f_u = f_v M_a is compared for every arrow at once, in two broadcast
-products with each module's padded (arrows, D, D) arrow tensor.  The
-relation check of a new module reads the same tensor: the algebra's
-relation paths, an (R, N) array of arrow indices, advance together in
-N - 1 batched products, and the first path not acting as zero is
-named.  The Hom system is assembled in one place, on Python ints;
-`hom_basis` reads its checked kernel and `homology.ext_dims` its rank
-alone.  A module's content key is the small-int id its algebra interns
-for its exact content, with the ids of the content's σ-orbit beside it.
-Over kΓ/J^{n+1} every content-keyed memo that σ acts on (steps, Hom
-kernels, Hom-complex ranks, towers) is read by one reader, `_memo_read`,
-which probes σ^-k of a key by indexing that orbit row.  A turned kernel
-is re-based to the turned system's own free columns, the array a solve
-would give, and passes the same batched check.
+batch before it is stored.  Both go through one check on a zero-padded
+(maps, vertices, D_N, D_M) stack: N_a f_u = f_v M_a is compared for
+every arrow at once, in two broadcast products with each module's
+padded (arrows, D, D) arrow tensor.  The relation check of a new module
+reads the same tensor: the algebra's relation paths, an (R, N) array of
+arrow indices, advance together in N - 1 batched products, and the
+first path not acting as zero is named.  The Hom system is assembled in
+one place, on Python ints; its checked basis is kept as one read-only
+padded stack, whose views are `hom_basis`'s blocks, and
+`homology.ext_dims` reads the system's rank alone.  A module's content
+key is the small-int id its algebra interns for its exact content, with
+the ids of the content's σ-orbit beside it.  Over kΓ/J^{n+1} every
+content-keyed memo that σ acts on (steps, Hom stacks, Hom-complex
+ranks, towers) is read by one reader, `_memo_read`, which probes σ^-k
+of a key by indexing that orbit row.  A turned Hom stack is re-based to
+the turned system's own free unknowns, the array a solve would give,
+and passes the same batched check.
 """
 
 from __future__ import annotations
@@ -148,9 +149,16 @@ class ModuleMap:
             want = (self.target.dims[v - 1], self.source.dims[v - 1])
             if self.blocks[v - 1].shape != want:
                 raise ValueError(f"block at vertex {v} has shape {self.blocks[v - 1].shape}, expected {want}")
-        a = _failed_arrow(self.source, self.target, self.blocks)
+        a = _failed_arrow(self.source, self.target, _padded(self.blocks, max(self.target.dims), max(self.source.dims)))
         if a is not None:
             raise ValueError(f"map does not intertwine arrow {a}")
+
+    @classmethod
+    def _view(cls, source: QuiverModule, target: QuiverModule, blocks) -> "ModuleMap":
+        """A map on blocks taken as they are: read-only views of a checked, reduced memo stack, with no copy."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.blocks = source, target, tuple(blocks)
+        return f
 
     @classmethod
     def identity(cls, m: QuiverModule) -> "ModuleMap":
@@ -205,18 +213,14 @@ class ModuleMap:
         return f"ModuleMap({self.source.describe()} -> {self.target.describe()})"
 
 
-def _failed_arrow(m: QuiverModule, n: QuiverModule, f) -> int | None:
-    """The first arrow a with N_a f_u != f_v M_a, or None; f[w] is one block or a (k, n_w, m_w) stack.
+def _failed_arrow(m: QuiverModule, n: QuiverModule, stack: np.ndarray) -> int | None:
+    """The first arrow a with N_a f_u != f_v M_a over a zero-padded (k, vertices, D_N, D_M) stack of maps, or None.
 
-    The blocks are zero-padded into one (k, vertices, D_N, D_M) stack, so both sides of every
-    arrow's equation are two broadcast products with the padded arrow tensors; the padding is
-    zero on both sides.  An empty stack holds no map and passes at once.
+    Both sides of every arrow's equation are two broadcast products with the padded arrow
+    tensors; the padding is zero on both sides, and an empty stack passes.
     """
-    if f[0].ndim == 3 and len(f[0]) == 0:
-        return None
     field, q = m.field, m.algebra.quiver
     na, ma = n._padded_arrows(), m._padded_arrows()
-    stack = _padded(f, na.shape[1], ma.shape[1])
     differs = field.matmul(na, stack[:, q.arrow_sources]) != field.matmul(stack[:, q.arrow_targets], ma)
     if not differs.any():
         return None
@@ -597,38 +601,28 @@ def is_projective(m: QuiverModule) -> bool:
 def hom_basis(m: QuiverModule, n: QuiverModule) -> list[ModuleMap]:
     """A basis of Hom(M, N): the kernel of the intertwining equations, one map per free column.
 
-    The whole basis is checked against every arrow in one batch, and the
-    checked kernel is kept in the algebra's memo under the content pair
-    (M, N); on a hit the maps are built from it without solving again.
-    On a miss, a memo kernel of (σ^-k M, σ^-k N) is turned by σ^k and
-    re-based to this system's free columns, the basis a solve would give,
-    and checked the same way; otherwise the system is solved.
+    The algebra's memo keeps the checked basis under the content pair (M, N) as one read-only
+    padded stack (`_hom_stack`); block w of map j is its view S[j, w, :n_w, :m_w], so the blocks
+    are read-only and a hit solves and copies nothing.  On a miss, a memo stack of (σ^-k M, σ^-k N)
+    is turned by σ^k and re-based to the basis a solve would give, or else the system is solved;
+    either way the whole basis is checked against every arrow in one batch.
     """
     if m.algebra is not n.algebra:
         raise ValueError("hom_basis requires modules over the same algebra")
-    col_off = _hom_offsets(m, n)
-    if col_off[-1] == 0:
+    if not any(a * b for a, b in zip(m.dims, n.dims)):
         return []
-    f = _hom_blocks(m, n, _hom_kernel(m, n, col_off), col_off)
-    return [ModuleMap(m, n, [fw[j] for fw in f], check=False) for j in range(len(f[0]))]
+    shapes = list(enumerate(zip(n.dims, m.dims)))
+    return [ModuleMap._view(m, n, [s[w, :r, :c] for w, (r, c) in shapes]) for s in _hom_stack(m, n)]
 
 
 def _hom_stack(m: QuiverModule, n: QuiverModule) -> np.ndarray:
-    """The memo's Hom basis of (M, N) as one zero-padded (k, vertices, D_N, D_M) stack, hom_basis's map j at j."""
-    col_off = _hom_offsets(m, n)
-    return _padded(_hom_blocks(m, n, _hom_kernel(m, n, col_off), col_off), max(n.dims), max(m.dims))
+    """The memo's checked Hom basis of (M, N), turned from a rotation's or solved on a miss.
 
-
-def _hom_kernel(m: QuiverModule, n: QuiverModule, col_off: list[int]) -> np.ndarray:
-    """The memo's checked kernel of the Hom system of (M, N), turned from a rotation's or solved on a miss."""
+    A read-only zero-padded (k, vertices, D_N, D_M) stack, D the largest vertex dimension of
+    each module: S[j, w, :n_w, :m_w] is block w of hom_basis's map j, and the rest is zero.
+    """
     key = (m.content_key(), n.content_key())
-    return _memo_read(m.algebra, m.algebra._hom_kernels, key, _turned_hom_kernel, _checked_hom_kernel, m, n, col_off)
-
-
-def _hom_blocks(m: QuiverModule, n: QuiverModule, ker: np.ndarray, col_off: list[int]) -> list[np.ndarray]:
-    """f[w][j], the vertex-w block of the map in column j of the Hom kernel."""
-    k = ker.shape[1]
-    return [ker[col_off[w] : col_off[w + 1]].T.reshape(k, n.dims[w], m.dims[w]) for w in range(len(m.dims))]
+    return _memo_read(m.algebra, m.algebra._hom_kernels, key, _turned_hom_stack, _solved_hom_stack, m, n)
 
 
 def _hom_offsets(m: QuiverModule, n: QuiverModule) -> list[int]:
@@ -664,33 +658,38 @@ def _hom_dim(m: QuiverModule, n: QuiverModule) -> int:
     return col_off[-1] - m.field.rank(_hom_system(m, n, col_off))
 
 
-def _checked_hom_kernel(m: QuiverModule, n: QuiverModule, col_off: list[int]) -> np.ndarray:
-    """The kernel of the intertwining system, solved, each column checked on every arrow; read-only."""
-    return _checked(m, n, m.field.kernel_matrix(_hom_system(m, n, col_off)), col_off)
+def _solved_hom_stack(m: QuiverModule, n: QuiverModule) -> np.ndarray:
+    """The kernel of the intertwining system, solved, its column j scattered into map j of the padded stack; checked."""
+    col_off = _hom_offsets(m, n)
+    ker = m.field.kernel_matrix(_hom_system(m, n, col_off))
+    k = ker.shape[1]
+    blocks = [ker[col_off[w] : col_off[w + 1]].T.reshape(k, r, c) for w, (r, c) in enumerate(zip(n.dims, m.dims))]
+    return _checked(m, n, _padded(blocks, max(n.dims), max(m.dims)))
 
 
-def _turned_hom_kernel(hit: np.ndarray, k: int, m: QuiverModule, n: QuiverModule, col_off: list[int]) -> np.ndarray:
-    """The checked kernel of (M, N) from the memo kernel of (σ^-k M, σ^-k N); read-only.
+def _turned_hom_stack(hit: np.ndarray, k: int, m: QuiverModule, n: QuiverModule) -> np.ndarray:
+    """The checked stack of (M, N) from the memo stack of (σ^-k M, σ^-k N); read-only.
 
-    Block w of (M, N) is block w - k of the source pair, so the hit's rows roll on by col_off[k],
-    the width of blocks 0..k-1: its last col_off[k] rows come first.  The rolled columns span the
-    kernel, in another basis.  kernel_matrix gives one column per free column c (1 at c, 0 at the
-    other free columns), and c is free iff some kernel vector has its last nonzero entry at c.  So
-    the basis is the RREF of the transpose read right to left, turned back, its rows in ascending
-    free column: the array a solve would give, entry for entry.
+    Block w of (M, N) is block w - k of the source pair, so the hit's last k vertices come first;
+    the turned maps span Hom(M, N) in another basis.  kernel_matrix gives one map per free unknown
+    c (1 at c, 0 at the other free ones), and c is free iff some map has its last nonzero entry at c.
+    So the basis is the RREF of the flattened stack read right to left, turned back: flattening
+    keeps the unknowns in (w, r, c) order, and padding is zero in every map, never a pivot.
     """
-    c = col_off[-1] - col_off[k]
-    rows, _ = m.field.rref(np.concatenate((hit[c:], hit[:c]))[::-1].T)
-    return _checked(m, n, np.ascontiguousarray(rows[::-1, ::-1].T), col_off)
+    turned = np.concatenate((hit[:, -k:], hit[:, :-k]), axis=1)
+    if len(turned):
+        rows, _ = m.field.rref(turned.reshape(len(turned), -1)[:, ::-1])
+        turned = np.ascontiguousarray(rows[::-1, ::-1]).reshape(turned.shape)
+    return _checked(m, n, turned)
 
 
-def _checked(m: QuiverModule, n: QuiverModule, ker: np.ndarray, col_off: list[int]) -> np.ndarray:
-    """ker, read-only, once each of its columns intertwines every arrow as a map M -> N."""
-    a = _failed_arrow(m, n, _hom_blocks(m, n, ker, col_off))
+def _checked(m: QuiverModule, n: QuiverModule, stack: np.ndarray) -> np.ndarray:
+    """stack, read-only, once each of its maps intertwines every arrow as a map M -> N."""
+    a = _failed_arrow(m, n, stack)
     if a is not None:
         raise AssertionError(f"Hom basis does not intertwine arrow {a}")
-    ker.flags.writeable = False
-    return ker
+    stack.flags.writeable = False
+    return stack
 
 
 # -- serial structure and isomorphism (circular Nakayama family) --------

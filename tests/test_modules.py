@@ -541,6 +541,11 @@ def _failed_arrow_modules(alg, t, n):
     return mods
 
 
+def _padded_failed_arrow(m, n, f):
+    """modules._failed_arrow on f[w], one block or a (k, n_w, m_w) stack per vertex, zero-padded as ModuleMap pads."""
+    return modules._failed_arrow(m, n, modules._padded(f, max(n.dims), max(m.dims)))
+
+
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 def test_failed_arrow_matches_the_per_arrow_loop(t):
     rng = np.random.default_rng(t)
@@ -559,17 +564,17 @@ def test_failed_arrow_matches_the_per_arrow_loop(t):
                     else:
                         coef = rng.integers(0, p, size=(k, len(basis[0])))
                         stack = [np.einsum("kj,jrc->krc", coef, b) % p for b in basis]
-                    assert modules._failed_arrow(x, y, stack) is None
+                    assert _padded_failed_arrow(x, y, stack) is None
                     assert _reference_failed_arrow(x, y, stack) is None
                     for j in range(k):  # each map of the stack as one map's blocks
-                        assert modules._failed_arrow(x, y, [b[j] for b in stack]) is None
+                        assert _padded_failed_arrow(x, y, [b[j] for b in stack]) is None
                     blocks = [w for w in range(t) if stack[w].size]
                     if not blocks:
                         continue
                     # Corrupt one random nonempty block of one map: the helper reads what the loop reads.
                     bad, w, j = [b.copy() for b in stack], rng.choice(blocks), rng.integers(k)
                     bad[w][j] = (bad[w][j] + rng.integers(1, p, size=bad[w][j].shape)) % p
-                    assert modules._failed_arrow(x, y, bad) == _reference_failed_arrow(x, y, bad)
+                    assert _padded_failed_arrow(x, y, bad) == _reference_failed_arrow(x, y, bad)
                     # Corrupt arrow a = u -> v alone: add x0 y0^T to f_v with y0^T M_a != 0 and N_out x0 = 0,
                     # where N_out is the arrow leaving v, so a fails and every other arrow still holds.
                     for a in range(t):
@@ -581,9 +586,9 @@ def test_failed_arrow_matches_the_per_arrow_loop(t):
                         row[np.flatnonzero(y0s[0])[0]] = 1
                         bad = [b.copy() for b in stack]
                         bad[v][k - 1] = (bad[v][k - 1] + np.outer(x0s[0], row)) % p
-                        assert modules._failed_arrow(x, y, bad) == _reference_failed_arrow(x, y, bad) == a
+                        assert _padded_failed_arrow(x, y, bad) == _reference_failed_arrow(x, y, bad) == a
                         single = [b[k - 1] for b in bad]
-                        assert modules._failed_arrow(x, y, single) == _reference_failed_arrow(x, y, single) == a
+                        assert _padded_failed_arrow(x, y, single) == _reference_failed_arrow(x, y, single) == a
                         chosen.add(a)
     assert chosen == set(range(t))
 

@@ -192,13 +192,13 @@ def test_nakayama_report_equals_the_report_without_rotation(t, monkeypatch):
 
 def _counting_solves(mp) -> list:
     solved = []
-    solve = modules._checked_hom_kernel
+    solve = modules._solved_hom_stack
 
-    def counting(m, n, col_off):
+    def counting(m, n):
         solved.append((m.content_key(), n.content_key()))
-        return solve(m, n, col_off)
+        return solve(m, n)
 
-    mp.setattr(modules, "_checked_hom_kernel", counting)
+    mp.setattr(modules, "_solved_hom_stack", counting)
     return solved
 
 
@@ -237,19 +237,66 @@ def test_a_turned_hom_kernel_is_checked_before_it_is_stored():
     src_m = src_n = uniserial(alg, 1, 2)
     key, src = (m.content_key(), n.content_key()), (src_m.content_key(), src_n.content_key())
     assert tuple(modules._turned_key(alg, x, -1) for x in key) == src
-    # The solved kernel of σ^-1 (M, M) = (M(1, 2), M(1, 2)), a writeable array, with its one
-    # column swapped for a unit vector that the system does not kill.
+    # The padded stack of σ^-1 (M, M) = (M(1, 2), M(1, 2)), a writeable array, whose one map is
+    # swapped for a unit map that the system does not kill.
     col_off = modules._hom_offsets(src_m, src_n)
     system = modules._hom_system(src_m, src_n, col_off)
-    planted = alg.field.kernel_matrix(system)
-    assert planted.shape[1] == 1
-    planted[:, 0] = alg.field.eye(col_off[-1])[:, next(c for c in range(col_off[-1]) if np.any(system[:, c]))]
+    assert alg.field.kernel_matrix(system).shape[1] == 1
+    unit = alg.field.eye(col_off[-1])[next(c for c in range(col_off[-1]) if np.any(system[:, c]))]
+    blocks = [unit[col_off[w] : col_off[w + 1]].reshape(1, r, c) for w, (r, c) in enumerate(zip(src_n.dims, src_m.dims))]
+    planted = modules._padded(blocks, max(src_n.dims), max(src_m.dims))
     before = planted.copy()
     alg._hom_kernels[src] = planted
     with pytest.raises(AssertionError, match="does not intertwine"):
         hom_basis(m, n)
     assert key not in alg._hom_kernels
     assert np.array_equal(planted, before)
+
+
+def _solved_blocks(m: QuiverModule, n: QuiverModule) -> list[np.ndarray]:
+    """Per vertex w, the (k, n_w, m_w) blocks of the kernel of the Hom system, solved directly."""
+    col_off = modules._hom_offsets(m, n)
+    ker = m.field.kernel_matrix(modules._hom_system(m, n, col_off))
+    return [ker[col_off[w] : col_off[w + 1]].T.reshape(ker.shape[1], r, c) for w, (r, c) in enumerate(zip(n.dims, m.dims))]
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_hom_stacks_are_the_padded_solved_kernels_and_hom_basis_reads_them_as_views(t):
+    for n in range(1, 6):
+        alg = nakayama_algebra(t, n)
+        mods = _corpus(alg, 100 * t + n) + [projective(alg, i) for i in range(1, t + 1)]
+        for x in mods:
+            for y in mods:
+                maps, key = hom_basis(x, y), (x.content_key(), y.content_key())
+                if not any(a * b for a, b in zip(x.dims, y.dims)):
+                    assert maps == [] and key not in alg._hom_kernels
+                    continue
+                solved, stack = _solved_blocks(x, y), alg._hom_kernels[key]
+                want = modules._padded(solved, max(y.dims), max(x.dims))
+                assert stack.shape == want.shape and np.array_equal(stack, want), (t, n, x, y)
+                assert not stack.flags.writeable
+                assert len(maps) == len(stack)
+                for j, f in enumerate(maps):
+                    for w, b in enumerate(f.blocks):
+                        assert np.shares_memory(b, stack) or b.size == 0
+                        assert b.shape == solved[w][j].shape and np.array_equal(b, solved[w][j])
+                        with pytest.raises(ValueError, match="read-only"):
+                            b[...] = 0
+
+
+def test_an_empty_hom_basis_is_turned_and_stored_as_an_empty_stack(monkeypatch):
+    # Hom(M(1, 2), M(2, 1)) over (6, 8): the system has one unknown, at vertex 2, and no solution.
+    alg = nakayama_algebra(6, 8)
+    src_m, src_n = uniserial(alg, 1, 2), uniserial(alg, 2, 1)
+    m, n = uniserial(alg, 2, 2), uniserial(alg, 3, 1)
+    assert modules._hom_offsets(src_m, src_n)[-1] == 1
+    with monkeypatch.context() as mp:
+        solved = _counting_solves(mp)
+        assert hom_basis(src_m, src_n) == [] and hom_basis(m, n) == []
+    assert solved == [(src_m.content_key(), src_n.content_key())]
+    for key in solved + [(m.content_key(), n.content_key())]:
+        stack = alg._hom_kernels[key]
+        assert stack.shape == (0, 6, 1, 1) and not stack.flags.writeable
 
 
 def _stacked_stable_hom_dim(m: QuiverModule, n: QuiverModule) -> int:
