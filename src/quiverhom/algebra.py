@@ -174,18 +174,6 @@ class BoundQuiverAlgebra:
         self.relation_generators()
         return self._relation_arrows
 
-    def unique_path(self, v: int, length: int) -> PathWord:
-        """The single basis path of the given length starting at v (Nakayama only).
-
-        The circular quiver has one path per start and length, and the basis
-        is sorted by (length, start), so that path sits at index length*t + v-1.
-        """
-        if not self.is_selfinjective_nakayama:
-            raise ValueError("unique_path is only defined for circular Nakayama algebras")
-        if not (1 <= v <= self.t and 0 <= length < self.nilpotency):
-            raise ValueError(f"no basis path of length {length} from vertex {v}")
-        return self.path_basis[length * self.t + v - 1]
-
     def wrap(self, v: int) -> int:
         """Reduce a vertex label modulo t into [1, t]."""
         return (v - 1) % self.quiver.vertex_count + 1

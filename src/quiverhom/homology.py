@@ -93,7 +93,9 @@ class Resolution:
         return self._cycle
 
     def _at(self, d: int) -> int:
-        """The stored degree of degree d: d itself, or past the cycle's start its place in the cycle."""
+        """The stored degree of degree d >= 0: d itself, or past the cycle's start its place in the cycle."""
+        if d < 0:
+            raise ValueError(f"resolution degrees are indexed from 0, got {d}")
         if self._cycle is None or d < self._cycle[0]:
             return d
         c, length = self._cycle
@@ -122,7 +124,7 @@ class Resolution:
         return self._built("diff", d, ModuleMap, up.term.module, lo.term.module, blocks)
 
     def syzygy(self, d: int) -> QuiverModule:
-        if d == 0:
+        if d <= 0 and self._at(d) == 0:  # _at raises for a negative degree
             return self.module
         s, name = self._steps[self._at(d - 1)], f"syzygy:{d}:{self.module.describe()}"
         return self._built("syzygy", d, QuiverModule, self.algebra, s.ker_dims, s.ker_maps, name)
@@ -197,6 +199,12 @@ class ExtTable:
         return "\n".join(lines)
 
 
+def _require_ext_degrees(max_degree: int) -> None:
+    """Ext tables run over degrees 1..max_degree, so a bound below 1 is refused."""
+    if max_degree < 1:
+        raise ValueError("Ext degrees start at 1; use hom_basis for degree 0")
+
+
 def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
     """dim Ext^i(M, N) for i = 1..max_degree via the Hom complex of the resolution.
 
@@ -206,8 +214,7 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
     """
     if m.algebra is not n.algebra:
         raise ValueError("Ext requires modules over the same algebra")
-    if max_degree < 1:
-        raise ValueError("Ext degrees start at 1; use hom_basis for degree 0")
+    _require_ext_degrees(max_degree)
     res = minimal_resolution(m, max_degree + 1)
     # Memoized per algebra as (h, rank) in degree d: h = dim Hom(term(d), N), and the rank of
     # precomposition with diff(d+1), whose kernel is Hom(syzygy(d), N).  Both are fixed by N and

@@ -3,12 +3,14 @@
 A module assigns a vector space to each vertex and a matrix to each
 arrow; the matrix of an arrow i -> j maps the vertex-i space into the
 vertex-j space, and a path acts by applying its arrows in written
-order.  Every map produced here satisfies the intertwining equations
-exactly and is validated on construction, or, for a Hom basis, in one
-batch before it is stored.  Both go through one check on a zero-padded
-(maps, vertices, D_N, D_M) stack: N_a f_u = f_v M_a is compared for
-every arrow at once, in two broadcast products with each module's
-padded (arrows, D, D) arrow tensor.  The relation check of a new module
+order.  No path matrix is stored: each caller that reads paths walks
+them shortest first, one product past each prefix.  Every map produced
+here satisfies the intertwining equations exactly and is validated on
+construction, or, for a Hom basis, in one batch before it is stored.
+Both go through one check on a zero-padded (maps, vertices, D_N, D_M)
+stack: N_a f_u = f_v M_a is compared for every arrow at once, in two
+broadcast products with each module's padded (arrows, D, D) arrow
+tensor.  The relation check of a new module
 reads the same tensor: the algebra's relation paths, an (R, N) array of
 arrow indices, advance together in N - 1 batched products, and the
 first path not acting as zero is named.  The Hom system is assembled in
@@ -46,7 +48,6 @@ class QuiverModule:
         self.dims = tuple(int(d) for d in dims)
         self.arrow_maps = tuple(np.asarray(m, dtype=np.int64) % algebra.field.p for m in arrow_maps)
         self.name = name
-        self._path_cache: dict[PathWord, np.ndarray] = {}
         self._arrow_tensor: np.ndarray | None = None  # set by _padded_arrows()
         self._resolution_cache = None  # grown in place by homology.minimal_resolution
         self._content_key = None  # set by content_key()
@@ -89,18 +90,6 @@ class QuiverModule:
     @property
     def is_zero(self) -> bool:
         return self.total_dim == 0
-
-    def path_action(self, p: PathWord) -> np.ndarray:
-        """Matrix of the path acting from its start space to its end space."""
-        hit = self._path_cache.get(p)
-        if hit is not None:
-            return hit
-        q = self.algebra.quiver
-        m = np.eye(self.dims[p.start - 1], dtype=np.int64)
-        for a in p.arrows:
-            m = self.field.matmul(self.arrow_maps[a], m)
-        self._path_cache[p] = m
-        return m
 
     def _padded_arrows(self) -> np.ndarray:
         """The arrow matrices zero-padded into one (arrows, D, D) tensor, D the largest vertex dimension."""
@@ -259,8 +248,8 @@ def _path_basis(algebra: BoundQuiverAlgebra, tops: tuple[int, ...], max_length: 
     """The path basis of a sum of truncated projectives, with arrows acting by extension.
 
     Summand s contributes the basis paths from tops[s] of length < max_length.
-    Returns (dims, arrow matrices, basis keys (s, path) grouped by end vertex,
-    position of each key inside its vertex space).
+    Returns (dims, arrow matrices, position of each basis key (s, path) inside
+    the space of the path's end vertex).
     """
     q = algebra.quiver
     by_vertex: dict[int, list[tuple[int, PathWord]]] = {v: [] for v in range(1, q.vertex_count + 1)}
@@ -279,7 +268,7 @@ def _path_basis(algebra: BoundQuiverAlgebra, tops: tuple[int, ...], max_length: 
             if ext.length < max_length:  # every path shorter than the nilpotency is a basis path
                 m[pos[(s, ext)], pos[(s, p)]] = 1
         maps.append(m)
-    return dims, maps, by_vertex, pos
+    return dims, maps, pos
 
 
 def projective(algebra: BoundQuiverAlgebra, i: int) -> QuiverModule:
@@ -287,7 +276,7 @@ def projective(algebra: BoundQuiverAlgebra, i: int) -> QuiverModule:
     q = algebra.quiver
     if not (1 <= i <= q.vertex_count):
         raise ValueError(f"vertex {i} outside [1,{q.vertex_count}]")
-    dims, maps, _, _ = _path_basis(algebra, (i,), algebra.nilpotency)
+    dims, maps, _ = _path_basis(algebra, (i,), algebra.nilpotency)
     return QuiverModule(algebra, dims, maps, name=f"projective:{i}")
 
 
@@ -300,7 +289,7 @@ def uniserial(algebra: BoundQuiverAlgebra, i: int, length: int) -> QuiverModule:
     q = algebra.quiver
     if not (1 <= i <= q.vertex_count):
         raise ValueError(f"vertex {i} outside [1,{q.vertex_count}]")
-    dims, maps, _, _ = _path_basis(algebra, (i,), length)
+    dims, maps, _ = _path_basis(algebra, (i,), length)
     return QuiverModule(algebra, dims, maps, name=f"uniserial:{i}:{length}")
 
 
@@ -317,7 +306,7 @@ class LabeledProjective:
     def __init__(self, algebra: BoundQuiverAlgebra, summands: tuple[int, ...]):
         self.algebra = algebra
         self.summands = tuple(int(j) for j in summands)
-        dims, maps, self._basis, self._pos = _path_basis(algebra, self.summands, algebra.nilpotency)
+        dims, maps, self._pos = _path_basis(algebra, self.summands, algebra.nilpotency)
         label = "+".join(f"P{j}" for j in self.summands) or "0"
         self.module = QuiverModule(algebra, dims, maps, name=label, check=False)
 
@@ -333,18 +322,21 @@ class LabeledProjective:
         return vec
 
     def map_to(self, target: QuiverModule, images) -> ModuleMap:
-        """The map sending each summand generator to the given element of the target."""
+        """The map sending each summand generator to the given element of the target.
+
+        Each summand's basis paths are walked shortest first (`paths_from` order), so the
+        image of p·a is N_a times the image of p: one product past its prefix per path.
+        """
         if len(images) != len(self.summands):
             raise ValueError(f"{len(images)} generator images for {len(self.summands)} summands")
         f = self.algebra.field
-        q = self.algebra.quiver
-        blocks = []
-        for v in range(1, q.vertex_count + 1):
-            m = np.zeros((target.dims[v - 1], self.module.dims[v - 1]), dtype=np.int64)
-            for s, path in self._basis[v]:
-                col = f.matmul(target.path_action(path), images[s])
-                m[:, self._pos[(s, path)]] = col
-            blocks.append(m)
+        blocks = [np.zeros((dt, ds), dtype=np.int64) for dt, ds in zip(target.dims, self.module.dims)]
+        for s, j in enumerate(self.summands):
+            image = {(): np.asarray(images[s], dtype=np.int64) % f.p}  # keyed by arrow word
+            for path in self.algebra.paths_from(j):
+                if path.arrows:
+                    image[path.arrows] = f.matmul(target.arrow_maps[path.arrows[-1]], image[path.arrows[:-1]])
+                blocks[path.end - 1][:, self._pos[(s, path)]] = image[path.arrows]
         return ModuleMap(self.module, target, blocks)
 
     def hom_dim(self, target: QuiverModule) -> int:
@@ -736,23 +728,26 @@ def serial_summands(m: QuiverModule) -> list[SerialSummand]:
     t = alg.t
     n = alg.n
 
-    def kernel_cols(v: int, d: int) -> np.ndarray:
-        if d <= 0:
-            return np.zeros((m.dims[v - 1], 0), dtype=np.int64)
-        if d > n:
-            return field.eye(m.dims[v - 1])
-        return field.kernel_matrix(m.path_action(alg.unique_path(v, d)))
-
     arrow_from = {v: m.arrow_maps[alg.quiver.arrows_from[v][0]] for v in range(1, t + 1)}
+    # ker[v][d]: the kernel of act(v, d), the length-d path from v, with act(v, d) = A_{v+d-1} act(v, d-1);
+    # ker[v][0] is empty and ker[v][n + 1] the whole space, as J^{n+1} = 0.
+    ker = {}
+    for v in range(1, t + 1):
+        act = field.eye(m.dims[v - 1])
+        ker[v] = [np.zeros((m.dims[v - 1], 0), dtype=np.int64)]
+        for d in range(1, n + 1):
+            act = field.matmul(arrow_from[alg.wrap(v + d - 1)], act)
+            ker[v].append(field.kernel_matrix(act))
+        ker[v].append(field.eye(m.dims[v - 1]))
     summands: list[SerialSummand] = []
     for length in range(n + 1, 0, -1):
         for j in range(1, t + 1):
-            cand = kernel_cols(j, length)
+            cand = ker[j][length]
             if cand.shape[1] == 0:
                 continue
             prev = alg.wrap(j - 1)
-            shifted = field.matmul(arrow_from[prev], kernel_cols(prev, length + 1))
-            w = np.hstack([kernel_cols(j, length - 1), shifted])
+            shifted = field.matmul(arrow_from[prev], ker[prev][min(length + 1, n + 1)])
+            w = np.hstack([ker[j][length - 1], shifted])
             for c in _pivots_beyond(field, w, cand)[1]:
                 chain = [cand[:, c].copy()]
                 vtx = j

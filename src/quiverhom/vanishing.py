@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .algebra import BoundQuiverAlgebra, nakayama_algebra
-from .homology import ExtTable, ext_table, minimal_resolution
+from .homology import ExtTable, _require_ext_degrees, ext_table, minimal_resolution
 from .koszul import ReductionTower, build_periodicity_tower
 from .linalg import GF
 from .modules import QuiverModule, UnsupportedOperation, simple, uniserial
@@ -188,6 +188,7 @@ def nakayama_report(t: int, n: int, max_degree: int, field: GF | None = None) ->
     and, when t >= 3 and r = t-1, checks the explicit asymmetry witness
     pair (S_1, S_2).  Each ordered simple pair's Ext table is computed once.
     """
+    _require_ext_degrees(max_degree)
     alg = nakayama_algebra(t, n, field)
     r = alg.r
     simples = [simple(alg, i) for i in range(1, t + 1)]
@@ -321,6 +322,9 @@ def run_sweep(
     workers: int = 1,
 ) -> dict:
     """Run nakayama_report over a (t, n) grid on min(workers, cells, usable CPUs) processes, sorted output."""
+    _require_ext_degrees(max_degree)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cells = [
         (t, n, max_degree, field_p)
         for t in range(t_range[0], t_range[1] + 1)

@@ -58,27 +58,6 @@ def test_one_basis_path_per_vertex_and_length():
             assert lengths == list(range(n + 1))
 
 
-def test_unique_path_lookup():
-    a = nakayama_algebra(4, 4)
-    p = a.unique_path(2, 3)
-    assert p.start == 2 and p.length == 3 and p.end == 1
-    with pytest.raises(ValueError):
-        a.unique_path(1, 9)
-
-
-def test_unique_path_matches_the_path_basis():
-    for t in range(2, 7):
-        for n in range(1, 9):
-            a = nakayama_algebra(t, n)
-            for v in range(1, t + 1):
-                for length in range(n + 1):
-                    (want,) = [p for p in a.path_basis if p.start == v and p.length == length]
-                    assert a.unique_path(v, length) == want
-            for v, length in [(0, 0), (t + 1, 1), (1, -1), (1, n + 1)]:
-                with pytest.raises(ValueError):
-                    a.unique_path(v, length)
-
-
 def test_configurable_field():
     a = nakayama_algebra(3, 2, GF(2))
     assert a.field.p == 2

@@ -340,6 +340,25 @@ def test_minimal_resolution_grows_the_cached_object(a32):
     assert minimal_resolution(m, 5) is res and res.max_degree == 9
 
 
+@pytest.mark.parametrize("max_degree", [0, 3])
+def test_every_resolution_accessor_refuses_a_negative_degree(a32, max_degree):
+    # At bound 0 no content cycle is known; at bound 3 S_1's cycle is, and degrees past its start wrap.
+    res = minimal_resolution(simple(a32, 1), max_degree)
+    assert (res.content_cycle() is None) == (max_degree == 0)
+    built = dict(res._objects)
+    reads = [res.term, res.syzygy_key, res.betti, res.cover_surjection, res.syzygy, lambda d: res.betti_multiplicity(d, 1)]
+    for d in (-1, -2, -5):
+        for read in reads:
+            with pytest.raises(ValueError, match=f"^resolution degrees are indexed from 0, got {d}$"):
+                read(d)
+        for read in (res.diff, res.syzygy_inclusion):
+            with pytest.raises(ValueError, match="indexed from degree 1"):
+                read(d)
+    # Nothing was built or kept for a negative degree, so no module named syzygy:-1:simple:1 exists.
+    assert res._objects == built
+    assert res.syzygy(0) is res.module and res.term(0).summands == (1,) and res.betti(0) == [(1, 1)]
+
+
 def _no_hom_system(*args):
     raise AssertionError("a warm memo solved a Hom system again")
 
@@ -378,11 +397,19 @@ def test_ext_dims_raises_when_betti_route_disagrees(monkeypatch):
             assert read == 2 * list(range(1, (bad or start + length) + 1)), (start, length, bad)
 
 
+def _path_matrix(m, path):
+    """The matrix of a path on M, multiplied out arrow by arrow with numpy: the oracle for every path action."""
+    out = np.eye(m.dims[path.start - 1], dtype=np.int64)
+    for a in path.arrows:
+        out = m.arrow_maps[a] @ out % m.field.p
+    return out
+
+
 def _numpy_hom_complex_matrix(res, n, d):
     """Hom(term(d), N) -> Hom(term(d+1), N) assembled with numpy arrays, one summand block at a time.
 
     The independent oracle for the (dim Hom(term(d), N), rank) entries that ext_dims reads off the
-    intertwining system: this matrix is built from the differential and N's path actions instead.
+    intertwining system: this matrix is built from the differential and N's path matrices instead.
 
     Summand s of term(d+1), at vertex j, gives the rows of f(x) for x = diff(d+1) applied to its
     generator vector: the block of summand s' adds x[(s', path)] * N_path for each vertex-j basis path.
@@ -393,10 +420,10 @@ def _numpy_hom_complex_matrix(res, n, d):
     for s, j in enumerate(dst.summands):
         x = f.matmul(diff.block(j), dst.generator_vector(s))
         out = np.zeros((n.dims[j - 1], offs[-1]), dtype=np.int64)
-        for s2, path in src._basis[j]:
-            c = int(x[src._pos[(s2, path)]])
+        for (s2, path), k in src._pos.items():
+            c = int(x[k]) if path.end == j else 0
             if c:
-                out[:, offs[s2] : offs[s2 + 1]] = (out[:, offs[s2] : offs[s2 + 1]] + c * n.path_action(path)) % f.p
+                out[:, offs[s2] : offs[s2 + 1]] = (out[:, offs[s2] : offs[s2 + 1]] + c * _path_matrix(n, path)) % f.p
         rows.append(out)
     return np.vstack(rows) if rows else np.zeros((0, offs[-1]), dtype=np.int64)
 

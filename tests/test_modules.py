@@ -1,4 +1,5 @@
 import functools
+import random
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from quiverhom.modules import (
     uniserial,
     zero_module,
 )
+from test_homology import _path_matrix, _random_basis
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +269,8 @@ def test_rank_count_matches_chain_count():
     def rho(v, d):
         if d > a.n:
             return 0
-        return f.rank(m.path_action(a.unique_path(v, d)))
+        (path,) = [p for p in a.paths_from(v) if p.length == d]
+        return f.rank(_path_matrix(m, path))
 
     def depth_count(v, d):
         return rho(v, d) - rho(v, d + 1)
@@ -330,6 +333,48 @@ def test_path_basis_builder_agrees_across_constructors(t, n):
             assert decompose_serial(uniserial(alg, i, length)) == [(i, length)]
 
 
+def _map_to_agrees(P, target, rng):
+    """P.map_to(target, images) for random generator images: column (s, path) is path's matrix times image s."""
+    p = target.field.p
+    images = [rng.integers(0, p, size=target.dims[j - 1]) for j in P.summands]
+    f = P.map_to(target, images)
+    assert [b.shape for b in f.blocks] == list(zip(target.dims, P.module.dims))
+    for (s, path), k in P._pos.items():
+        assert np.array_equal(f.block(path.end)[:, k], _path_matrix(target, path) @ images[s] % p), (s, path)
+    assert len(P._pos) == P.total_dim
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_map_to_columns_are_arrow_by_arrow_products(t):
+    rng, seeds = np.random.default_rng(t), random.Random(t)
+    for n in range(1, 10):
+        alg = nakayama_algebra(t, n)
+        mods = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+        for _ in range(4):
+            picked = seeds.sample(mods[: t * (n + 1)], 3)
+            mods.append(_random_basis(direct_sum(picked)[0], seeds))
+        tops = [(1, 1, 2), (t,), tuple(range(1, t + 1)), (2, t, t)]
+        for target in mods:
+            _map_to_agrees(LabeledProjective(alg, seeds.choice(tops)), target, rng)
+
+
+def test_map_to_on_the_branching_quiver():
+    # Vertex 1 has two outgoing arrows, so a summand's paths branch; vertex 4 is a sink.
+    quiver = Quiver(4, [(1, 2), (1, 3), (2, 3), (3, 1), (3, 4)])
+    rng = np.random.default_rng(11)
+    for nilpotency in (1, 2, 3):
+        alg = BoundQuiverAlgebra(quiver, nilpotency)
+        targets = [projective(alg, i) for i in range(1, 5)] + [direct_sum([projective(alg, 1), simple(alg, 3)])[0]]
+        while len(targets) < 15:
+            try:
+                targets.append(QuiverModule(alg, *_random_module_data(alg, rng, rng.choice([0.2, 0.5]))))
+            except ValueError:  # a broken relation
+                continue
+        for target in targets:
+            for tops in [(1,), (1, 1, 3), (4, 2), (1, 2, 3, 4)]:
+                _map_to_agrees(LabeledProjective(alg, tops), target, rng)
+
+
 def test_module_validation_rejects_broken_relations(a32):
     # An arrow loop that survives length n+1 composites violates J^{n+1} = 0.
     with pytest.raises(ValueError):
@@ -356,8 +401,7 @@ def _relation_check_agrees(alg, dims, maps) -> bool:
             QuiverModule(alg, dims, maps)
         assert str(err.value) == f"relation path {want} does not act as zero"
         return False
-    m = QuiverModule(alg, dims, maps)
-    assert not set(m._path_cache) & set(alg.relation_generators())
+    QuiverModule(alg, dims, maps)
     return True
 
 

@@ -327,3 +327,28 @@ def test_run_sweep_names_the_failing_cell(monkeypatch):
     monkeypatch.setattr(vanishing, "_sweep_cell", fail_on_t3)
     with pytest.raises(vanishing.SweepError, match="t=3, n=1 failed: boom"):
         run_sweep((2, 3), (1, 1), 6)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the bounds were checked")
+
+
+def test_nakayama_report_refuses_a_degree_bound_below_one(monkeypatch):
+    monkeypatch.setattr(vanishing, "nakayama_algebra", _no_work)
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match="^Ext degrees start at 1; use hom_basis for degree 0$"):
+            nakayama_report(3, 2, bound)
+
+
+def test_run_sweep_refuses_a_degree_bound_below_one(monkeypatch):
+    monkeypatch.setattr(vanishing, "_sweep_cell", _no_work)
+    with pytest.raises(ValueError, match="^Ext degrees start at 1; use hom_basis for degree 0$"):
+        run_sweep((2, 2), (1, 1), 0)
+
+
+def test_run_sweep_refuses_fewer_than_one_worker(monkeypatch):
+    monkeypatch.setattr(vanishing, "_sweep_cell", _no_work)
+    monkeypatch.setattr(vanishing, "ProcessPoolExecutor", _no_work)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
+            run_sweep((2, 3), (1, 1), 6, workers=workers)
