@@ -34,9 +34,6 @@ class PathWord:
     def length(self) -> int:
         return len(self.arrows)
 
-    def sort_key(self) -> tuple:
-        return (len(self.arrows), self.start, self.arrows)
-
     def __repr__(self) -> str:
         if not self.arrows:
             return f"e_{self.start}"
@@ -69,16 +66,6 @@ class Quiver:
     def target(self, a: int) -> int:
         return self.arrows[a][1]
 
-    def trivial_path(self, v: int) -> PathWord:
-        if not (1 <= v <= self.vertex_count):
-            raise ValueError(f"vertex {v} outside [1,{self.vertex_count}]")
-        return PathWord(v, (), v)
-
-    def extend(self, p: PathWord, a: int) -> PathWord:
-        if self.source(a) != p.end:
-            raise ValueError(f"arrow {a} does not compose with path ending at {p.end}")
-        return PathWord(p.start, p.arrows + (a,), self.target(a))
-
 
 def circular_quiver(t: int) -> Quiver:
     """The cyclic quiver on t vertices with arrows i -> i+1 (mod t)."""
@@ -88,9 +75,9 @@ def circular_quiver(t: int) -> Quiver:
 
 
 class BoundQuiverAlgebra:
-    """A path algebra truncated at a nilpotency degree, kQ/J^N, with an explicit path basis.
+    """A path algebra truncated at a nilpotency degree, kQ/J^N, with its paths walked once per start vertex.
 
-    The basis consists of all paths of length < N.  Serial structure,
+    The basis consists of all paths of length < N, the relations of those of length N.  Serial structure,
     isomorphism, stable Hom, periodicity and complexity are defined only
     for the circular Nakayama algebras built by nakayama_algebra().
     """
@@ -101,7 +88,16 @@ class BoundQuiverAlgebra:
         self.quiver = quiver
         self.nilpotency = nilpotency
         self.field = field if field is not None else GF(DEFAULT_FIELD_P)
-        self.path_basis = tuple(sorted(self._enumerate_basis(), key=PathWord.sort_key))
+        # The walk from v, _walks[v - 1] = (entries, levels): each path from v through length nilpotency as (parent
+        # entry, last arrow, end vertex), e_v = (-1, -1, v) first, shortest first, lexicographic within a length (as
+        # arrows_from ascends); levels[L] is the first entry of length L.  Basis paths precede levels[nilpotency].
+        self._walks = tuple(self._walk(v) for v in range(1, quiver.vertex_count + 1))
+        words = [(self._words(v), levels) for v, (_, levels) in enumerate(self._walks, start=1)]
+        by_length = [[p for ws, lv in words for p in ws[lv[d] : lv[d + 1]]] for d in range(nilpotency + 1)]
+        self.path_basis = tuple(p for paths in by_length[:-1] for p in paths)
+        self._relation_generators = tuple(by_length[-1])
+        self._relation_arrows = np.array([p.arrows for p in by_length[-1]], dtype=np.intp).reshape(-1, nilpotency)
+        self._relation_arrows.flags.writeable = False
         # Circular Nakayama metadata; set by nakayama_algebra().
         self.is_selfinjective_nakayama = False
         self.is_symmetric = False
@@ -117,8 +113,6 @@ class BoundQuiverAlgebra:
         # Memos, filled on first use; those keyed by content ids (QuiverModule.content_key)
         # hold only results already checked, or turned from one by the rotation of the
         # circular quiver (see modules._memo_read).
-        self._relation_generators: tuple[PathWord, ...] | None = None
-        self._relation_arrows: np.ndarray | None = None  # set with _relation_generators
         self._resolution_steps: dict[int, tuple] = {}  # see modules._step
         self._labeled_projectives: dict[tuple, object] = {}  # summand tuple; see modules._labeled_projective
         self._serial_summands: dict[int, tuple] = {}  # see modules._serial_memo
@@ -126,13 +120,28 @@ class BoundQuiverAlgebra:
         self._hom_kernels: dict[tuple, object] = {}  # (source id, target id): padded Hom stack; see modules._hom_stack
         self._towers: dict[int, object] = {}  # checked KoszulSteps; see koszul.build_periodicity_tower
 
-    def _enumerate_basis(self):
-        frontier = [self.quiver.trivial_path(v) for v in range(1, self.quiver.vertex_count + 1)]
-        basis = list(frontier)
-        for _ in range(1, self.nilpotency):
-            frontier = [self.quiver.extend(p, a) for p in frontier for a in self.quiver.arrows_from[p.end]]
-            basis.extend(frontier)
-        return basis
+    def _walk(self, v: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+        """The walk from v, one length at a time: each entry of length L - 1 extended by every arrow out of its end."""
+        q = self.quiver
+        entries, levels = [(-1, -1, v)], [0, 1]
+        for _ in range(self.nilpotency):
+            entries += [(i, a, q.target(a)) for i in range(*levels[-2:]) for a in q.arrows_from[entries[i][2]]]
+            levels.append(len(entries))
+        return tuple(entries), tuple(levels)
+
+    def _words(self, v: int) -> list[PathWord]:
+        """Every walk entry from v as a PathWord, in walk order: each arrow word is its parent's plus one arrow."""
+        entries, _ = self._walks[v - 1]
+        words = [()]
+        for parent, a, _ in entries[1:]:
+            words.append(words[parent] + (a,))
+        return [PathWord(v, w, end) for w, (_, _, end) in zip(words, entries)]
+
+    def walk(self, v: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+        """The walk from vertex v, (entries, levels), as described in __init__."""
+        if not (1 <= v <= self.quiver.vertex_count):
+            raise ValueError(f"vertex {v} outside [1,{self.quiver.vertex_count}]")
+        return self._walks[v - 1]
 
     def _content_id(self, content: tuple) -> int:
         """The id of an exact content (dims, arrow bytes); the first content of a σ-orbit interns all of it.
@@ -155,23 +164,16 @@ class BoundQuiverAlgebra:
         return len(self.path_basis)
 
     def paths_from(self, v: int) -> list[PathWord]:
-        return [p for p in self.path_basis if p.start == v]
+        """The basis paths from v, shortest first: the walk's entries of length < nilpotency."""
+        _, levels = self.walk(v)
+        return self._words(v)[: levels[self.nilpotency]]
 
     def relation_generators(self) -> tuple[PathWord, ...]:
-        """Every composable word of length = nilpotency (computed on first use)."""
-        if self._relation_generators is None:
-            frontier = [self.quiver.trivial_path(v) for v in range(1, self.quiver.vertex_count + 1)]
-            for _ in range(self.nilpotency):
-                frontier = [self.quiver.extend(p, a) for p in frontier for a in self.quiver.arrows_from[p.end]]
-            self._relation_generators = tuple(frontier)
-            arrows = np.array([p.arrows for p in frontier], dtype=np.intp).reshape(len(frontier), self.nilpotency)
-            arrows.flags.writeable = False
-            self._relation_arrows = arrows
+        """Every composable word of length = nilpotency: the walk's last entries, by start vertex."""
         return self._relation_generators
 
     def relation_arrows(self) -> np.ndarray:
         """The relation generators as one read-only (paths, nilpotency) array of arrow indices, in the same order."""
-        self.relation_generators()
         return self._relation_arrows
 
     def wrap(self, v: int) -> int:

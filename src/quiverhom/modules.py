@@ -3,10 +3,11 @@
 A module assigns a vector space to each vertex and a matrix to each
 arrow; the matrix of an arrow i -> j maps the vertex-i space into the
 vertex-j space, and a path acts by applying its arrows in written
-order.  No path matrix is stored: each caller that reads paths walks
-them shortest first, one product past each prefix.  Every map produced
-here satisfies the intertwining equations exactly and is validated on
-construction, or, for a Hom basis, in one batch before it is stored.
+order.  No path matrix is stored: callers read the algebra's walk
+(`BoundQuiverAlgebra.walk`) by index, shortest path first, one product
+past each prefix.  Every map produced here satisfies the intertwining
+equations exactly and is validated on construction, or, for a Hom
+basis, in one batch before it is stored.
 Both go through one check on a zero-padded (maps, vertices, D_N, D_M)
 stack: N_a f_u = f_v M_a is compared for every arrow at once, in two
 broadcast products with each module's padded (arrows, D, D) arrow
@@ -21,9 +22,10 @@ key is the small-int id its algebra interns for its exact content, with
 the ids of the content's σ-orbit beside it.  Over kΓ/J^{n+1} every
 content-keyed memo that σ acts on (steps, Hom stacks, Hom-complex
 ranks, towers) is read by one reader, `_memo_read`, which probes σ^-k
-of a key by indexing that orbit row.  A turned Hom stack is re-based to
-the turned system's own free unknowns, the array a solve would give,
-and passes the same batched check.
+of a key by indexing that orbit row.  A new cover term is, where it can
+be, a memo term of a turn of its summands, turned: no basis is built.
+A turned Hom stack is re-based to the turned system's own free
+unknowns, the array a solve would give, and passes the same batched check.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import BoundQuiverAlgebra, PathWord, _turn
+from .algebra import BoundQuiverAlgebra, _turn
 
 
 class UnsupportedOperation(RuntimeError):
@@ -227,55 +229,41 @@ def _padded(f, rows: int, cols: int) -> np.ndarray:
 # -- standard modules ------------------------------------------------
 
 
-def zero_module(algebra: BoundQuiverAlgebra) -> QuiverModule:
+def _path_basis(algebra: BoundQuiverAlgebra, tops: tuple[int, ...], max_length: int):
+    """The path basis of a sum of truncated projectives: (dims, arrow matrices, positions).
+
+    positions[s][i] numbers walk entry i from tops[s], of length < max_length, in (s, i) order within
+    its end vertex's space; an entry's last arrow sends its parent's basis vector to its own.
+    """
     q = algebra.quiver
-    dims = [0] * q.vertex_count
-    maps = [np.zeros((0, 0), dtype=np.int64) for _ in q.arrows]
+    dims, walks, positions = [0] * q.vertex_count, [], []
+    for j in tops:
+        entries, levels = algebra.walk(j)
+        walks.append(entries[: levels[max_length]])
+        positions.append([])
+        for _, _, end in walks[-1]:
+            positions[-1].append(dims[end - 1])
+            dims[end - 1] += 1
+    maps = [np.zeros((dims[v - 1], dims[u - 1]), dtype=np.int64) for u, v in q.arrows]
+    for entries, pos in zip(walks, positions):
+        for i, (parent, a, _) in enumerate(entries[1:], start=1):
+            maps[a][pos[i], pos[parent]] = 1
+    return dims, maps, tuple(map(tuple, positions))
+
+
+def zero_module(algebra: BoundQuiverAlgebra) -> QuiverModule:
+    dims, maps, _ = _path_basis(algebra, (), 1)
     return QuiverModule(algebra, dims, maps, name="0", check=False)
 
 
 def simple(algebra: BoundQuiverAlgebra, i: int) -> QuiverModule:
-    """The simple module concentrated at vertex i."""
-    q = algebra.quiver
-    if not (1 <= i <= q.vertex_count):
-        raise ValueError(f"vertex {i} outside [1,{q.vertex_count}]")
-    dims = [1 if v == i else 0 for v in range(1, q.vertex_count + 1)]
-    maps = [np.zeros((dims[q.target(a) - 1], dims[q.source(a) - 1]), dtype=np.int64) for a in range(len(q.arrows))]
+    """The simple module concentrated at vertex i (basis: the trivial path e_i)."""
+    dims, maps, _ = _path_basis(algebra, (i,), 1)
     return QuiverModule(algebra, dims, maps, name=f"simple:{i}", check=False)
-
-
-def _path_basis(algebra: BoundQuiverAlgebra, tops: tuple[int, ...], max_length: int):
-    """The path basis of a sum of truncated projectives, with arrows acting by extension.
-
-    Summand s contributes the basis paths from tops[s] of length < max_length.
-    Returns (dims, arrow matrices, position of each basis key (s, path) inside
-    the space of the path's end vertex).
-    """
-    q = algebra.quiver
-    by_vertex: dict[int, list[tuple[int, PathWord]]] = {v: [] for v in range(1, q.vertex_count + 1)}
-    for s, j in enumerate(tops):
-        for p in algebra.paths_from(j):
-            if p.length < max_length:
-                by_vertex[p.end].append((s, p))
-    pos = {key: k for items in by_vertex.values() for k, key in enumerate(items)}
-    dims = [len(by_vertex[v]) for v in range(1, q.vertex_count + 1)]
-    maps = []
-    for a in range(len(q.arrows)):
-        u, v = q.source(a), q.target(a)
-        m = np.zeros((dims[v - 1], dims[u - 1]), dtype=np.int64)
-        for s, p in by_vertex[u]:
-            ext = PathWord(p.start, p.arrows + (a,), v)
-            if ext.length < max_length:  # every path shorter than the nilpotency is a basis path
-                m[pos[(s, ext)], pos[(s, p)]] = 1
-        maps.append(m)
-    return dims, maps, pos
 
 
 def projective(algebra: BoundQuiverAlgebra, i: int) -> QuiverModule:
     """The indecomposable projective with top at vertex i (basis: paths from i)."""
-    q = algebra.quiver
-    if not (1 <= i <= q.vertex_count):
-        raise ValueError(f"vertex {i} outside [1,{q.vertex_count}]")
     dims, maps, _ = _path_basis(algebra, (i,), algebra.nilpotency)
     return QuiverModule(algebra, dims, maps, name=f"projective:{i}")
 
@@ -286,9 +274,6 @@ def uniserial(algebra: BoundQuiverAlgebra, i: int, length: int) -> QuiverModule:
         raise UnsupportedOperation("uniserial constructor requires a circular Nakayama algebra")
     if not (1 <= length <= algebra.nilpotency):
         raise ValueError(f"length {length} outside [1,{algebra.nilpotency}]")
-    q = algebra.quiver
-    if not (1 <= i <= q.vertex_count):
-        raise ValueError(f"vertex {i} outside [1,{q.vertex_count}]")
     dims, maps, _ = _path_basis(algebra, (i,), length)
     return QuiverModule(algebra, dims, maps, name=f"uniserial:{i}:{length}")
 
@@ -299,44 +284,53 @@ def uniserial(algebra: BoundQuiverAlgebra, i: int, length: int) -> QuiverModule:
 class LabeledProjective:
     """A direct sum of indecomposable projectives with labeled summands.
 
-    Keeps the path basis bookkeeping (which summand and which path each
-    basis vector is) that covers, resolutions and the Ext complex need.
+    Keeps the path basis bookkeeping that covers, resolutions and the Ext complex need: positions[s][i]
+    places walk entry i from summand s's top (`BoundQuiverAlgebra.walk`) in its end vertex's space.
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, summands: tuple[int, ...]):
-        self.algebra = algebra
-        self.summands = tuple(int(j) for j in summands)
-        dims, maps, self._pos = _path_basis(algebra, self.summands, algebra.nilpotency)
-        label = "+".join(f"P{j}" for j in self.summands) or "0"
+        summands = tuple(int(j) for j in summands)
+        self._set(algebra, summands, *_path_basis(algebra, summands, algebra.nilpotency))
+
+    def _set(self, algebra: BoundQuiverAlgebra, summands: tuple[int, ...], dims, maps, positions):
+        self.algebra, self.summands, self.positions = algebra, summands, positions
+        label = "+".join(f"P{j}" for j in summands) or "0"
         self.module = QuiverModule(algebra, dims, maps, name=label, check=False)
+
+    def turned(self, k: int) -> "LabeledProjective":
+        """σ^k of this sum over kΓ/J^{n+1}, with no path basis built: the walk from j + k is the walk
+        from j with arrows and ends moved k on, so the positions are these and dims and arrows turn by k."""
+        P, m = LabeledProjective.__new__(LabeledProjective), self.module
+        summands = tuple(self.algebra.wrap(j + k) for j in self.summands)
+        P._set(self.algebra, summands, _turn(m.dims, k), _turn(m.arrow_maps, k), self.positions)
+        return P
 
     @property
     def total_dim(self) -> int:
         return self.module.total_dim
 
     def generator_vector(self, s: int) -> np.ndarray:
-        """Unit vector of the summand's generator e_j inside the vertex-j space."""
-        j = self.summands[s]
-        vec = np.zeros(self.module.dims[j - 1], dtype=np.int64)
-        vec[self._pos[(s, self.algebra.quiver.trivial_path(j))]] = 1
+        """Unit vector of the summand's generator e_j inside the vertex-j space: walk entry 0's position."""
+        vec = np.zeros(self.module.dims[self.summands[s] - 1], dtype=np.int64)
+        vec[self.positions[s][0]] = 1
         return vec
 
     def map_to(self, target: QuiverModule, images) -> ModuleMap:
         """The map sending each summand generator to the given element of the target.
 
-        Each summand's basis paths are walked shortest first (`paths_from` order), so the
-        image of p·a is N_a times the image of p: one product past its prefix per path.
+        Each summand's walk is read shortest first, so the image of entry i is N_a times the
+        image of its parent, a its last arrow: one product past its prefix per path.
         """
         if len(images) != len(self.summands):
             raise ValueError(f"{len(images)} generator images for {len(self.summands)} summands")
         f = self.algebra.field
         blocks = [np.zeros((dt, ds), dtype=np.int64) for dt, ds in zip(target.dims, self.module.dims)]
-        for s, j in enumerate(self.summands):
-            image = {(): np.asarray(images[s], dtype=np.int64) % f.p}  # keyed by arrow word
-            for path in self.algebra.paths_from(j):
-                if path.arrows:
-                    image[path.arrows] = f.matmul(target.arrow_maps[path.arrows[-1]], image[path.arrows[:-1]])
-                blocks[path.end - 1][:, self._pos[(s, path)]] = image[path.arrows]
+        for s, (j, pos) in enumerate(zip(self.summands, self.positions)):
+            image = [np.asarray(images[s], dtype=np.int64) % f.p]
+            for i, (parent, a, end) in enumerate(self.algebra.walk(j)[0][: len(pos)]):
+                if i:
+                    image.append(f.matmul(target.arrow_maps[a], image[parent]))
+                blocks[end - 1][:, pos[i]] = image[i]
         return ModuleMap(self.module, target, blocks)
 
     def hom_dim(self, target: QuiverModule) -> int:
@@ -466,10 +460,18 @@ class ProjectiveCover:
 
 
 def _labeled_projective(algebra: BoundQuiverAlgebra, summands: tuple[int, ...]) -> LabeledProjective:
-    """The algebra's one LabeledProjective with these summands, built on first use."""
-    P = algebra._labeled_projectives.get(summands)
+    """The algebra's one LabeledProjective with these summands: on first use the memo term of the first turn
+    σ^-k of them, k = 1..t-1, turned by σ^k over kΓ/J^{n+1}, else built; one is built per σ-orbit."""
+    memo = algebra._labeled_projectives
+    P = memo.get(summands)
     if P is None:
-        P = algebra._labeled_projectives[summands] = LabeledProjective(algebra, summands)
+        for k in range(1, algebra.t) if algebra.is_selfinjective_nakayama else ():
+            if (hit := memo.get(tuple(algebra.wrap(j - k) for j in summands))) is not None:
+                P = hit.turned(k)
+                break
+        else:
+            P = LabeledProjective(algebra, summands)
+        memo[summands] = P
     return P
 
 
@@ -728,15 +730,14 @@ def serial_summands(m: QuiverModule) -> list[SerialSummand]:
     t = alg.t
     n = alg.n
 
-    arrow_from = {v: m.arrow_maps[alg.quiver.arrows_from[v][0]] for v in range(1, t + 1)}
-    # ker[v][d]: the kernel of act(v, d), the length-d path from v, with act(v, d) = A_{v+d-1} act(v, d-1);
-    # ker[v][0] is empty and ker[v][n + 1] the whole space, as J^{n+1} = 0.
+    # ker[v][d]: the kernel of act(v, d), the length-d path from v (walk entry d), with act(v, d) = A_a act(v, d-1)
+    # for a its last arrow; ker[v][0] is empty and ker[v][n + 1] the whole space, as J^{n+1} = 0.
     ker = {}
     for v in range(1, t + 1):
         act = field.eye(m.dims[v - 1])
         ker[v] = [np.zeros((m.dims[v - 1], 0), dtype=np.int64)]
-        for d in range(1, n + 1):
-            act = field.matmul(arrow_from[alg.wrap(v + d - 1)], act)
+        for _, a, _ in alg.walk(v)[0][1 : n + 1]:
+            act = field.matmul(m.arrow_maps[a], act)
             ker[v].append(field.kernel_matrix(act))
         ker[v].append(field.eye(m.dims[v - 1]))
     summands: list[SerialSummand] = []
@@ -746,14 +747,12 @@ def serial_summands(m: QuiverModule) -> list[SerialSummand]:
             if cand.shape[1] == 0:
                 continue
             prev = alg.wrap(j - 1)
-            shifted = field.matmul(arrow_from[prev], ker[prev][min(length + 1, n + 1)])
+            shifted = field.matmul(m.arrow_maps[alg.quiver.arrows_from[prev][0]], ker[prev][min(length + 1, n + 1)])
             w = np.hstack([ker[j][length - 1], shifted])
             for c in _pivots_beyond(field, w, cand)[1]:
                 chain = [cand[:, c].copy()]
-                vtx = j
-                for _ in range(length - 1):
-                    chain.append(field.matmul(arrow_from[vtx], chain[-1]))
-                    vtx = alg.wrap(vtx + 1)
+                for _, a, _ in alg.walk(j)[0][1:length]:
+                    chain.append(field.matmul(m.arrow_maps[a], chain[-1]))
                 summands.append(SerialSummand(top=j, length=length, chain=chain))
     for v, mat in enumerate(_chain_bases(m, summands), start=1):
         if mat.shape != (m.dims[v - 1], m.dims[v - 1]) or not field.is_invertible(mat):

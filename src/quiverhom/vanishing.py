@@ -321,11 +321,11 @@ def run_sweep(
     field_p: int = 101,
     workers: int = 1,
 ) -> dict:
-    """Run nakayama_report over a (t, n) grid on min(workers, cells, usable CPUs) processes, sorted output."""
+    """Run nakayama_report over a (t, n) grid on min(workers, cells, usable CPUs) processes, cells in (t, n) order."""
     _require_ext_degrees(max_degree)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    cells = [
+    cells = [  # t-major; map and pool.map both return in input order
         (t, n, max_degree, field_p)
         for t in range(t_range[0], t_range[1] + 1)
         for n in range(n_range[0], n_range[1] + 1)
@@ -341,7 +341,6 @@ def run_sweep(
                 results.append(next(reports))
             except Exception as e:  # noqa: BLE001 - named cell failure aborts the sweep
                 raise SweepError(f"sweep cell t={c[0]}, n={c[1]} failed: {e}") from e
-    results.sort(key=lambda rep: (rep["t"], rep["n"]))
     symmetric = sum(1 for rep in results if rep["symmetric_algebra"])
     asym_cells = sum(1 for rep in results if rep["asymmetric_pairs"] > 0)
     return {

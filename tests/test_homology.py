@@ -420,10 +420,12 @@ def _numpy_hom_complex_matrix(res, n, d):
     for s, j in enumerate(dst.summands):
         x = f.matmul(diff.block(j), dst.generator_vector(s))
         out = np.zeros((n.dims[j - 1], offs[-1]), dtype=np.int64)
-        for (s2, path), k in src._pos.items():
-            c = int(x[k]) if path.end == j else 0
-            if c:
-                out[:, offs[s2] : offs[s2 + 1]] = (out[:, offs[s2] : offs[s2 + 1]] + c * _path_matrix(n, path)) % f.p
+        for s2, j2 in enumerate(src.summands):
+            for path, k in zip(src.algebra.paths_from(j2), src.positions[s2]):
+                c = int(x[k]) if path.end == j else 0
+                if c:
+                    block = out[:, offs[s2] : offs[s2 + 1]]
+                    out[:, offs[s2] : offs[s2 + 1]] = (block + c * _path_matrix(n, path)) % f.p
         rows.append(out)
     return np.vstack(rows) if rows else np.zeros((0, offs[-1]), dtype=np.int64)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quiverhom.modules as modules
-from quiverhom.algebra import BoundQuiverAlgebra, Quiver, circular_quiver, nakayama_algebra
+from quiverhom.algebra import BoundQuiverAlgebra, PathWord, Quiver, circular_quiver, nakayama_algebra
 from quiverhom.homology import minimal_resolution
 from quiverhom.linalg import GF
 from quiverhom.modules import (
@@ -339,9 +339,12 @@ def _map_to_agrees(P, target, rng):
     images = [rng.integers(0, p, size=target.dims[j - 1]) for j in P.summands]
     f = P.map_to(target, images)
     assert [b.shape for b in f.blocks] == list(zip(target.dims, P.module.dims))
-    for (s, path), k in P._pos.items():
-        assert np.array_equal(f.block(path.end)[:, k], _path_matrix(target, path) @ images[s] % p), (s, path)
-    assert len(P._pos) == P.total_dim
+    for s, j in enumerate(P.summands):
+        paths = P.algebra.paths_from(j)
+        assert len(paths) == len(P.positions[s])
+        for path, k in zip(paths, P.positions[s]):
+            assert np.array_equal(f.block(path.end)[:, k], _path_matrix(target, path) @ images[s] % p), (s, path)
+    assert sum(map(len, P.positions)) == P.total_dim
 
 
 @pytest.mark.parametrize("t", [2, 3, 4])
@@ -373,6 +376,102 @@ def test_map_to_on_the_branching_quiver():
         for target in targets:
             for tops in [(1,), (1, 1, 3), (4, 2), (1, 2, 3, 4)]:
                 _map_to_agrees(LabeledProjective(alg, tops), target, rng)
+
+
+def _bfs_paths(alg):
+    """The path basis sorted by (length, start, arrows), and the relation paths, by one PathWord BFS over all vertices."""
+    q = alg.quiver
+    frontier = [PathWord(v, (), v) for v in range(1, q.vertex_count + 1)]
+    basis = list(frontier)
+    for length in range(1, alg.nilpotency + 1):
+        frontier = [PathWord(p.start, p.arrows + (a,), q.target(a)) for p in frontier for a in q.arrows_from[p.end]]
+        if length < alg.nilpotency:
+            basis.extend(frontier)
+    return tuple(sorted(basis, key=lambda p: (p.length, p.start, p.arrows))), tuple(frontier)
+
+
+def _keyed_path_basis(alg, basis, tops, max_length):
+    """Dims, arrow matrices and the position of each key (s, PathWord), from dicts keyed by path words."""
+    q = alg.quiver
+    by_vertex = {v: [] for v in range(1, q.vertex_count + 1)}
+    for s, j in enumerate(tops):
+        for p in basis:
+            if p.start == j and p.length < max_length:
+                by_vertex[p.end].append((s, p))
+    pos = {key: k for items in by_vertex.values() for k, key in enumerate(items)}
+    dims = [len(by_vertex[v]) for v in range(1, q.vertex_count + 1)]
+    maps = []
+    for a, (u, v) in enumerate(q.arrows):
+        m = np.zeros((dims[v - 1], dims[u - 1]), dtype=np.int64)
+        for s, p in by_vertex[u]:
+            ext = PathWord(p.start, p.arrows + (a,), v)
+            if ext.length < max_length:
+                m[pos[(s, ext)], pos[(s, p)]] = 1
+        maps.append(m)
+    return dims, maps, pos
+
+
+def _walk_corpus():
+    for t in range(2, 6):
+        for n in range(1, 7):
+            yield nakayama_algebra(t, n)
+    branching = Quiver(4, [(1, 2), (1, 3), (2, 3), (3, 1), (3, 4)])
+    yield from (BoundQuiverAlgebra(branching, nilpotency) for nilpotency in (1, 2, 3))
+    yield BoundQuiverAlgebra(Quiver(2, []), 2)
+    yield BoundQuiverAlgebra(circular_quiver(3), 1)
+
+
+def test_the_walk_gives_the_path_word_bases_positions_and_maps():
+    rng = np.random.default_rng(3)
+    for alg in _walk_corpus():
+        q, nil, vertices = alg.quiver, alg.nilpotency, range(1, alg.quiver.vertex_count + 1)
+        basis, relations = _bfs_paths(alg)
+        assert alg.path_basis == basis and alg.dimension == len(basis)
+        for v in vertices:
+            entries, levels = alg.walk(v)
+            assert alg.paths_from(v) == [p for p in basis if p.start == v]
+            assert len(entries) == levels[-1] and len(levels) == nil + 2
+            assert [p for p in relations if p.start == v] == alg._words(v)[levels[nil] :]
+        assert alg.relation_generators() == relations
+        rels = alg.relation_arrows()
+        assert rels.shape == (len(relations), nil) and not rels.flags.writeable
+        assert rels.tolist() == [list(p.arrows) for p in relations]
+        last = q.vertex_count
+        for tops in [(1,), (1, 1), tuple(vertices), (last, last, 1), (last, 1), ()]:
+            lengths = range(1, nil + 1) if alg.is_selfinjective_nakayama else (nil,)
+            for max_length in lengths:
+                dims, maps, positions = modules._path_basis(alg, tops, max_length)
+                want_dims, want_maps, pos = _keyed_path_basis(alg, basis, tops, max_length)
+                assert dims == want_dims
+                assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(maps, want_maps, strict=True))
+                keys = [[(s, p) for p in alg.paths_from(j) if p.length < max_length] for s, j in enumerate(tops)]
+                assert positions == tuple(tuple(pos[key] for key in row) for row in keys), (alg, tops)
+            P = LabeledProjective(alg, tops)
+            assert P.module.dims == tuple(want_dims) and P.positions == positions
+            assert all(np.array_equal(a, b) for a, b in zip(P.module.arrow_maps, want_maps, strict=True))
+            for s, j in enumerate(tops):
+                unit = np.zeros(want_dims[j - 1], dtype=np.int64)
+                unit[pos[(s, PathWord(j, (), j))]] = 1
+                assert np.array_equal(P.generator_vector(s), unit)
+            for target in [projective(alg, v) for v in vertices]:
+                images = [rng.integers(0, alg.field.p, size=target.dims[j - 1]) for j in tops]
+                f = P.map_to(target, images)
+                for (s, path), k in pos.items():
+                    want = _path_matrix(target, path) @ images[s] % alg.field.p
+                    assert np.array_equal(f.block(path.end)[:, k], want), (alg, tops, s, path)
+
+
+def test_a_vertex_outside_the_quiver_is_refused_by_name():
+    alg = nakayama_algebra(3, 2)
+    for v in (0, 4):
+        with pytest.raises(ValueError, match=f"vertex {v} outside \\[1,3\\]"):
+            alg.paths_from(v)
+        with pytest.raises(ValueError, match=f"vertex {v} outside \\[1,3\\]"):
+            LabeledProjective(alg, (1, v))
+        with pytest.raises(ValueError, match=f"vertex {v} outside \\[1,3\\]"):
+            projective(alg, v)
+        with pytest.raises(ValueError, match=f"vertex {v} outside \\[1,3\\]"):
+            uniserial(alg, v, 2)
 
 
 def test_module_validation_rejects_broken_relations(a32):

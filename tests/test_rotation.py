@@ -161,6 +161,41 @@ def test_turned_steps_are_the_covered_steps_array_for_array(t, monkeypatch):
     assert turned > 0 and multi > 0
 
 
+def _same_labeled_projective(got, want):
+    """Equal summands, label, positions, dims, arrow matrices (dtype and bytes) and generator vectors."""
+    assert got.summands == want.summands and got.positions == want.positions
+    assert got.module.name == want.module.name and got.module.dims == want.module.dims
+    for a, b in zip(got.module.arrow_maps, want.module.arrow_maps, strict=True):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for s in range(len(want.summands)):
+        assert got.generator_vector(s).tobytes() == want.generator_vector(s).tobytes()
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_turned_terms_are_fresh_labeled_projectives(t, monkeypatch):
+    turns = 0
+    for n in range(1, 9):
+        alg = nakayama_algebra(t, n)
+        corpus = _corpus(alg, 100 * t + n)
+        with monkeypatch.context() as mp:
+            covered, bases, turned = _counting_covers(mp), [], []
+            path_basis, turn = modules._path_basis, modules.LabeledProjective.turned
+            mp.setattr(modules, "_path_basis", lambda *args: bases.append(args[1]) or path_basis(*args))
+            mp.setattr(modules.LabeledProjective, "turned", lambda P, k: turned.append(k) or turn(P, k))
+            for m in corpus:
+                minimal_resolution(m, 2 * t + 1)
+        # A path basis is built only for a covered step's term, once per σ-orbit of summand tuples;
+        # every other term is turned from a term in the memo.
+        orbits = {min(tuple(alg.wrap(j + k) for j in s) for k in range(t)) for s in alg._labeled_projectives}
+        assert len(bases) == len(orbits) <= len(covered), (t, n)
+        assert len(bases) + len(turned) == len(alg._labeled_projectives), (t, n)
+        for summands, term in alg._labeled_projectives.items():
+            _same_labeled_projective(term, modules.LabeledProjective(alg, summands))
+        assert all(alg._labeled_projectives[s.term.summands] is s.term for s in alg._resolution_steps.values())
+        turns += len(turned)
+    assert turns > 0
+
+
 def test_a_turn_that_breaks_the_summand_order_is_covered(monkeypatch):
     alg = nakayama_algebra(3, 2)
     base = direct_sum([uniserial(alg, 1, 1), uniserial(alg, 3, 2)])[0]  # tops (1, 3)

@@ -1,5 +1,6 @@
 import pytest
 
+import quiverhom.cli as cli
 import quiverhom.homology as homology
 import quiverhom.modules as modules
 import quiverhom.vanishing as vanishing
@@ -294,6 +295,16 @@ def test_run_sweep_passes_tail_to_every_cell_serial_and_pooled():
     serial = run_sweep((3, 4), (2, 2), 7, workers=1)
     assert [c["tail"] for c in serial["cells"]] == [6, 7]
     assert run_sweep((3, 4), (2, 2), 7, workers=2) == serial
+
+
+def test_run_sweep_returns_cells_in_t_n_order_serial_and_pooled(monkeypatch):
+    # The cells are built t-major and map and pool.map keep their order: no sort is needed.
+    monkeypatch.setattr(vanishing, "_usable_cpus", lambda: 2)
+    serial = run_sweep((2, 3), (1, 3), 12, workers=1)
+    pooled = run_sweep((2, 3), (1, 3), 12, workers=2)
+    grid = [(t, n) for t in (2, 3) for n in (1, 2, 3)]
+    assert [(c["t"], c["n"]) for c in serial["cells"]] == [(c["t"], c["n"]) for c in pooled["cells"]] == grid
+    assert cli._json_payload(pooled) == cli._json_payload(serial)
 
 
 def test_run_sweep_starts_no_pool_for_one_cell(monkeypatch):
