@@ -118,6 +118,7 @@ class BoundQuiverAlgebra:
         self._serial_summands: dict[int, tuple] = {}  # see modules._serial_memo
         self._hom_complex_ranks: dict[tuple, tuple] = {}  # (syzygy id, target id); see homology.ext_dims
         self._hom_kernels: dict[tuple, object] = {}  # (source id, target id): padded Hom stack; see modules._hom_stack
+        self._stable_ranks: dict[tuple, int] = {}  # (source id, target id); see homology.stable_hom_dim
         self._towers: dict[int, object] = {}  # checked KoszulSteps; see koszul.build_periodicity_tower
 
     def _walk(self, v: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:

@@ -5,7 +5,9 @@ read off the Hom complex of the resolution, whose rank in degree d is
 dim Hom(term(d), N) - dim Hom(syzygy(d), N), the latter the nullity of
 the intertwining system that `hom_basis` solves.  For a simple target
 they are cross-asserted against Betti multiplicities in every distinct
-degree, through the end of the source's syzygy content cycle.
+degree, through the end of the source's syzygy content cycle.  A stable
+Hom dimension subtracts the rank of the maps through the target's cover,
+memoized per content pair and read through σ like the Hom-complex ranks.
 """
 
 from __future__ import annotations
@@ -312,9 +314,9 @@ def stable_hom_dim(m: QuiverModule, n: QuiverModule) -> int:
     Over a selfinjective algebra a map factors through a projective iff
     it factors through the projective cover of its target.  The cover is
     read from the algebra's step memo, and computed into it on a miss.
-    The surjection is composed with the whole basis of Hom(M, cover), the
-    memo's zero-padded stack read as it is, in one product, and the stable
-    dimension is dim Hom(M, N) minus the rank of those composites.
+    The stable dimension is dim Hom(M, N) minus the rank of the surjection
+    composed with the basis of Hom(M, cover), memoized per content pair and
+    read through σ like the Hom-complex ranks: one build per σ-orbit.
     """
     if not m.algebra.is_selfinjective_nakayama:
         raise UnsupportedOperation("stable Hom requires a selfinjective algebra")
@@ -322,14 +324,18 @@ def stable_hom_dim(m: QuiverModule, n: QuiverModule) -> int:
     if not basis:
         return 0
     step = _step(n.algebra, n.content_key(), _itself, n)
-    through = hom_basis(m, step.term.module)
-    if not through:
+    if not hom_basis(m, step.term.module):
         return len(basis)
-    # The surjection composed with every through map in one product of zero-padded stacks,
-    # (t, D_N, D_P) against (k, t, D_P, D_M); row j is the composite with through[j], flattened.
+    alg, key = m.algebra, (m.content_key(), n.content_key())
+    return len(basis) - _memo_read(alg, alg._stable_ranks, key, _itself, _stable_rank, m, n, step)
+
+
+def _stable_rank(m: QuiverModule, n: QuiverModule, step: _Step) -> int:
+    """The rank of N's cover surjection, zero-padded to (vertices, D_N, D_P), composed in one product with
+    the memo's (k, vertices, D_P, D_M) stack of Hom(M, cover) as it is; row j is the composite with map j."""
     f, P = m.field, step.term.module
     rows = f.matmul(_padded(step.surj_blocks, max(n.dims), max(P.dims))[0], _hom_stack(m, P))
-    return len(basis) - f.rank(rows.reshape(len(through), -1))
+    return f.rank(rows.reshape(len(rows), -1))
 
 
 # -- periodicity ------------------------------------------------------------

@@ -16,21 +16,23 @@ reads the same tensor: the algebra's relation paths, an (R, N) array of
 arrow indices, advance together in N - 1 batched products, and the
 first path not acting as zero is named.  The Hom system is assembled in
 one place, on Python ints; its checked basis is kept as one read-only
-padded stack, whose views are `hom_basis`'s blocks, and
+padded stack, whose views are `hom_basis`'s blocks, sliced on first read, and
 `homology.ext_dims` reads the system's rank alone.  A module's content
 key is the small-int id its algebra interns for its exact content, with
 the ids of the content's σ-orbit beside it.  Over kΓ/J^{n+1} every
 content-keyed memo that σ acts on (steps, Hom stacks, Hom-complex
-ranks, towers) is read by one reader, `_memo_read`, which probes σ^-k
+and stable ranks, towers) is read by one reader, `_memo_read`, which probes σ^-k
 of a key by indexing that orbit row.  A new cover term is, where it can
 be, a memo term of a turn of its summands, turned: no basis is built.
 A turned Hom stack is re-based to the turned system's own free
-unknowns, the array a solve would give, and passes the same batched check.
+unknowns, the array a solve would give, unless it is in that form already,
+and passes the same batched check when it is not empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -145,13 +147,6 @@ class ModuleMap:
             raise ValueError(f"map does not intertwine arrow {a}")
 
     @classmethod
-    def _view(cls, source: QuiverModule, target: QuiverModule, blocks) -> "ModuleMap":
-        """A map on blocks taken as they are: read-only views of a checked, reduced memo stack, with no copy."""
-        f = cls.__new__(cls)
-        f.source, f.target, f.blocks = source, target, tuple(blocks)
-        return f
-
-    @classmethod
     def identity(cls, m: QuiverModule) -> "ModuleMap":
         return cls(m, m, [np.eye(d, dtype=np.int64) for d in m.dims], check=False)
 
@@ -202,6 +197,18 @@ class ModuleMap:
 
     def __repr__(self) -> str:
         return f"ModuleMap({self.source.describe()} -> {self.target.describe()})"
+
+
+class _StackMap(ModuleMap):
+    """A `hom_basis` map on row j of a checked, reduced, read-only memo stack: no check and no copy, and its blocks,
+    the views row[w, :n_w, :m_w], are sliced on first read."""
+
+    def __init__(self, source: QuiverModule, target: QuiverModule, row: np.ndarray):
+        self.source, self.target, self._row = source, target, row
+
+    @cached_property
+    def blocks(self) -> tuple:
+        return tuple(self._row[w, :r, :c] for w, (r, c) in enumerate(zip(self.target.dims, self.source.dims)))
 
 
 def _failed_arrow(m: QuiverModule, n: QuiverModule, stack: np.ndarray) -> int | None:
@@ -605,8 +612,7 @@ def hom_basis(m: QuiverModule, n: QuiverModule) -> list[ModuleMap]:
         raise ValueError("hom_basis requires modules over the same algebra")
     if not any(a * b for a, b in zip(m.dims, n.dims)):
         return []
-    shapes = list(enumerate(zip(n.dims, m.dims)))
-    return [ModuleMap._view(m, n, [s[w, :r, :c] for w, (r, c) in shapes]) for s in _hom_stack(m, n)]
+    return [_StackMap(m, n, row) for row in _hom_stack(m, n)]
 
 
 def _hom_stack(m: QuiverModule, n: QuiverModule) -> np.ndarray:
@@ -668,19 +674,36 @@ def _turned_hom_stack(hit: np.ndarray, k: int, m: QuiverModule, n: QuiverModule)
     the turned maps span Hom(M, N) in another basis.  kernel_matrix gives one map per free unknown
     c (1 at c, 0 at the other free ones), and c is free iff some map has its last nonzero entry at c.
     So the basis is the RREF of the flattened stack read right to left, turned back: flattening
-    keeps the unknowns in (w, r, c) order, and padding is zero in every map, never a pivot.
+    keeps the unknowns in (w, r, c) order, and padding is zero in every map, never a pivot.  A
+    stack already in that form (`_reduced`) is kept as it is.
     """
     turned = np.concatenate((hit[:, -k:], hit[:, :-k]), axis=1)
-    if len(turned):
-        rows, _ = m.field.rref(turned.reshape(len(turned), -1)[:, ::-1])
+    if len(turned) and not _reduced((flat := turned.reshape(len(turned), -1)).tolist()):
+        rows, _ = m.field.rref(flat[:, ::-1])
         turned = np.ascontiguousarray(rows[::-1, ::-1]).reshape(turned.shape)
     return _checked(m, n, turned)
 
 
+def _reduced(rows: list[list[int]]) -> bool:
+    """Whether re-basing would return these rows, entries in [0, p), unchanged: read right to left and turned back
+    they are in RREF.  So zero rows come first, and each other row's last nonzero entry is a 1, past the previous
+    row's, and 0 in every later row (an earlier row is 0 there already)."""
+    last = -1
+    for i, row in enumerate(rows):
+        c = len(row) - 1
+        while c >= 0 and not row[c]:
+            c -= 1
+        if c < 0 and last < 0:
+            continue
+        if c <= last or row[c] != 1 or any(r[c] for r in rows[i + 1 :]):
+            return False
+        last = c
+    return True
+
+
 def _checked(m: QuiverModule, n: QuiverModule, stack: np.ndarray) -> np.ndarray:
-    """stack, read-only, once each of its maps intertwines every arrow as a map M -> N."""
-    a = _failed_arrow(m, n, stack)
-    if a is not None:
+    """stack, read-only, once each of its maps intertwines every arrow as a map M -> N; an empty one has none to check."""
+    if len(stack) and (a := _failed_arrow(m, n, stack)) is not None:
         raise AssertionError(f"Hom basis does not intertwine arrow {a}")
     stack.flags.writeable = False
     return stack

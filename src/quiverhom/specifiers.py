@@ -25,7 +25,7 @@ class SpecifierError(ValueError):
 
 def _int_field(text: str, value: str, what: str) -> int:
     if not (value.isascii() and value.isdigit()):  # str.isdigit alone takes any Unicode digit
-        raise SpecifierError(text, f"{what} must be a positive integer, got {value!r}")
+        raise SpecifierError(text, f"{what} must be a non-negative integer in ASCII digits, got {value!r}")
     return int(value)
 
 

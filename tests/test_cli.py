@@ -171,7 +171,7 @@ def test_bad_specifier_exit_code(capsys):
 def test_non_ascii_digits_in_a_specifier_exit_2(capsys, spec):
     code, out, err = run(["resolve", "--algebra", ALG32, "--module", spec, "--max-degree", "2"], capsys)
     assert (code, out) == (EXIT_CONFIG, "")
-    assert "must be a positive integer" in err
+    assert "must be a non-negative integer in ASCII digits" in err
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,12 @@ keeps the checks of a computed one.
 
 import dataclasses
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import quiverhom.homology as homology
 import quiverhom.koszul as koszul
 import quiverhom.modules as modules
 from quiverhom.algebra import BoundQuiverAlgebra, Quiver, circular_quiver, nakayama_algebra
@@ -237,33 +239,80 @@ def _counting_solves(mp) -> list:
     return solved
 
 
-@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
-def test_turned_hom_kernels_are_the_solved_kernels_array_for_array(t, monkeypatch):
-    turned = 0
-    for n in range(1, 9):
-        on, off = nakayama_algebra(t, n), nakayama_algebra(t, n)
-        maps = {}
-        for alg in (on, off):
-            with monkeypatch.context() as mp:
-                if alg is on:
-                    solved = _counting_solves(mp)
-                else:
-                    _rotation_off(mp)
-                mods = _corpus(alg, 100 * t + n) + [projective(alg, i) for i in range(1, t + 1)]
-                maps[alg] = [hom_basis(x, y) for x in mods for y in mods]
-        kernels, want = on._hom_kernels, _by_content(off, off._hom_kernels)
-        assert _by_content(on, kernels).keys() == want.keys(), (t, n)
-        for key, ker in kernels.items():
-            ref = want[on._contents[key[0]], on._contents[key[1]]]
+def _counting_reduced(mp) -> list:
+    """One entry per turned non-empty Hom stack: False when it was re-based, True when it was kept as it was."""
+    seen = []
+    reduced = modules._reduced
+    mp.setattr(modules, "_reduced", lambda rows: seen.append(reduced(rows)) or seen[-1])
+    return seen
+
+
+def _counting_stable_ranks(mp) -> list:
+    built = []
+    build = homology._stable_rank
+
+    def counting(m, n, step):
+        built.append((m.content_key(), n.content_key()))
+        return build(m, n, step)
+
+    mp.setattr(homology, "_stable_rank", counting)
+    return built
+
+
+class _Run(NamedTuple):
+    """One run of one (t, n) over the _corpus modules, then the indecomposable projectives."""
+
+    algebra: BoundQuiverAlgebra
+    mods: list
+    maps: list  # hom_basis over every ordered pair of mods, in order
+    kernels: dict  # the Hom stacks after those calls, keyed by content ids
+    solved: list  # the content pairs whose Hom systems those calls solved
+    reduced: list  # what _reduced said of each turned non-empty stack in those calls
+    stable: list  # then stable_hom_dim over every ordered pair of the _corpus modules, in order
+    ranks: list  # the content pairs whose stable ranks those calls built
+
+
+def _run(t: int, n: int, rotation: bool) -> _Run:
+    alg = nakayama_algebra(t, n)
+    with pytest.MonkeyPatch.context() as mp:
+        if not rotation:
+            _rotation_off(mp)
+        solved, reduced, ranks = _counting_solves(mp), _counting_reduced(mp), _counting_stable_ranks(mp)
+        corpus = _corpus(alg, 100 * t + n)
+        mods = corpus + [projective(alg, i) for i in range(1, t + 1)]
+        maps = [hom_basis(x, y) for x in mods for y in mods]
+        kernels, solved, reduced = dict(alg._hom_kernels), solved[:], reduced[:]
+        stable = [stable_hom_dim(x, y) for x in corpus for y in corpus]
+    return _Run(alg, mods, maps, kernels, solved, reduced, stable, ranks)
+
+
+@pytest.fixture(scope="module", params=[2, 3, 4, 5, 6], ids=str)
+def runs(request) -> dict[int, tuple[_Run, _Run]]:
+    """{n: (with rotation, without)} for n = 1..8 at t = request.param, each cell run once and read by the
+    Hom-stack and stable-Hom tests below.  A module-scoped parameter groups those tests by t, so one t's
+    runs are held at a time; the run without rotation solves every system and builds every rank."""
+    return {n: (_run(request.param, n, True), _run(request.param, n, False)) for n in range(1, 9)}
+
+
+def test_turned_hom_kernels_are_the_solved_kernels_array_for_array(runs):
+    turned = rebased = 0
+    for n, (on, off) in runs.items():
+        t, want = on.algebra.t, _by_content(off.algebra, off.kernels)
+        assert _by_content(on.algebra, on.kernels).keys() == want.keys(), (t, n)
+        for key, ker in on.kernels.items():
+            ref = want[on.algebra._contents[key[0]], on.algebra._contents[key[1]]]
             assert ker.shape == ref.shape and np.array_equal(ker, ref), (t, n, key)
             assert not ker.flags.writeable
-        for got, exp in zip(maps[on], maps[off], strict=True):
+        for got, exp in zip(on.maps, off.maps, strict=True):
             assert len(got) == len(exp), (t, n)
             for g, e in zip(got, exp):
                 assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(g.blocks, e.blocks, strict=True))
-        assert len(solved) == len(set(solved)) < len(kernels)
-        turned += len(kernels) - len(solved)
-    assert turned > 0
+        assert len(on.solved) == len(set(on.solved)) < len(on.kernels) == len(off.solved)
+        # Every turned non-empty stack is tested for the reduced form; the random-basis sums make some re-base.
+        assert len(on.reduced) <= len(on.kernels) - len(on.solved) and off.reduced == []
+        turned += len(on.kernels) - len(on.solved)
+        rebased += on.reduced.count(False)
+    assert turned > 0 and rebased > 0
 
 
 def test_a_turned_hom_kernel_is_checked_before_it_is_stored():
@@ -288,35 +337,114 @@ def test_a_turned_hom_kernel_is_checked_before_it_is_stored():
     assert np.array_equal(planted, before)
 
 
-def _solved_blocks(m: QuiverModule, n: QuiverModule) -> list[np.ndarray]:
-    """Per vertex w, the (k, n_w, m_w) blocks of the kernel of the Hom system, solved directly."""
-    col_off = modules._hom_offsets(m, n)
-    ker = m.field.kernel_matrix(modules._hom_system(m, n, col_off))
-    return [ker[col_off[w] : col_off[w + 1]].T.reshape(ker.shape[1], r, c) for w, (r, c) in enumerate(zip(n.dims, m.dims))]
+def _rebased(rows: np.ndarray, field: GF) -> np.ndarray:
+    """The re-basing of _turned_hom_stack: the RREF of the rows read right to left, turned back."""
+    out, _ = field.rref(rows[:, ::-1])
+    return out[::-1, ::-1]
 
 
-@pytest.mark.parametrize("t", [2, 3, 4])
-def test_hom_stacks_are_the_padded_solved_kernels_and_hom_basis_reads_them_as_views(t):
+def _reduced_rows(rng: random.Random, k: int, width: int, p: int) -> list[list[int]]:
+    """k rows in the re-based form: last nonzero entries 1 at ascending columns, 0 there in every other row."""
+    pivots = sorted(rng.sample(range(width), k))
+    rows = [[rng.randrange(p) if c < pc else 0 for c in range(width)] for pc in pivots]
+    for i, pc in enumerate(pivots):
+        for j, row in enumerate(rows):
+            row[pc] = int(i == j)
+    return rows
+
+
+def test_the_reduced_test_holds_exactly_when_re_basing_changes_nothing():
+    rng, field = random.Random(26), GF(3)
+    outcomes = {}
+    for trial in range(4000):
+        k, width = rng.randint(0, 3), rng.randint(1, 6)
+        if k > width:
+            continue
+        rows = _reduced_rows(rng, k, width, field.p)
+        # Perturb most of them: a zero row anywhere, a random entry (a pivot of 2, an entry in another
+        # row's pivot column), or two rows swapped (unsorted pivots).
+        kind = rng.choice(["kept", "zero", "entry", "swap", "random"])
+        if kind == "zero" and k:
+            rows[rng.randrange(k)] = [0] * width
+        elif kind == "entry" and k:
+            rows[rng.randrange(k)][rng.randrange(width)] = rng.randrange(field.p)
+        elif kind == "swap" and k > 1:
+            i, j = rng.sample(range(k), 2)
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "random":
+            rows = [[rng.randrange(field.p) for _ in range(width)] for _ in range(k)]
+        a = np.array(rows, dtype=np.int64).reshape(k, width)
+        got = modules._reduced(rows)
+        assert got == np.array_equal(_rebased(a, field), a), (rows, got)
+        outcomes[kind, got] = outcomes.get((kind, got), 0) + 1
+    # Both answers occur for every kind of perturbation that can leave the rows reduced or not.
+    assert all(outcomes.get((kind, b)) for kind in ("zero", "entry", "random") for b in (True, False)), outcomes
+    assert outcomes.get(("kept", True)) and not outcomes.get(("kept", False)) and outcomes.get(("swap", False))
+    # The named cases, each against the RREF as well.
+    for rows, want in [
+        ([], True),
+        ([[0, 0, 0]], True),  # a zero row before any other is where the RREF puts it
+        ([[0, 0, 0], [1, 0, 0], [0, 2, 1]], True),
+        ([[1, 0, 0], [0, 0, 0]], False),  # a zero row after a nonzero one
+        ([[0, 2, 0]], False),  # a pivot of 2
+        ([[0, 1, 0], [1, 0, 0]], False),  # unsorted pivots
+        ([[1, 0, 0], [1, 1, 0]], False),  # an entry in another map's pivot column
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], True),
+    ]:
+        a = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+        assert modules._reduced(rows) == want == np.array_equal(_rebased(a, field), a), rows
+
+
+@pytest.mark.parametrize("runs", [2, 3, 4], ids=str, indirect=True)
+def test_hom_stacks_are_the_padded_solved_kernels_and_hom_basis_reads_them_as_views(runs):
     for n in range(1, 6):
-        alg = nakayama_algebra(t, n)
-        mods = _corpus(alg, 100 * t + n) + [projective(alg, i) for i in range(1, t + 1)]
-        for x in mods:
-            for y in mods:
-                maps, key = hom_basis(x, y), (x.content_key(), y.content_key())
-                if not any(a * b for a, b in zip(x.dims, y.dims)):
-                    assert maps == [] and key not in alg._hom_kernels
-                    continue
-                solved, stack = _solved_blocks(x, y), alg._hom_kernels[key]
-                want = modules._padded(solved, max(y.dims), max(x.dims))
-                assert stack.shape == want.shape and np.array_equal(stack, want), (t, n, x, y)
-                assert not stack.flags.writeable
-                assert len(maps) == len(stack)
-                for j, f in enumerate(maps):
-                    for w, b in enumerate(f.blocks):
-                        assert np.shares_memory(b, stack) or b.size == 0
-                        assert b.shape == solved[w][j].shape and np.array_equal(b, solved[w][j])
-                        with pytest.raises(ValueError, match="read-only"):
-                            b[...] = 0
+        on, off = runs[n]
+        alg, t, solved = on.algebra, on.algebra.t, _by_content(off.algebra, off.kernels)
+        for (x, y), maps in zip(((x, y) for x in on.mods for y in on.mods), on.maps, strict=True):
+            key = (x.content_key(), y.content_key())
+            if not any(a * b for a, b in zip(x.dims, y.dims)):
+                assert maps == [] and key not in alg._hom_kernels
+                continue
+            # The stacks without rotation are solved: kernel_matrix's columns scattered and padded.
+            stack, want = alg._hom_kernels[key], solved[_content(x), _content(y)]
+            assert stack.shape == want.shape and np.array_equal(stack, want), (t, n, x, y)
+            assert not stack.flags.writeable
+            assert len(maps) == len(stack)
+            for j, f in enumerate(maps):
+                for w, b in enumerate(f.blocks):
+                    assert np.shares_memory(b, stack) or b.size == 0
+                    assert b.shape == (y.dims[w], x.dims[w]) and np.array_equal(b, want[j, w, : y.dims[w], : x.dims[w]])
+                    with pytest.raises(ValueError, match="read-only"):
+                        b[...] = 0
+
+
+def test_hom_basis_maps_slice_their_blocks_on_first_read():
+    alg = nakayama_algebra(3, 4)
+    rng = random.Random(3)
+    x = _random_basis(direct_sum([uniserial(alg, 1, 3), uniserial(alg, 2, 4)])[0], rng)
+    y, z = uniserial(alg, 1, 4), projective(alg, 1)
+    maps, stack = hom_basis(x, y), alg._hom_kernels[x.content_key(), y.content_key()]
+    assert maps and all("blocks" not in vars(f) for f in maps)
+    for j, f in enumerate(maps):
+        eager = [stack[j, w, :r, :c] for w, (r, c) in enumerate(zip(y.dims, x.dims))]
+        blocks = f.blocks
+        assert f.blocks is blocks and len(blocks) == len(eager)
+        for b, e in zip(blocks, eager):
+            assert b.shape == e.shape and np.array_equal(b, e) and not b.flags.writeable
+            assert np.shares_memory(b, stack) or b.size == 0
+    # The maps act as ModuleMaps built from the same blocks with every check.
+    for f in maps:
+        plain = ModuleMap(x, y, [b.copy() for b in f.blocks])
+        assert f.rank() == plain.rank() and not f.is_zero and not plain.is_zero
+        assert _same_blocks(f.scale(2).blocks, plain.scale(2).blocks)
+        assert _same_blocks((f + f).blocks, plain.scale(2).blocks)
+        for g in hom_basis(y, z):
+            eager = ModuleMap(y, z, [b.copy() for b in g.blocks])
+            assert _same_blocks(g.compose(f).blocks, eager.compose(plain).blocks)
+            ModuleMap(x, z, g.compose(f).blocks)  # the composite intertwines
+    other = nakayama_algebra(3, 4)
+    with pytest.raises(ValueError, match="same algebra"):
+        hom_basis(x, uniserial(other, 1, 4))
 
 
 def test_an_empty_hom_basis_is_turned_and_stored_as_an_empty_stack(monkeypatch):
@@ -326,9 +454,14 @@ def test_an_empty_hom_basis_is_turned_and_stored_as_an_empty_stack(monkeypatch):
     m, n = uniserial(alg, 2, 2), uniserial(alg, 3, 1)
     assert modules._hom_offsets(src_m, src_n)[-1] == 1
     with monkeypatch.context() as mp:
-        solved = _counting_solves(mp)
+        solved, reduced = _counting_solves(mp), _counting_reduced(mp)
+        checks = []
+        failed_arrow = modules._failed_arrow
+        mp.setattr(modules, "_failed_arrow", lambda m, n, s: checks.append(len(s)) or failed_arrow(m, n, s))
         assert hom_basis(src_m, src_n) == [] and hom_basis(m, n) == []
     assert solved == [(src_m.content_key(), src_n.content_key())]
+    # An empty stack has no map to check or re-base.
+    assert checks == [] and reduced == []
     for key in solved + [(m.content_key(), n.content_key())]:
         stack = alg._hom_kernels[key]
         assert stack.shape == (0, 6, 1, 1) and not stack.flags.writeable
@@ -353,14 +486,22 @@ def _stacked_stable_hom_dim(m: QuiverModule, n: QuiverModule) -> int:
     return len(basis) - f.rank(rows)
 
 
-@pytest.mark.parametrize("t", [2, 3, 4])
-def test_stable_hom_in_one_product_equals_the_per_vertex_composition(t):
+@pytest.mark.parametrize("runs", [2, 3, 4], ids=str, indirect=True)
+def test_stable_hom_in_one_product_equals_the_per_vertex_composition(runs):
     for n in range(1, 6):
-        alg = nakayama_algebra(t, n)
-        mods = _corpus(alg, 100 * t + n)
-        for x in mods:
-            for y in mods:
-                assert stable_hom_dim(x, y) == _stacked_stable_hom_dim(x, y), (t, n, x, y)
+        on, _ = runs[n]
+        corpus = on.mods[: -on.algebra.t]
+        pairs = [(x, y) for x in corpus for y in corpus]
+        for (x, y), got in zip(pairs, on.stable, strict=True):
+            assert got == _stacked_stable_hom_dim(x, y), (on.algebra.t, n, x, y)
+
+
+def test_stable_hom_dims_equal_the_dims_without_rotation(runs):
+    for n, (on, off) in runs.items():
+        assert on.stable == off.stable, (on.algebra.t, n)
+        # Each rank is built once, and read through σ when a turn of its pair was built first.
+        assert len(on.ranks) == len(set(on.ranks)) < len(on.algebra._stable_ranks), (on.algebra.t, n)
+        assert len(off.ranks) == len(off.algebra._stable_ranks)
 
 
 def test_stable_hom_solves_one_hom_system_per_rotation_orbit_in_any_query_order(monkeypatch):
@@ -372,14 +513,32 @@ def test_stable_hom_solves_one_hom_system_per_rotation_orbit_in_any_query_order(
         pairs = [(x, y) for x in mods for y in mods]
         random.Random(seed).shuffle(pairs)
         with monkeypatch.context() as mp:
-            solved = _counting_solves(mp)
+            solved, reduced, ranks = _counting_solves(mp), _counting_reduced(mp), _counting_stable_ranks(mp)
             for x, y in pairs:
                 stable_hom_dim(x, y)
         # Every content pair here is (uniserial, uniserial) or (uniserial, P_j); σ moves each
-        # through t distinct pairs, so one solve per orbit is one per t memo entries.
-        assert len(solved) * t == len(alg._hom_kernels)
-        counts.append(len(solved))
-    assert counts == [397, 397]
+        # through t distinct pairs, so one solve or rank per orbit is one per t memo entries.
+        assert len(solved) * t == len(alg._hom_kernels) and len(ranks) * t == len(alg._stable_ranks)
+        # Every turned stack between uniserials is already reduced: none is re-based.
+        assert reduced and all(reduced)
+        counts.append((len(solved), len(ranks), len(reduced)))
+    assert counts[0] == counts[1] and counts[0][:2] == (397, 160)
+
+
+def test_a_turned_stable_rank_is_the_planted_entry_it_reads():
+    alg = nakayama_algebra(3, 2)
+    mods = [uniserial(alg, 1, length) for length in range(1, 3)] + [uniserial(alg, 2, length) for length in range(1, 3)]
+    for x in mods:
+        for y in mods:
+            stable_hom_dim(x, y)
+    (src, rank), *_ = alg._stable_ranks.items()
+    x, y = (next(z for z in mods if z.content_key() == i) for i in src)
+    m, n = _turned(x, 1), _turned(y, 1)
+    key = (m.content_key(), n.content_key())
+    assert key not in alg._stable_ranks and tuple(modules._turned_key(alg, i, -1) for i in key) == src
+    # A wrong rank planted under σ^-1 of the pair is what the turned read returns, and it is stored.
+    alg._stable_ranks[src] = rank + 7
+    assert stable_hom_dim(m, n) == len(hom_basis(m, n)) - rank - 7 and alg._stable_ranks[key] == rank + 7
 
 
 def _counting_towers(mp) -> list:

@@ -102,3 +102,15 @@ def test_nested_syzygy_prefixes_compose(a32):
     flat = parse_module_spec(a32, "syzygy:3:uniserial:1:2")
     assert nested.name == "syzygy:1:syzygy:2:uniserial:1:2"
     assert nested.content_key() == flat.content_key()
+
+
+def test_a_syzygy_count_of_zero_is_the_module_itself(a32):
+    # Counts and vertices are non-negative integers in ASCII digits; a range may then refuse 0 (a vertex
+    # is 1..t), but syzygy:0: names the module itself.
+    m, s1 = parse_module_spec(a32, "syzygy:0:simple:1"), parse_module_spec(a32, "simple:1")
+    assert m.name == "syzygy:0:simple:1" and m.content_key() == s1.content_key()
+    assert parse_module_spec(a32, "syzygy:00:syzygy:0:simple:1").content_key() == s1.content_key()
+    with pytest.raises(SpecifierError, match="syzygy count must be a non-negative integer in ASCII digits, got '-1'"):
+        parse_module_spec(a32, "syzygy:-1:simple:1")
+    with pytest.raises(SpecifierError, match=r"vertex 0 outside \[1,3\]"):
+        parse_module_spec(a32, "simple:0")
