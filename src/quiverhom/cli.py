@@ -273,10 +273,7 @@ def cmd_ext(cfg: RunConfig) -> int:
 
 def cmd_gaps(cfg: RunConfig) -> int:
     m, n = _pair(cfg, "gaps")
-    tower = build_periodicity_tower(m)
-    if tower is None:
-        raise FalsificationError(f"no periodicity tower for non-projective {cfg.pair[0]}")
-    report = gap_check(ext_table(m, n, cfg.max_degree), tower)
+    report = gap_check(ext_table(m, n, cfg.max_degree), build_periodicity_tower(m))
     _emit(cfg, _json_payload(report.to_dict()))
     return EXIT_VIOLATION if report.verdict == "violation" else EXIT_OK
 

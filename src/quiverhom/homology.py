@@ -348,7 +348,7 @@ class PeriodicityWitness:
     module: QuiverModule
     period: int
     iso: ModuleMap
-    resolution: Resolution = dc_field(repr=False, default=None)
+    resolution: Resolution = dc_field(repr=False)
 
 
 def detect_period(m: QuiverModule) -> PeriodicityWitness | None:

@@ -1,10 +1,12 @@
-"""Koszul-style cones, complexity, and reduction towers.
+"""Koszul-style cones, complexity, and the periodicity step.
 
 A cone step pushes the inclusion of the d-th syzygy into the
 degree-(d-1) projective term out along a map eta: syzygy^d(X) -> X,
 yielding a short exact sequence 0 -> X -> C -> syzygy^{d-1}(X) -> 0.
-The cone of an isomorphism is projective, which is the operational base
-case the gap checker consumes.
+The cone of an isomorphism is projective.  Over kΓ/J^{n+1} every
+non-projective module has complexity 1, so the reduction by cones is
+this one step, and the gap checker reads its length g off the step's
+degree d (g = 1 for a projective module, which needs no step).
 
 Each checked tower step is kept in the algebra's tower memo under its
 module's content id, its arrays read-only; an exact hit returns it as
@@ -50,9 +52,7 @@ class KoszulStep:
     cone: QuiverModule
     inclusion: ModuleMap  # X -> C
     projection: ModuleMap  # C -> syzygy^{d-1}(X)
-    # P_{d-1} -> C; [leg | inclusion]: P_{d-1} + X ->> C is the pushout's cokernel projection.
-    # koszul_object and _turned_tower fill it, so every memo step has one; None elsewhere by default.
-    leg: ModuleMap | None = None
+    leg: ModuleMap  # P_{d-1} -> C; [leg | inclusion]: P_{d-1} + X ->> C is the pushout's cokernel projection
 
     def check_exact(self) -> bool:
         """Vertex-wise exactness of 0 -> X -> C -> syzygy^{d-1}(X) -> 0."""
@@ -125,29 +125,7 @@ def complexity_estimate(m: QuiverModule) -> int:
     return 0 if is_projective(m) else 1
 
 
-# -- reduction towers --------------------------------------------------------
-
-
-@dataclass
-class ReductionTower:
-    """A chain of cone steps certifying complexity descent down to zero."""
-
-    base: QuiverModule
-    steps: tuple[KoszulStep, ...]
-
-    @property
-    def complexities(self) -> tuple[int, ...]:
-        """The complexity of the base and of each step's cone."""
-        return tuple(complexity_estimate(x) for x in (self.base, *(s.cone for s in self.steps)))
-
-    @property
-    def gap_length(self) -> int:
-        """Sum of step degrees minus the step count, plus one."""
-        return sum(s.degree for s in self.steps) - len(self.steps) + 1
-
-    @property
-    def final_cone(self) -> QuiverModule:
-        return self.steps[-1].cone if self.steps else self.base
+# -- periodicity steps ------------------------------------------------------
 
 
 def _stored(step: KoszulStep) -> KoszulStep:
@@ -217,18 +195,18 @@ def _turned_tower(hit: KoszulStep, k: int, m: QuiverModule) -> KoszulStep | None
     return _stored(step)
 
 
-def build_periodicity_tower(m: QuiverModule) -> ReductionTower | None:
-    """The one-step tower whose cone is the Koszul object of a periodicity isomorphism.
+def build_periodicity_tower(m: QuiverModule) -> KoszulStep | None:
+    """The checked step whose cone is the Koszul object of M's periodicity isomorphism.
 
-    Projective (complexity-0) modules need no steps and come back as the
-    empty tower; every other module has a period, so None means the search failed.
-    The tower memo holds checked steps by content: an exact hit is returned as
-    stored, a memo step of σ^-k M is turned by k with every check (see
-    _turned_tower), and otherwise the step is built.  Only a step whose cone is
-    projective is stored, under M's content id.
+    Over kΓ/J^{n+1} a non-projective module has complexity 1, so one step reduces it to a
+    projective cone; a projective module needs no step and comes back as None.  For any
+    other module None means the period search failed.  The tower memo holds checked
+    steps by content: an exact hit is returned as stored (its source may be another
+    module object with M's content), a memo step of σ^-k M is turned by k with every
+    check (see _turned_tower), and otherwise the step is built.  Only a step whose cone
+    is projective is stored, under M's content id.
     """
     if is_projective(m):
-        return ReductionTower(base=m, steps=())
+        return None
     alg = m.algebra
-    step = _memo_read(alg, alg._towers, m.content_key(), _turned_tower, _built_tower, m)
-    return None if step is None else ReductionTower(base=m, steps=(step,))
+    return _memo_read(alg, alg._towers, m.content_key(), _turned_tower, _built_tower, m)

@@ -1,7 +1,8 @@
 """Vanishing-gap and vanishing-symmetry analyzers.
 
-The gap checker turns a reduction tower into a required gap length g
-and certifies the bounded implication "g consecutive zero degrees imply
+The gap checker reads the required gap length g off a module's
+periodicity step (its degree, or 1 for a projective module) and
+certifies the bounded implication "g consecutive zero degrees imply
 the whole table is zero".  The symmetry scanner classifies tail
 vanishing of the two Ext directions of a pair.  Both feed the per-cell
 Nakayama report and the sweep harness.
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 from .algebra import BoundQuiverAlgebra, nakayama_algebra
 from .homology import ExtTable, _require_ext_degrees, ext_table, minimal_resolution
-from .koszul import ReductionTower, build_periodicity_tower
+from .koszul import KoszulStep, build_periodicity_tower
 from .linalg import GF
-from .modules import QuiverModule, UnsupportedOperation, simple, uniserial
+from .modules import QuiverModule, UnsupportedOperation, is_projective, simple, uniserial
 
 # Seeds the gap-suite uniserial pair sample; recorded in every JSON report.
 RANDOM_SEED = 1729
@@ -34,7 +35,7 @@ class FalsificationError(AssertionError):
 
 @dataclass
 class GapReport:
-    """Outcome of scanning an Ext table against a tower's required gap length."""
+    """Outcome of scanning an Ext table against a step's required gap length."""
 
     pair: tuple[str, str]
     max_degree: int
@@ -53,15 +54,23 @@ class GapReport:
         }
 
 
-def gap_check(table: ExtTable, tower: ReductionTower) -> GapReport:
+def gap_check(table: ExtTable, step: KoszulStep | None) -> GapReport:
     """Find g consecutive zeros and certify that the whole table vanishes.
 
-    A "violation" verdict means a qualifying gap coexists with a later
+    g is the degree of the source's periodicity step, or 1 when the source
+    is projective and the step is None.  A None step for any other source
+    is a failed period search and raises FalsificationError.  A
+    "violation" verdict means a qualifying gap coexists with a later
     nonzero entry, which would falsify the implementation.
     """
-    if table.source is not tower.base and not table.source.structurally_equal(tower.base):
-        raise ValueError("gap check requires the table's source to be the tower's base module")
-    g = tower.gap_length
+    if step is None:
+        if not is_projective(table.source):
+            raise FalsificationError(f"no periodicity tower for non-projective {table.pair[0]}")
+        g = 1
+    elif table.source is step.source or table.source.structurally_equal(step.source):
+        g = step.degree
+    else:
+        raise ValueError("gap check requires the table's source to be the step's source module")
     dims = table.dims
     start = None
     run = 0
@@ -378,21 +387,21 @@ def gap_suite_cell(t: int, n: int, max_degree: int, field_p: int, uniserial_pair
         ((i, 1), (j, 1)) for i in range(1, t + 1) for j in range(1, t + 1)
     ]
     pairs += sample_uniserial_pairs(t, n, uniserial_pair_count)
-    # Each distinct module and source tower is built once, in order of first appearance.
+    # Each distinct module and source step is built once, in order of first appearance.
     modules = {key: uniserial(alg, *key) for key in dict.fromkeys(k for pair in pairs for k in pair)}
-    towers = {key: build_periodicity_tower(modules[key]) for key in dict.fromkeys(m for m, _ in pairs)}
+    steps = {key: build_periodicity_tower(modules[key]) for key in dict.fromkeys(m for m, _ in pairs)}
 
     checked = 0
     verified_gaps = 0
     no_gaps = 0
     violations: list[str] = []
     for (mi, ml), (ni, nl) in pairs:
-        m, nmod, tower = modules[mi, ml], modules[ni, nl], towers[mi, ml]
-        if tower is None:  # the period search failed
+        m, nmod, step = modules[mi, ml], modules[ni, nl], steps[mi, ml]
+        if step is None and not is_projective(m):  # the period search failed
             violations.append(f"no tower for uniserial:{mi}:{ml}")
             continue
         table = ext_table(m, nmod, max_degree)
-        report = gap_check(table, tower)
+        report = gap_check(table, step)
         checked += 1
         if report.verdict == "violation":
             violations.append(f"gap violation for {report.pair}")
@@ -401,8 +410,8 @@ def gap_suite_cell(t: int, n: int, max_degree: int, field_p: int, uniserial_pair
         else:
             no_gaps += 1
         # Cone Ext vanishing and the shift identity.  The cone already passed check_exact, whether
-        # koszul_object built it or it was turned from a rotation's memo tower.
-        for step in tower.steps:
+        # koszul_object built it or it was turned from a rotation's memo step.
+        if step is not None:
             cone_table = ext_table(step.cone, nmod, max_degree)
             if any(cone_table.dims):
                 violations.append(f"projective cone has nonzero Ext for uniserial:{mi}:{ml}")

@@ -14,7 +14,7 @@ import pytest
 from quiverhom.algebra import nakayama_algebra
 from quiverhom.cli import main as cli_main
 from quiverhom.homology import detect_period, ext_dims
-from quiverhom.koszul import build_periodicity_tower, koszul_object
+from quiverhom.koszul import koszul_object
 from quiverhom.linalg import GF
 from quiverhom.modules import decompose_serial, is_projective, simple, uniserial
 from quiverhom.vanishing import gap_suite_cell, run_sweep

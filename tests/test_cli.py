@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -135,6 +136,19 @@ def test_gaps_without_a_tower_falsifies_the_build(capsys, monkeypatch):
     )
     assert code == EXIT_VIOLATION and out == ""
     assert err == "violation: no periodicity tower for non-projective simple:2\n"
+
+
+def test_gaps_over_the_uniserials_of_3_2_and_the_zero_module_are_the_recorded_bytes(capsys):
+    # Every ordered pair of the (3, 2) uniserials and the zero module syzygy:1:projective:1 at B = 20.
+    # The digest was recorded while gap lengths were still summed over a tower's steps.
+    specs = [f"uniserial:{i}:{length}" for i in range(1, 4) for length in range(1, 4)] + ["syzygy:1:projective:1"]
+    digest = hashlib.sha256()
+    for a in specs:
+        for b in specs:
+            code, out, err = run(["gaps", "--algebra", ALG32, "--pair", a, b, "--max-degree", "20"], capsys)
+            assert (code, err) == (EXIT_OK, ""), (a, b)
+            digest.update(out.encode())
+    assert digest.hexdigest() == "fc56f57397a69b303903893fa36f899fe01d27b56e3c1777bd47ade42b592f7f"
 
 
 def test_symmetry_json(capsys):

@@ -16,6 +16,7 @@ from quiverhom.modules import (
     uniserial,
     zero_module,
 )
+from quiverhom.vanishing import gap_check
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +111,7 @@ def test_cone_rejects_wrong_source(a32):
 def test_complexity_of_projective_is_zero(a32):
     for m in [projective(a32, 2), zero_module(a32)]:
         assert complexity_estimate(m) == 0
-        assert build_periodicity_tower(m).complexities == (0,)
+        assert build_periodicity_tower(m) is None
 
 
 def test_complexity_unsupported_off_family():
@@ -124,40 +125,67 @@ def test_complexity_unsupported_off_family():
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
 def test_period_divides_the_bound_over_the_grid(t):
     # Omega^2 M(i, l) = M(i+n+1, l): every non-projective module is periodic
-    # with a period dividing 2t, so its complexity is 1 and its tower descends to 0.
+    # with a period dividing 2t, so its complexity is 1 and one step's cone has complexity 0.
     for n in range(1, 9):
         alg = nakayama_algebra(t, n)
         assert alg.period_bound == 2 * t
         mods = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
         mods.append(direct_sum([uniserial(alg, 1, 1), uniserial(alg, t, n)])[0])
         for m in mods:
-            w, tower = detect_period(m), build_periodicity_tower(m)
+            w, step = detect_period(m), build_periodicity_tower(m)
             if is_projective(m):
-                assert (w, complexity_estimate(m), tower.steps, tower.complexities) == (None, 0, (), (0,)), m
+                assert (w, complexity_estimate(m), step) == (None, 0, None), m
             else:
                 assert alg.period_bound % w.period == 0, m
-                assert (complexity_estimate(m), tower.complexities) == (1, (1, 0)), m
+                assert (complexity_estimate(m), step.degree, complexity_estimate(step.cone)) == (1, w.period, 0), m
+
+
+def _omega_period(t, n, i, length):
+    """The least p >= 1 with Omega^p M(i, l) = M(i, l), from Omega M(i, l) = M(i + l, n + 1 - l)."""
+    j, k, p = (i + length - 1) % t + 1, n + 1 - length, 1
+    while (j, k) != (i, length):
+        j, k, p = (j + k - 1) % t + 1, n + 1 - k, p + 1
+    return p
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_gap_lengths_are_the_closed_form_omega_periods(t):
+    # An oracle that shares no code with detect_period: a non-projective uniserial's gap length
+    # is its Omega-period; a projective has no step and gap length 1.
+    for n in range(1, 9):
+        alg = nakayama_algebra(t, n)
+        target = simple(alg, 1)
+        for i in range(1, t + 1):
+            for length in range(1, n + 2):
+                m = uniserial(alg, i, length)
+                step = build_periodicity_tower(m)
+                g = gap_check(ext_table(m, target, 1), step).gap_length
+                if length == n + 1:
+                    assert (step, g) == (None, 1), (t, n, i, length)
+                else:
+                    assert step.degree == g == _omega_period(t, n, i, length), (t, n, i, length)
 
 
 def test_tower_for_periodic_simple(a32):
-    tower = build_periodicity_tower(simple(a32, 1))
-    assert tower.gap_length == 2
-    assert tower.complexities == (1, 0)
-    assert is_projective(tower.final_cone)
+    step = build_periodicity_tower(simple(a32, 1))
+    assert step.degree == 2
+    assert (complexity_estimate(step.source), complexity_estimate(step.cone)) == (1, 0)
+    assert is_projective(step.cone)
 
 
 def test_tower_for_projective_is_empty(a32):
-    tower = build_periodicity_tower(projective(a32, 1))
-    assert tower.steps == ()
-    assert tower.complexities == (0,)
-    assert tower.gap_length == 1
+    p = projective(a32, 1)
+    assert build_periodicity_tower(p) is None
+    assert complexity_estimate(p) == 0
+    assert gap_check(ext_table(p, simple(a32, 1), 4), None).gap_length == 1
 
 
 def test_tower_period_four():
     a = nakayama_algebra(2, 2)
-    tower = build_periodicity_tower(simple(a, 1))
-    assert tower.gap_length == 4
-    assert tower.steps[0].degree == 4
+    s1 = simple(a, 1)
+    step = build_periodicity_tower(s1)
+    assert step.degree == 4
+    assert gap_check(ext_table(s1, s1, 4), step).gap_length == 4
 
 
 def test_tower_long_exact_shift(a32):
@@ -165,8 +193,7 @@ def test_tower_long_exact_shift(a32):
     from quiverhom.vanishing import les_shift_holds
 
     s1, s2 = simple(a32, 1), simple(a32, 2)
-    tower = build_periodicity_tower(s1)
-    step = tower.steps[0]
+    step = build_periodicity_tower(s1)
     for n in [s1, s2, uniserial(a32, 3, 2)]:
         cone_table = ext_table(step.cone, n, 20)
         assert all(d == 0 for d in cone_table.dims)

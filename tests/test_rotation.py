@@ -579,10 +579,11 @@ def test_turned_towers_are_the_built_towers_array_for_array(t, monkeypatch):
                     built = _counting_towers(mp)
                 else:
                     _rotation_off(mp)
-                towers[alg] = [build_periodicity_tower(m) for m in _corpus(alg, 100 * t + n)]
-        for got, exp in zip(towers[on], towers[off], strict=True):
-            assert got is not None and exp is not None and len(got.steps) == len(exp.steps) <= 1, (t, n)
-            for g, e in zip(got.steps, exp.steps):
+                towers[alg] = [(is_projective(m), build_periodicity_tower(m)) for m in _corpus(alg, 100 * t + n)]
+        for (projective_source, g), (_, e) in zip(towers[on], towers[off], strict=True):
+            # A projective source has no step; every other source has one.
+            assert (g is None) == (e is None) == projective_source, (t, n)
+            if g is not None:
                 assert g.degree == e.degree, (t, n)
                 assert on._contents[g.cone.content_key()] == off._contents[e.cone.content_key()], (t, n)
                 for name in ("eta", "inclusion", "projection", "leg"):
@@ -684,25 +685,23 @@ def _read_only_step(step) -> bool:
 def test_an_exact_tower_hit_is_the_stored_step_unchecked_again(monkeypatch):
     alg = nakayama_algebra(3, 2)
     m1, m2 = uniserial(alg, 1, 2), uniserial(alg, 1, 2)
-    stored = build_periodicity_tower(m1).steps[0]
-    assert alg._towers[m1.content_key()] is stored and _read_only_step(stored)
+    stored = build_periodicity_tower(m1)
+    assert alg._towers[m1.content_key()] is stored and stored.source is m1 and _read_only_step(stored)
 
     def never(*args):
         raise AssertionError("an exact hit turned or built a tower")
 
     monkeypatch.setattr(koszul, "_turned_tower", never)
     monkeypatch.setattr(koszul, "koszul_object", never)
-    tower = build_periodicity_tower(m2)
-    assert tower.base is m2 and len(tower.steps) == 1 and tower.steps[0] is stored
+    assert build_periodicity_tower(m2) is stored
 
 
 def test_a_turned_tower_is_stored_read_only():
     alg = nakayama_algebra(3, 2)
     m, src = uniserial(alg, 2, 2), uniserial(alg, 1, 2)
     build_periodicity_tower(src)
-    tower = build_periodicity_tower(m)
-    step = alg._towers[m.content_key()]
-    assert tower.base is m and tower.steps[0] is step and step.source is m
+    step = build_periodicity_tower(m)
+    assert alg._towers[m.content_key()] is step and step.source is m
     assert _read_only_step(step) and _read_only_step(alg._towers[src.content_key()])
 
 

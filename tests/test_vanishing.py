@@ -27,34 +27,53 @@ def a32():
 
 def test_gap_check_verified_direction(a32):
     s1, s2 = simple(a32, 1), simple(a32, 2)
-    tower = build_periodicity_tower(s2)
-    report = gap_check(ext_table(s2, s1, 20), tower)
-    assert report.gap_length == 2
+    step = build_periodicity_tower(s2)
+    report = gap_check(ext_table(s2, s1, 20), step)
+    assert report.gap_length == step.degree == 2
     assert report.gap_start == 1
     assert report.verdict == "gap-implies-all-zero-verified"
 
 
 def test_gap_check_no_gap_direction(a32):
     s1, s2 = simple(a32, 1), simple(a32, 2)
-    tower = build_periodicity_tower(s1)
-    report = gap_check(ext_table(s1, s2, 20), tower)
+    step = build_periodicity_tower(s1)
+    report = gap_check(ext_table(s1, s2, 20), step)
     assert report.verdict == "no-gap"
     assert report.gap_start is None
 
 
 def test_gap_check_all_zero_table_any_tower(a32):
     p = projective(a32, 1)
-    tower = build_periodicity_tower(p)
-    report = gap_check(ext_table(p, simple(a32, 1), 20), tower)
+    step = build_periodicity_tower(p)
+    report = gap_check(ext_table(p, simple(a32, 1), 20), step)
+    assert step is None and report.gap_length == 1
     assert report.gap_start == 1
     assert report.verdict == "gap-implies-all-zero-verified"
 
 
 def test_gap_check_module_mismatch_rejected(a32):
     s1, s2 = simple(a32, 1), simple(a32, 2)
-    tower = build_periodicity_tower(s1)
+    step = build_periodicity_tower(s1)
     with pytest.raises(ValueError):
-        gap_check(ext_table(s2, s1, 20), tower)
+        gap_check(ext_table(s2, s1, 20), step)
+
+
+def test_gap_check_without_a_step_for_a_non_projective_source_raises(a32):
+    # Every non-projective module has a period, so a missing step is a failed search, not g = 1.
+    s2 = simple(a32, 2)
+    with pytest.raises(FalsificationError, match="^no periodicity tower for non-projective simple:2$"):
+        gap_check(ext_table(s2, simple(a32, 1), 20), None)
+
+
+def test_gap_check_accepts_the_stored_step_for_an_equal_module():
+    alg = nakayama_algebra(3, 2)
+    m1, m2 = uniserial(alg, 2, 2), uniserial(alg, 2, 2)
+    stored = build_periodicity_tower(m1)
+    # An exact memo hit returns the stored step, whose source is the first module object.
+    step = build_periodicity_tower(m2)
+    assert step is stored and step.source is m1 and m1 is not m2
+    report = gap_check(ext_table(m2, simple(alg, 1), 20), step)
+    assert report.pair[0] == "uniserial:2:2" and report.gap_length == stored.degree
 
 
 def test_symmetry_asymmetric_pair(a32):
@@ -189,12 +208,15 @@ def test_gap_suite_cell_looks_for_each_missing_tower_once(monkeypatch):
         return None
 
     monkeypatch.setattr(vanishing, "build_periodicity_tower", no_tower)
-    out = gap_suite_cell(3, 2, 40, 101, 10)
-    pairs = [((i, 1), (j, 1)) for i in range(1, 4) for j in range(1, 4)] + sample_uniserial_pairs(3, 2, 10)
+    # 20 sampled pairs, so that some sources are projective.
+    out = gap_suite_cell(3, 2, 40, 101, 20)
+    pairs = [((i, 1), (j, 1)) for i in range(1, 4) for j in range(1, 4)] + sample_uniserial_pairs(3, 2, 20)
     sources = [f"uniserial:{i}:{length}" for (i, length), _ in pairs]
     assert calls == list(dict.fromkeys(sources)) and len(calls) < len(sources)
-    assert out["violations"] == [f"no tower for {s}" for s in sources]
-    assert out["pairs_checked"] == 0
+    # A projective source (length n + 1 = 3) needs no step, so only the others are missing one.
+    missing = [s for s in sources if not s.endswith(":3")]
+    assert out["violations"] == [f"no tower for {s}" for s in missing]
+    assert out["pairs_checked"] == len(sources) - len(missing) > 0
 
 
 def test_run_sweep_small_grid():
