@@ -9,6 +9,7 @@ p, then q" and is defined when ``p`` ends where ``q`` starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,11 +93,11 @@ class BoundQuiverAlgebra:
         # entry, last arrow, end vertex), e_v = (-1, -1, v) first, shortest first, lexicographic within a length (as
         # arrows_from ascends); levels[L] is the first entry of length L.  Basis paths precede levels[nilpotency].
         self._walks = tuple(self._walk(v) for v in range(1, quiver.vertex_count + 1))
-        words = [(self._words(v), levels) for v, (_, levels) in enumerate(self._walks, start=1)]
-        by_length = [[p for ws, lv in words for p in ws[lv[d] : lv[d + 1]]] for d in range(nilpotency + 1)]
-        self.path_basis = tuple(p for paths in by_length[:-1] for p in paths)
-        self._relation_generators = tuple(by_length[-1])
-        self._relation_arrows = np.array([p.arrows for p in by_length[-1]], dtype=np.intp).reshape(-1, nilpotency)
+        # The relation paths' arrows, by start vertex and in walk order; each row read back along its parents.
+        self._relation_arrows = np.array(
+            [self._arrows_of(entries, i) for entries, levels in self._walks for i in range(levels[-2], levels[-1])],
+            dtype=np.intp,
+        ).reshape(-1, nilpotency)
         self._relation_arrows.flags.writeable = False
         # Circular Nakayama metadata; set by nakayama_algebra().
         self.is_selfinjective_nakayama = False
@@ -130,6 +131,15 @@ class BoundQuiverAlgebra:
             levels.append(len(entries))
         return tuple(entries), tuple(levels)
 
+    @staticmethod
+    def _arrows_of(entries: tuple[tuple[int, int, int], ...], i: int) -> tuple[int, ...]:
+        """The arrows of walk entry i in traversal order: its last arrow, after those of its parent."""
+        arrows = []
+        while i > 0:
+            i, a, _ = entries[i]
+            arrows.append(a)
+        return tuple(reversed(arrows))
+
     def _words(self, v: int) -> list[PathWord]:
         """Every walk entry from v as a PathWord, in walk order: each arrow word is its parent's plus one arrow."""
         entries, _ = self._walks[v - 1]
@@ -160,6 +170,18 @@ class BoundQuiverAlgebra:
             i = row[0]
         return i
 
+    @cached_property
+    def _path_words(self) -> tuple[tuple[PathWord, ...], tuple[PathWord, ...]]:
+        """(path_basis, relation generators) as PathWords: the walks' entries by length, then start vertex."""
+        words = [(self._words(v), levels) for v, (_, levels) in enumerate(self._walks, start=1)]
+        by_length = [[p for ws, lv in words for p in ws[lv[d] : lv[d + 1]]] for d in range(self.nilpotency + 1)]
+        return tuple(p for paths in by_length[:-1] for p in paths), tuple(by_length[-1])
+
+    @property
+    def path_basis(self) -> tuple[PathWord, ...]:
+        """Every basis path, shortest first and by start vertex within a length; built on first read."""
+        return self._path_words[0]
+
     @property
     def dimension(self) -> int:
         return len(self.path_basis)
@@ -170,8 +192,8 @@ class BoundQuiverAlgebra:
         return self._words(v)[: levels[self.nilpotency]]
 
     def relation_generators(self) -> tuple[PathWord, ...]:
-        """Every composable word of length = nilpotency: the walk's last entries, by start vertex."""
-        return self._relation_generators
+        """Every composable word of length = nilpotency: the walk's last entries, by start vertex; built on first read."""
+        return self._path_words[1]
 
     def relation_arrows(self) -> np.ndarray:
         """The relation generators as one read-only (paths, nilpotency) array of arrow indices, in the same order."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -330,7 +329,11 @@ def run_sweep(
     field_p: int = 101,
     workers: int = 1,
 ) -> dict:
-    """Run nakayama_report over a (t, n) grid on min(workers, cells, usable CPUs) processes, cells in (t, n) order."""
+    """Run nakayama_report over a (t, n) grid on min(workers, cells, usable CPUs) processes, cells in (t, n) order.
+
+    The process pool is imported only when more than one process runs, so
+    importing quiverhom and serial sweeps load no multiprocessing module.
+    """
     _require_ext_degrees(max_degree)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -342,6 +345,8 @@ def run_sweep(
     if not cells:
         raise ValueError("empty sweep grid")
     workers = min(workers, len(cells), _usable_cpus())
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
     results: list[dict] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         reports = map(_sweep_cell, cells) if pool is None else pool.map(_sweep_cell, cells)
@@ -382,6 +387,9 @@ def gap_suite_cell(t: int, n: int, max_degree: int, field_p: int, uniserial_pair
     Covers every ordered pair of simples plus a deterministic sample of
     uniserial pairs; returns counters that must show zero violations.
     """
+    _require_ext_degrees(max_degree)
+    if uniserial_pair_count < 0:
+        raise ValueError(f"uniserial_pair_count must be >= 0, got {uniserial_pair_count}")
     alg = nakayama_algebra(t, n, GF(field_p))
     pairs: list[tuple[tuple[int, int], tuple[int, int]]] = [
         ((i, 1), (j, 1)) for i in range(1, t + 1) for j in range(1, t + 1)

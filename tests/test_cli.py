@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -12,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quiverhom.cli as cli
-import quiverhom.vanishing as vanishing
 from quiverhom.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -343,6 +343,18 @@ def test_python_m_quiverhom_runs_the_cli(pair, code, out, err):
     assert done.stderr.startswith(err) and bool(done.stderr) is bool(err)
 
 
+def test_import_loads_no_process_pool_module():
+    # Only a sweep that starts a pool imports it; a fresh interpreter shows what the import alone loads.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import sys, quiverhom, quiverhom.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent.futures'))))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize("module", [5, ["simple:1"], {"spec": "simple:1"}, 1.5, True])
 def test_config_module_must_be_a_specifier_string(capsys, tmp_path, module):
     cfg = tmp_path / "run.json"
@@ -524,7 +536,7 @@ def test_sweep_rejects_workers_above_ceiling_without_a_pool(capsys, monkeypatch)
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(vanishing, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     code, _, err = run(
         ["sweep", "--sweep-t", "2", "3", "--sweep-n", "1", "2", "--workers", str(MAX_WORKERS + 1)], capsys
     )

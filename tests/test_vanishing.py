@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 import quiverhom.cli as cli
@@ -333,7 +335,7 @@ def test_run_sweep_starts_no_pool_for_one_cell(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(vanishing, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     agg = run_sweep((2, 2), (1, 1), 6, workers=8)
     assert agg["summary"]["cell_count"] == 1
 
@@ -346,7 +348,7 @@ def test_run_sweep_clamps_to_the_cpus_this_process_may_use(monkeypatch):
     # The host counts many CPUs, but the affinity mask allows one: the sweep runs serially.
     monkeypatch.setattr(vanishing.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(vanishing.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(vanishing, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert run_sweep((2, 3), (1, 1), 6, workers=4) == serial
 
 
@@ -373,6 +375,20 @@ def test_nakayama_report_refuses_a_degree_bound_below_one(monkeypatch):
             nakayama_report(3, 2, bound)
 
 
+def test_gap_suite_cell_refuses_a_degree_bound_below_one(monkeypatch):
+    monkeypatch.setattr(vanishing, "nakayama_algebra", _no_work)
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match="^Ext degrees start at 1; use hom_basis for degree 0$"):
+            gap_suite_cell(2, 1, bound, 101, 5)
+
+
+def test_gap_suite_cell_refuses_a_negative_pair_count(monkeypatch):
+    monkeypatch.setattr(vanishing, "nakayama_algebra", _no_work)
+    for count in (-1, -50):
+        with pytest.raises(ValueError, match=f"^uniserial_pair_count must be >= 0, got {count}$"):
+            gap_suite_cell(2, 1, 4, 101, count)
+
+
 def test_run_sweep_refuses_a_degree_bound_below_one(monkeypatch):
     monkeypatch.setattr(vanishing, "_sweep_cell", _no_work)
     with pytest.raises(ValueError, match="^Ext degrees start at 1; use hom_basis for degree 0$"):
@@ -381,7 +397,7 @@ def test_run_sweep_refuses_a_degree_bound_below_one(monkeypatch):
 
 def test_run_sweep_refuses_fewer_than_one_worker(monkeypatch):
     monkeypatch.setattr(vanishing, "_sweep_cell", _no_work)
-    monkeypatch.setattr(vanishing, "ProcessPoolExecutor", _no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_work)
     for workers in (0, -1):
         with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
             run_sweep((2, 3), (1, 1), 6, workers=workers)
