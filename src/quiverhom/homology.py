@@ -2,8 +2,9 @@
 
 Resolutions are built by iterated projective covers.  Ext dimensions are
 read off the Hom complex of the resolution, whose rank in degree d is
-dim Hom(term(d), N) - dim Hom(syzygy(d), N), the latter the nullity of
-the intertwining system that `hom_basis` solves.  For a simple target
+that of precomposition with diff(d+1), read off the presentation
+term(d+1) -> term(d) ->> syzygy(d) in the step memo; `hom_basis` keeps the
+intertwining system, which serves bases faster.  For a simple target
 they are cross-asserted against Betti multiplicities in every distinct
 degree, through the end of the source's syzygy content cycle.  A stable
 Hom dimension subtracts the rank of the maps through the target's cover,
@@ -22,7 +23,6 @@ from .modules import (
     ModuleMap,
     QuiverModule,
     UnsupportedOperation,
-    _hom_dim,
     _hom_stack,
     _padded,
     _pivots_beyond,
@@ -248,9 +248,45 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
 
 
 def _rank_entry(res: Resolution, d: int, n: QuiverModule) -> tuple[int, int]:
-    """(dim Hom(term(d), N), that minus dim Hom(syzygy(d), N)): the Hom-complex entry of degree d."""
-    h = res.term(d).hom_dim(n)
-    return h, h - _hom_dim(res.syzygy(d), n)
+    """(h, rank) of precomposition with diff(d+1), Hom(term(d), N) -> Hom(term(d+1), N), h = dim Hom(term(d), N).
+
+    Read off the presentation term(d+1) -> term(d) ->> syzygy(d): the unknowns are the generator images x_s in
+    N_{j_s}; generator g of term(d+1), at w, gives the row block of its diff column c = incl(d) surj(d+1) e_g.  A
+    nonzero c[pos_s[i]] adds c[pos_s[i]] N_path x_s, path walk entry i of summand s, whose action is N_a times its
+    parent's (as in `LabeledProjective.map_to`); a zero product ends its branch, and the walk ends once c is read.
+    """
+    lo, up, f, dims, arrows = res._steps[res._at(d)], res._steps[res._at(d + 1)], n.field, n.dims, n.arrow_maps
+    offs, rows = [0], 0  # x_s is columns offs[s]:offs[s + 1]
+    for j in lo.term.summands:
+        offs.append(offs[-1] + dims[j - 1])
+    gens: dict[int, list[tuple[int, int]]] = {}  # w -> (position, first row) of each generator of term(d+1) at w
+    for w, pos in zip(up.term.summands, up.term.positions):
+        if dims[w - 1]:
+            gens.setdefault(w, []).append((pos[0], rows))
+            rows += dims[w - 1]
+    if not (rows and offs[-1]):
+        return offs[-1], 0
+    # cols[w][q]: coordinate q in term(d)_w of each diff column at w; left: the nonzero coordinates not yet read.
+    diffs = {w: f.matmul(lo.incl_blocks[w - 1], up.surj_blocks[w - 1]).tolist() for w in gens}
+    cols = {w: [[row[q] for q, _ in g] for row in diffs[w]] for w, g in gens.items()}
+    left, out = sum(any(c) for cw in cols.values() for c in cw), np.zeros((rows, offs[-1]), dtype=np.int64)
+    for s, (j, pos) in enumerate(zip(lo.term.summands, lo.term.positions)):
+        image = [f.eye(dims[j - 1]) if dims[j - 1] else None]  # entry i's action on N_j, None if zero; I at 0
+        for i, (parent, a, w) in enumerate(lo.term.algebra.walk(j)[0][: len(pos)]):
+            if i:
+                x = image[parent]
+                x = (f.matmul(arrows[a], x) if parent else arrows[a]) if x is not None and dims[w - 1] else None
+                image.append(x if x is not None and np.count_nonzero(x) else None)
+            coeffs = cols[w][pos[i]] if w in cols else ()
+            if any(coeffs):
+                left -= 1
+                for c, (_, r) in zip(coeffs, gens[w]):
+                    if c and image[i] is not None:
+                        block = out[r : r + dims[w - 1], offs[s] : offs[s + 1]]
+                        np.remainder(block + c * image[i], f.p, out=block)
+            if not left:
+                return offs[-1], f.rank(out)
+    raise AssertionError(f"a diff column of degree {d + 1} has a coordinate off the walk of term({d})")
 
 
 def ext_table(m: QuiverModule, n: QuiverModule, max_degree: int) -> ExtTable:

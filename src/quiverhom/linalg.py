@@ -4,11 +4,11 @@ Matrices are numpy int64 arrays with all entries reduced modulo p.
 Everything here is integer arithmetic; there is no floating point and
 no tolerance anywhere.  Elimination (rref, rank, kernels, solves and
 inverses) runs on lists of Python ints, which cannot overflow: arrays
-go in and come out.  The library's one kind of linear system, the Hom
-system, is assembled on Python ints too.  GF.matmul is the one place
-where int64 products are reduced, also over the zero-padded stacks of
-the batched intertwining check, and it raises ValueError for an inner
-dimension past the bound that keeps them exact.
+go in and come out.  The intertwining Hom system is assembled on
+Python ints too.  GF.matmul is the one place where int64 products are
+reduced, also over the zero-padded stacks of the batched intertwining
+check, and it raises ValueError for an inner dimension past the bound
+that keeps them exact.
 """
 
 from __future__ import annotations

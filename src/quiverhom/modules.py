@@ -16,9 +16,9 @@ reads the same tensor: the algebra's relation paths, an (R, N) array of
 arrow indices, advance together in N - 1 batched products, and the
 first path not acting as zero is named.  The Hom system is assembled in
 one place, on Python ints; its checked basis is kept as one read-only
-padded stack, whose views are `hom_basis`'s blocks, sliced on first read, and
-`homology.ext_dims` reads the system's rank alone.  A module's content
-key is the small-int id its algebra interns for its exact content, with
+padded stack, whose views are `hom_basis`'s blocks, sliced on first read
+(`homology.ext_dims` reads its ranks off the presentation).  A module's
+content key is the small-int id its algebra interns for its exact content, with
 the ids of the content's σ-orbit beside it.  Over kΓ/J^{n+1} every
 content-keyed memo that σ acts on (steps, Hom stacks, Hom-complex
 and stable ranks, towers) is read by one reader, `_memo_read`, which probes σ^-k
@@ -650,12 +650,6 @@ def _hom_system(m: QuiverModule, n: QuiverModule, col_off: list[int]) -> np.ndar
                     row[s] -= x
                 system.append([x % p for x in row])
     return np.array(system, dtype=np.int64).reshape(len(system), width)
-
-
-def _hom_dim(m: QuiverModule, n: QuiverModule) -> int:
-    """dim Hom(M, N), the nullity of the intertwining system: its rank alone, with no basis to check."""
-    col_off = _hom_offsets(m, n)
-    return col_off[-1] - m.field.rank(_hom_system(m, n, col_off))
 
 
 def _solved_hom_stack(m: QuiverModule, n: QuiverModule) -> np.ndarray:

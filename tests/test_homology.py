@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import quiverhom.homology as homology
 import quiverhom.modules as modules
-from quiverhom.algebra import nakayama_algebra
+from quiverhom.algebra import BoundQuiverAlgebra, Quiver, nakayama_algebra
 from quiverhom.homology import (
     Resolution,
     betti_ext_dims,
@@ -365,8 +365,8 @@ def test_every_resolution_accessor_refuses_a_negative_degree(a32, max_degree):
     assert res.syzygy(0) is res.module and res.term(0).summands == (1,) and res.betti(0) == [(1, 1)]
 
 
-def _no_hom_system(*args):
-    raise AssertionError("a warm memo solved a Hom system again")
+def _no_rank_entry(*args):
+    raise AssertionError("a warm memo computed a Hom-complex rank again")
 
 
 def _no_hom_dim(*args):
@@ -398,7 +398,7 @@ def test_ext_dims_raises_when_betti_route_disagrees(monkeypatch):
                             ext_dims(source(alg), simple(alg, 2), 10)
                     else:
                         assert ext_dims(source(alg), simple(alg, 2), 10) == _closed_form_sums(3, 2, types, [(2, 1)], 10)
-                    mp.setattr(homology, "_hom_dim", _no_hom_system)
+                    mp.setattr(homology, "_rank_entry", _no_rank_entry)
             # Each call stops at the faulty degree, or reads through c + l < B = 10 and no further.
             assert read == 2 * list(range(1, (bad or start + length) + 1)), (start, length, bad)
 
@@ -415,7 +415,8 @@ def _numpy_hom_complex_matrix(res, n, d):
     """Hom(term(d), N) -> Hom(term(d+1), N) assembled with numpy arrays, one summand block at a time.
 
     The independent oracle for the (dim Hom(term(d), N), rank) entries that ext_dims reads off the
-    intertwining system: this matrix is built from the differential and N's path matrices instead.
+    presentation: this matrix is built from the composed differential, each basis path's PathWord and
+    its path matrix multiplied out from e_start, not from the step blocks and the walk's prefix products.
 
     Summand s of term(d+1), at vertex j, gives the rows of f(x) for x = diff(d+1) applied to its
     generator vector: the block of summand s' adds x[(s', path)] * N_path for each vertex-j basis path.
@@ -508,7 +509,7 @@ def test_hom_complex_rank_memo_matches_direct_ranks_and_closed_form(t, monkeypat
                 dims = [res.term(i).hom_dim(y) - direct[i] - direct[i - 1] for i in range(1, top + 1)]
                 assert warm[a, b] == dims == _closed_form_sums(t, n, xs, ys, top), (t, n, x, y)
         with monkeypatch.context() as mp:
-            mp.setattr(homology, "_hom_dim", _no_hom_system)
+            mp.setattr(homology, "_rank_entry", _no_rank_entry)
             mp.setattr(LabeledProjective, "hom_dim", _no_hom_dim)
             assert tables() == warm
         assert alg._hom_complex_ranks == ranks
@@ -597,13 +598,89 @@ def test_ext_dims_over_the_content_cycle_match_the_per_degree_walk_and_closed_fo
 
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_rank_only_hom_dim_is_the_width_of_the_checked_hom_basis(t):
+    # h - rank of each presentation entry is dim Hom(syzygy(d), N): the width of the checked Hom basis.
     for n in range(1, 7):
         alg = nakayama_algebra(t, n)
         mods = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
         mods += [zero_module(alg), _sheared_sum(alg, 1), _sheared_sum(alg, t)]
         for x in mods:
-            for y in mods:
-                assert modules._hom_dim(x, y) == len(hom_basis(x, y)), (t, n, x, y)
+            res = Resolution(x, 3)
+            for d in range(3):
+                for y in mods:
+                    h = res.term(d).hom_dim(y)
+                    assert homology._rank_entry(res, d, y) == (h, h - len(hom_basis(res.syzygy(d), y))), (t, n, x, y, d)
+
+
+def _kronecker():
+    """kQ/J^2 over two arrows 1 -> 2: Omega S_1 = S_2^2 and S_2 = P_2, so Ext^1(S_1, S_2) = 2 and the rest is 0."""
+    return BoundQuiverAlgebra(Quiver(2, [(1, 2), (1, 2)]), nilpotency=2)
+
+
+def _a3_line():
+    """kQ/J^2 over 1 -> 2 -> 3: Omega S_1 = S_2 and Omega S_2 = S_3 = P_3."""
+    return BoundQuiverAlgebra(Quiver(3, [(1, 2), (2, 3)]), nilpotency=2)
+
+
+def _presentation_corpus(alg, seed: int) -> list[QuiverModule]:
+    """The zero module, the simples and projectives, and sums in random bases, whose cover terms have several summands
+    and whose diff columns have several nonzero coordinates; over kΓ/J^{n+1} sums of uniserials, else P_1 + S_1 + S_v."""
+    rng, v = random.Random(seed), alg.quiver.vertex_count
+    out = [zero_module(alg)] + [simple(alg, i) for i in range(1, v + 1)] + [projective(alg, i) for i in range(1, v + 1)]
+    for _ in range(3):
+        if alg.is_selfinjective_nakayama:
+            parts = [uniserial(alg, rng.randint(1, v), rng.randint(1, alg.n)) for _ in range(rng.randint(2, 3))]
+        else:
+            parts = [projective(alg, 1), simple(alg, 1), simple(alg, rng.randint(1, v))]
+        out.append(_random_basis(direct_sum(parts)[0], rng))
+    return out
+
+
+def _numpy_ext_dims(res, y, top):
+    """Ext^1..top from the numpy Hom complex alone, degree by degree: no memo and no content cycle."""
+    f, entries = y.field, []
+    for d in range(top + 1):
+        entries.append((res.term(d).hom_dim(y), f.rank(_numpy_hom_complex_matrix(res, y, d))))
+    return [entries[i][0] - entries[i][1] - entries[i - 1][1] for i in range(1, top + 1)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: nakayama_algebra(2, 3), lambda: nakayama_algebra(3, 4), _kronecker, _a3_line],
+    ids=["nakayama-2-3", "nakayama-3-4", "kronecker", "a3-line"],
+)
+def test_presentation_ranks_match_the_numpy_hom_complex(make):
+    # Every ordered pair of the corpus, zero source and target and projective sources (empty term(1)) included:
+    # each rank entry, computed directly with no memo, equals the rank of the numpy matrix.
+    alg, seed = make(), 29
+    mods, top = _presentation_corpus(alg, seed), 2 * alg.quiver.vertex_count + 2
+    f = alg.field
+    for x in mods:
+        res = Resolution(x, top + 1)
+        for y in mods:
+            for d in range(top + 1):
+                want = (res.term(d).hom_dim(y), f.rank(_numpy_hom_complex_matrix(res, y, d)))
+                assert homology._rank_entry(res, d, y) == want, (alg, x, y, d)
+    # ext_dims over a cold algebra at bounds B = c + l - 1, c + l and c + l + 1 around each source's content cycle.
+    for a in range(len(mods)):
+        start, length = Resolution(mods[a], 4 * top).content_cycle()
+        for b in sorted({start + length - 1, start + length, start + length + 1} - {0}):
+            cold = make()
+            xs = _presentation_corpus(cold, seed)
+            res = Resolution(xs[a], b + 1)
+            for y in xs:
+                assert ext_dims(xs[a], y, b) == _numpy_ext_dims(res, y, b), (alg, xs[a], y, b)
+
+
+def test_presentation_ranks_over_non_circular_quivers_give_the_known_ext():
+    kr = _kronecker()
+    s1, s2 = simple(kr, 1), simple(kr, 2)
+    assert ext_dims(s1, s2, 4) == [2, 0, 0, 0] and ext_dims(s1, s1, 4) == [0, 0, 0, 0]
+    assert ext_dims(s2, s1, 3) == [0, 0, 0] and ext_dims(projective(kr, 1), s2, 3) == [0, 0, 0]
+    line = _a3_line()
+    s = [simple(line, i) for i in (1, 2, 3)]
+    assert [ext_dims(s[0], y, 3) for y in s] == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    assert [ext_dims(s[1], y, 3) for y in s] == [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
+    assert ext_dims(zero_module(line), s[0], 2) == [0, 0] and ext_dims(s[0], zero_module(line), 2) == [0, 0]
 
 
 @pytest.mark.parametrize("t", [2, 3, 4])

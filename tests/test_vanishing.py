@@ -233,7 +233,7 @@ def test_run_sweep_small_grid():
 
 
 def test_nakayama_report_computes_each_pair_once(monkeypatch):
-    calls = dict.fromkeys(("builds", "modules", "ext_dims", "projective_cover", "serial_summands", "hom_dim", "betti"), 0)
+    calls = dict.fromkeys(("builds", "modules", "ext_dims", "projective_cover", "serial_summands", "rank_entry", "betti"), 0)
 
     def counting_init(name, init):
         def wrapped(self, *args, **kwargs):
@@ -254,7 +254,7 @@ def test_nakayama_report_computes_each_pair_once(monkeypatch):
     monkeypatch.setattr(homology, "ext_dims", counting("ext_dims", homology.ext_dims))
     monkeypatch.setattr(modules, "projective_cover", counting("projective_cover", modules.projective_cover))
     monkeypatch.setattr(modules, "serial_summands", counting("serial_summands", modules.serial_summands))
-    monkeypatch.setattr(homology, "_hom_dim", counting("hom_dim", homology._hom_dim))
+    monkeypatch.setattr(homology, "_rank_entry", counting("rank_entry", homology._rank_entry))
     monkeypatch.setattr(
         homology.Resolution, "betti_multiplicity", counting("betti", homology.Resolution.betti_multiplicity)
     )
@@ -263,7 +263,7 @@ def test_nakayama_report_computes_each_pair_once(monkeypatch):
     # The rotation v -> v + 1 carries S_1 and its syzygy to the other simples and theirs,
     # so only S_1 and Omega S_1 are covered; the other 6 steps are turned memo steps.
     # Likewise the 16 tables, each read over S_i's content cycle (0, 2), need only the
-    # 2 sources of row 1 against the 4 targets: 8 rank-only Hom dimensions, of S_1 and
+    # 2 sources of row 1 against the 4 targets: 8 Hom-complex rank entries, of S_1 and
     # Omega S_1 into each S_j; the other rows read the rotated pairs' entries.
     # The Betti cross-check reads degrees 1..c + l = 2 of each table: 32 multiplicities.
     # Modules: the 4 simples, one labeled projective per term P1..P4, the kernels of the
@@ -275,7 +275,7 @@ def test_nakayama_report_computes_each_pair_once(monkeypatch):
         "ext_dims": 16,
         "projective_cover": 2,
         "serial_summands": 0,
-        "hom_dim": 8,
+        "rank_entry": 8,
         "betti": 32,
     }
     for _ in range(2):  # each report builds its own algebra, whose memos start empty
