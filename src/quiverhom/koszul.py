@@ -3,7 +3,10 @@
 A cone step pushes the inclusion of the d-th syzygy into the
 degree-(d-1) projective term out along a map eta: syzygy^d(X) -> X,
 yielding a short exact sequence 0 -> X -> C -> syzygy^{d-1}(X) -> 0.
-The cone of an isomorphism is projective.  Over kΓ/J^{n+1} every
+The pushout of an isomorphism eta is the projective term itself, with
+the identity leg, inclusion incl o eta^-1 and the cover surjection as
+projection, so koszul_object reads that cone off the resolution and
+takes a cokernel only for any other eta.  Over kΓ/J^{n+1} every
 non-projective module has complexity 1, so the reduction by cones is
 this one step, and the gap checker reads its length g off the step's
 degree d (g = 1 for a projective module, which needs no step).
@@ -13,13 +16,14 @@ module's content id, its arrays read-only; an exact hit returns it as
 stored.  Over kΓ/J^{n+1} the memo is read through the rotation σ by
 modules._memo_read, as the step memo is: the step of σ^k M is M's with
 its blocks turned by k when σ^k carries M's syzygy ids and term
-summands to σ^k M's own resolution, and is built otherwise.  A turned
-step passes every check a built one does (eta, leg, inclusion and
-projection are checked module maps, the sequence is exact, the cone
-projective) and what a build has by construction: eta is invertible,
-[leg | inclusion] kills the graph [incl; -eta], and
-projection o [leg | inclusion] = [eps | 0].  A failure raises
-AssertionError and stores nothing.
+summands to σ^k M's own resolution, and is built otherwise.  A built
+step checks that leg, inclusion and projection are module maps, that
+[leg | inclusion] kills the graph [incl; -eta], that the sequence is
+exact and that the cone is projective.  A turned step passes the same
+checks, eta's included, and what a build has by construction: eta is
+invertible and projection o [leg | inclusion] = [eps | 0].  A failure
+raises AssertionError (a built map that does not intertwine raises
+ValueError) and stores nothing.
 """
 
 from __future__ import annotations
@@ -69,11 +73,18 @@ class KoszulStep:
 
 
 def koszul_object(resolution: Resolution, eta: ModuleMap, degree: int) -> KoszulStep:
-    """Cone of eta: syzygy^d(X) -> X, built as a pushout against the resolution.
+    """Cone of eta: syzygy^d(X) -> X, the pushout of the resolution's inclusion along eta.
 
     eta's source must be the degree-d syzygy object stored in X's
-    resolution (the pushout leg is that syzygy's inclusion into the
-    degree d-1 projective term).
+    resolution (the pushout leg is that syzygy's inclusion incl into the
+    degree d-1 projective term P).  When every block of eta is invertible
+    the pushout is P itself, read off the resolution: its maps
+    leg = id and inclusion = incl o eta^-1 agree on syzygy^d, and any
+    pair f: P -> Y, g: X -> Y with f o incl = g o eta factors through P
+    by f alone, since g = f o incl o eta^-1.  The cone is then a module
+    with P's dims and arrows (so P's content id) and the projection is
+    the cover surjection P ->> syzygy^{d-1}.  Any other eta is pushed out
+    as the cokernel of the graph [incl; -eta]: P + X -> P + X.
     """
     if degree < 1:
         raise ValueError(f"cone degree must be >= 1, got {degree}")
@@ -87,23 +98,33 @@ def koszul_object(resolution: Resolution, eta: ModuleMap, degree: int) -> Koszul
         raise ValueError("eta must land in the resolution's module")
     incl = resolution.syzygy_inclusion(degree)  # syz -> P_{d-1}
     pterm = resolution.term(degree - 1).module
-    _, (inc_p, inc_x), (proj_p, _) = direct_sum([pterm, x])
-    graph = inc_p.compose(incl) + inc_x.compose(eta.scale(-1))
-    cone, quot = cokernel(graph, name=f"cone(d={degree}, {x.describe()})")
-    inclusion = quot.compose(inc_x)
-    # The projection is induced by the cover surjection on the projective leg.
     eps = resolution.cover_surjection(degree - 1)  # P_{d-1} ->> syzygy^{d-1}
-    psi = eps.compose(proj_p)
-    fld = x.field
-    blocks = []
-    for v in range(1, x.algebra.quiver.vertex_count + 1):
-        sol = fld.solve_matrix(quot.block(v).T, psi.block(v).T)
-        if sol is None:
-            raise AssertionError("cone projection is not well defined")
-        blocks.append(sol.T)
-    projection = ModuleMap(cone, resolution.syzygy(degree - 1), blocks)
+    fld, name = x.field, f"cone(d={degree}, {x.describe()})"
+    inverses = [fld.inverse(b) if b.shape[0] == b.shape[1] else None for b in eta.blocks]
+    if all(inv is not None for inv in inverses):
+        cone = QuiverModule(x.algebra, pterm.dims, pterm.arrow_maps, name=name, check=False)
+        leg = ModuleMap(pterm, cone, [np.eye(d, dtype=np.int64) for d in cone.dims])
+        inclusion = ModuleMap(x, cone, [fld.matmul(i, inv) for i, inv in zip(incl.blocks, inverses)])
+        # [leg | inclusion] kills [incl; -eta]: incl = inclusion o eta, block by block.
+        if any(np.any(fld.matmul(c, e) != i) for c, e, i in zip(inclusion.blocks, eta.blocks, incl.blocks)):
+            raise AssertionError("cone: [leg | inclusion] does not kill [incl; -eta]")
+        projection = ModuleMap(cone, eps.target, eps.blocks)
+    else:
+        _, (inc_p, inc_x), (proj_p, _) = direct_sum([pterm, x])
+        graph = inc_p.compose(incl) + inc_x.compose(eta.scale(-1))
+        cone, quot = cokernel(graph, name=name)
+        leg, inclusion = quot.compose(inc_p), quot.compose(inc_x)
+        # The projection is induced by the cover surjection on the projective leg.
+        psi = eps.compose(proj_p)
+        blocks = []
+        for v in range(1, x.algebra.quiver.vertex_count + 1):
+            sol = fld.solve_matrix(quot.block(v).T, psi.block(v).T)
+            if sol is None:
+                raise AssertionError("cone projection is not well defined")
+            blocks.append(sol.T)
+        projection = ModuleMap(cone, eps.target, blocks)
     step = KoszulStep(
-        source=x, degree=degree, eta=eta, cone=cone, inclusion=inclusion, projection=projection, leg=quot.compose(inc_p)
+        source=x, degree=degree, eta=eta, cone=cone, inclusion=inclusion, projection=projection, leg=leg
     )
     if not step.check_exact():
         raise AssertionError("cone short exact sequence failed exactness")

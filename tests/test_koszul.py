@@ -1,7 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
+import quiverhom.koszul as koszul
 from quiverhom.algebra import BoundQuiverAlgebra, Quiver, nakayama_algebra
 from quiverhom.homology import detect_period, ext_table, minimal_resolution
 from quiverhom.koszul import build_periodicity_tower, complexity_estimate, koszul_object
@@ -58,14 +60,64 @@ def test_check_exact_rejects_a_cone_one_simple_too_large(a32):
     assert not padded.check_exact()
 
 
-def test_cone_of_zero_map_splits_degree_one(a32):
+def _counting_cokernels(monkeypatch) -> list:
+    calls, cokernel = [], koszul.cokernel
+    monkeypatch.setattr(koszul, "cokernel", lambda *args, **kw: calls.append(1) or cokernel(*args, **kw))
+    return calls
+
+
+def test_cone_of_zero_map_splits_degree_one(a32, monkeypatch):
     # With eta = 0 the sequence 0 -> X -> C -> X -> 0 splits, so the cone
-    # doubles X's summands.
+    # doubles X's summands; it is still pushed out as one cokernel.
+    cokernels = _counting_cokernels(monkeypatch)
     x = simple(a32, 1)
     res = minimal_resolution(x, 2)
     eta = ModuleMap.zero(res.syzygy(1), x)
     step = koszul_object(res, eta, 1)
     assert decompose_serial(step.cone) == sorted(decompose_serial(x) * 2)
+    assert cokernels == [1]
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_the_cone_of_a_period_isomorphism_is_the_resolutions_term(t, monkeypatch):
+    # The pushout of incl: syzygy^p -> P_{p-1} along an isomorphism eta is P_{p-1} with leg = id and
+    # inclusion = incl o eta^-1; no cokernel is taken, for built and turned steps alike.
+    cokernels = _counting_cokernels(monkeypatch)
+    for n in range(1, 9):
+        alg = nakayama_algebra(t, n)
+        for i in range(1, t + 1):
+            for length in range(1, n + 1):
+                m = uniserial(alg, i, length)
+                build_periodicity_tower(m)
+                step, p = alg._towers[m.content_key()], _omega_period(t, n, i, length)
+                res, f = minimal_resolution(m, p), alg.field
+                assert step.degree == p, (t, n, i, length)
+                assert step.cone.content_key() == res.term(p - 1).module.content_key(), (t, n, i, length)
+                assert all(np.array_equal(b, np.eye(d, dtype=np.int64)) for b, d in zip(step.leg.blocks, step.cone.dims))
+                composed = (f.matmul(a, e) for a, e in zip(step.inclusion.blocks, step.eta.blocks))
+                assert all(np.array_equal(a, b) for a, b in zip(composed, res.syzygy_inclusion(p).blocks, strict=True))
+    assert cokernels == []
+
+
+@pytest.mark.parametrize("t, n, i, length", [(3, 2, 1, 1), (3, 2, 3, 1), (2, 2, 1, 1), (4, 3, 2, 2), (5, 4, 4, 1)])
+def test_a_wrong_cover_surjection_fails_the_cone_and_stores_no_tower(t, n, i, length):
+    alg = nakayama_algebra(t, n)
+    m = uniserial(alg, i, length)
+    w = detect_period(m)
+    res, p = w.resolution, w.period
+    # One entry of the cached cover surjection onto syzygy^{p-1}, changed by 1 and not checked.  That
+    # syzygy has length >= 2 here, so the changed map is not a unit times the cover, which would be a cover.
+    assert res.syzygy(p - 1).total_dim >= 2
+    eps = res.cover_surjection(p - 1)
+    blocks = [b.copy() for b in eps.blocks]
+    v = next(v for v, b in enumerate(blocks) if b.size)
+    blocks[v][0, 0] = (blocks[v][0, 0] + 1) % alg.field.p
+    res._objects["cover", p - 1] = ModuleMap(eps.source, eps.target, blocks, check=False)
+    with pytest.raises((ValueError, AssertionError)):
+        koszul_object(res, w.iso, p)
+    with pytest.raises((ValueError, AssertionError)):
+        build_periodicity_tower(m)
+    assert m.content_key() not in alg._towers
 
 
 def test_cone_of_zero_map_on_projective_gives_x_plus_cover(a32):
