@@ -84,7 +84,7 @@ def koszul_object(resolution: Resolution, eta: ModuleMap, degree: int) -> Koszul
     by f alone, since g = f o incl o eta^-1.  The cone is then a module
     with P's dims and arrows (so P's content id) and the projection is
     the cover surjection P ->> syzygy^{d-1}.  Any other eta is pushed out
-    as the cokernel of the graph [incl; -eta]: P + X -> P + X.
+    as the cokernel of the graph [incl; -eta]: syzygy^d -> P + X.
     """
     if degree < 1:
         raise ValueError(f"cone degree must be >= 1, got {degree}")
