@@ -11,19 +11,12 @@ non-projective module has complexity 1, so the reduction by cones is
 this one step, and the gap checker reads its length g off the step's
 degree d (g = 1 for a projective module, which needs no step).
 
-Each checked tower step is kept in the algebra's tower memo under its
-module's content id, its arrays read-only; an exact hit returns it as
-stored.  Over kΓ/J^{n+1} the memo is read through the rotation σ by
-modules._memo_read, as the step memo is: the step of σ^k M is M's with
-its blocks turned by k when σ^k carries M's syzygy ids and term
-summands to σ^k M's own resolution, and is built otherwise.  A built
-step checks that leg, inclusion and projection are module maps, that
-[leg | inclusion] kills the graph [incl; -eta], that the sequence is
-exact and that the cone is projective.  A turned step passes the same
-checks, eta's included, and what a build has by construction: eta is
-invertible and projection o [leg | inclusion] = [eps | 0].  A failure
-raises AssertionError (a built map that does not intertwine raises
-ValueError) and stores nothing.
+build_periodicity_tower builds M's step on every call, and nothing stores
+it: detect_period finds eta, and the step checks that leg, inclusion and
+projection are module maps, that [leg | inclusion] kills the graph
+[incl; -eta], that the sequence is exact and that the cone is
+projective.  A failure raises AssertionError (a built map that does not
+intertwine raises ValueError).
 """
 
 from __future__ import annotations
@@ -32,14 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homology import Resolution, detect_period, minimal_resolution
+from .homology import Resolution, detect_period
 from .modules import (
     ModuleMap,
     QuiverModule,
     UnsupportedOperation,
-    _memo_read,
-    _turn,
-    _turned_key,
     cokernel,
     direct_sum,
     is_projective,
@@ -149,85 +139,21 @@ def complexity_estimate(m: QuiverModule) -> int:
 # -- periodicity steps ------------------------------------------------------
 
 
-def _stored(step: KoszulStep) -> KoszulStep:
-    """A checked step, once its cone is projective, with its arrays made read-only for the tower memo."""
-    if not is_projective(step.cone):
-        raise AssertionError("cone of a periodicity isomorphism must be projective")
-    for f in (step.eta, step.leg, step.inclusion, step.projection):
-        for a in f.blocks:
-            a.flags.writeable = False
-    for a in step.cone.arrow_maps:
-        a.flags.writeable = False
-    return step
-
-
-def _built_tower(m: QuiverModule) -> KoszulStep | None:
-    """The step of M's periodicity isomorphism, built by koszul_object; None when no period is found."""
-    witness = detect_period(m)
-    if witness is None:
-        return None
-    return _stored(koszul_object(witness.resolution, witness.iso, witness.period))
-
-
-def _turned_tower(hit: KoszulStep, k: int, m: QuiverModule) -> KoszulStep | None:
-    """M's checked step, turned from the memo step of σ^-k M; None when σ^k misses M's resolution.
-
-    The rotation is an automorphism, so the hit's period is M's least period too.  Its blocks are
-    turned by k only when σ^k carries the source's syzygy ids and term summands to M's, so that
-    they land on M's own objects.  The pushout identities a direct build has by construction are
-    checked here, and with them the cone is the pushout: [leg | inclusion] is a module map onto C.
-    """
-    alg, p = m.algebra, hit.degree
-    src, res = minimal_resolution(hit.source, p), minimal_resolution(m, p)
-    if (
-        any(_turned_key(alg, src.syzygy_key(d), k) != res.syzygy_key(d) for d in (p, p - 1))
-        or tuple(alg.wrap(j + k) for j in src.term(p - 1).summands) != res.term(p - 1).summands
-    ):
-        return None
-    dims, arrows = _turn(hit.cone.dims, k), _turn(hit.cone.arrow_maps, k)
-    cone = QuiverModule(alg, dims, arrows, name=f"cone(d={p}, {m.describe()})", check=False)
-    maps = []
-    for name, dom, cod in (
-        ("eta", res.syzygy(p), m),
-        ("leg", res.term(p - 1).module, cone),
-        ("inclusion", m, cone),
-        ("projection", cone, res.syzygy(p - 1)),
-    ):
-        try:
-            maps.append(ModuleMap(dom, cod, _turn(getattr(hit, name).blocks, k)))
-        except ValueError:
-            raise AssertionError(f"turned tower: {name} is not a module map") from None
-    eta, leg, inclusion, projection = maps
-    step = KoszulStep(m, p, eta, cone, inclusion, projection, leg)
-    # The identities a direct build has by construction, vertex by vertex, with incl: syzygy^p ->
-    # term(p-1) and eps: term(p-1) ->> syzygy^{p-1}: [leg | inclusion] kills the graph [incl; -eta],
-    # and projection o leg = eps (projection o inclusion = 0 is check_exact's), so
-    # projection o [leg | inclusion] = [eps | 0].
-    f, incl, eps = m.field, res.syzygy_inclusion(p).blocks, res.cover_surjection(p - 1).blocks
-    graph = zip(leg.blocks, incl, inclusion.blocks, eta.blocks)
-    if any(np.any(f.matmul(g, a) != f.matmul(i, e)) for g, a, i, e in graph):
-        raise AssertionError("turned tower: [leg | inclusion] does not kill [incl; -eta]")
-    if any(np.any(f.matmul(q, g) != e) for q, g, e in zip(projection.blocks, leg.blocks, eps)):
-        raise AssertionError("turned tower: projection o leg is not the cover surjection")
-    if not eta.is_invertible():
-        raise AssertionError("turned tower: eta is not an isomorphism")
-    if not step.check_exact():
-        raise AssertionError("turned cone short exact sequence failed exactness")
-    return _stored(step)
-
-
 def build_periodicity_tower(m: QuiverModule) -> KoszulStep | None:
     """The checked step whose cone is the Koszul object of M's periodicity isomorphism.
 
     Over kΓ/J^{n+1} a non-projective module has complexity 1, so one step reduces it to a
     projective cone; a projective module needs no step and comes back as None.  For any
-    other module None means the period search failed.  The tower memo holds checked
-    steps by content: an exact hit is returned as stored (its source may be another
-    module object with M's content), a memo step of σ^-k M is turned by k with every
-    check (see _turned_tower), and otherwise the step is built.  Only a step whose cone
-    is projective is stored, under M's content id.
+    other module None means the period search failed.  Every call builds its step:
+    detect_period finds eta, koszul_object reads the step off M's resolution with its
+    checks, and the cone must be projective.
     """
     if is_projective(m):
         return None
-    alg = m.algebra
-    return _memo_read(alg, alg._towers, m.content_key(), _turned_tower, _built_tower, m)
+    witness = detect_period(m)
+    if witness is None:
+        return None
+    step = koszul_object(witness.resolution, witness.iso, witness.period)
+    if not is_projective(step.cone):
+        raise AssertionError("cone of a periodicity isomorphism must be projective")
+    return step

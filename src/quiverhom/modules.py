@@ -21,7 +21,7 @@ padded stack, whose views are `hom_basis`'s blocks, sliced on first read
 content key is the small-int id its algebra interns for its exact content, with
 the ids of the content's σ-orbit beside it.  Over kΓ/J^{n+1} every
 content-keyed memo that σ acts on (steps, Hom stacks, Hom-complex
-and stable ranks, towers) is read by one reader, `_memo_read`, which probes σ^-k
+and stable ranks) is read by one reader, `_memo_read`, which probes σ^-k
 of a key by indexing that orbit row.  A new cover term is, where it can
 be, a memo term of a turn of its summands, turned: no basis is built.
 A turned Hom stack is re-based to the turned system's own free

@@ -417,8 +417,8 @@ def gap_suite_cell(t: int, n: int, max_degree: int, field_p: int, uniserial_pair
             verified_gaps += 1
         else:
             no_gaps += 1
-        # Cone Ext vanishing and the shift identity.  The cone already passed check_exact, whether
-        # koszul_object built it or it was turned from a rotation's memo step.
+        # Cone Ext vanishing and the shift identity.  The cone already passed check_exact when
+        # build_periodicity_tower built it.
         if step is not None:
             cone_table = ext_table(step.cone, nmod, max_degree)
             if any(cone_table.dims):

@@ -81,15 +81,14 @@ def test_cone_of_zero_map_splits_degree_one(a32, monkeypatch):
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
 def test_the_cone_of_a_period_isomorphism_is_the_resolutions_term(t, monkeypatch):
     # The pushout of incl: syzygy^p -> P_{p-1} along an isomorphism eta is P_{p-1} with leg = id and
-    # inclusion = incl o eta^-1; no cokernel is taken, for built and turned steps alike.
+    # inclusion = incl o eta^-1; no cokernel is taken.
     cokernels = _counting_cokernels(monkeypatch)
     for n in range(1, 9):
         alg = nakayama_algebra(t, n)
         for i in range(1, t + 1):
             for length in range(1, n + 1):
                 m = uniserial(alg, i, length)
-                build_periodicity_tower(m)
-                step, p = alg._towers[m.content_key()], _omega_period(t, n, i, length)
+                step, p = build_periodicity_tower(m), _omega_period(t, n, i, length)
                 res, f = minimal_resolution(m, p), alg.field
                 assert step.degree == p, (t, n, i, length)
                 assert step.cone.content_key() == res.term(p - 1).module.content_key(), (t, n, i, length)
@@ -100,7 +99,7 @@ def test_the_cone_of_a_period_isomorphism_is_the_resolutions_term(t, monkeypatch
 
 
 @pytest.mark.parametrize("t, n, i, length", [(3, 2, 1, 1), (3, 2, 3, 1), (2, 2, 1, 1), (4, 3, 2, 2), (5, 4, 4, 1)])
-def test_a_wrong_cover_surjection_fails_the_cone_and_stores_no_tower(t, n, i, length):
+def test_a_planted_wrong_cover_surjection_raises(t, n, i, length):
     alg = nakayama_algebra(t, n)
     m = uniserial(alg, i, length)
     w = detect_period(m)
@@ -117,7 +116,20 @@ def test_a_wrong_cover_surjection_fails_the_cone_and_stores_no_tower(t, n, i, le
         koszul_object(res, w.iso, p)
     with pytest.raises((ValueError, AssertionError)):
         build_periodicity_tower(m)
-    assert m.content_key() not in alg._towers
+
+
+def test_a_tower_without_a_period_is_none(monkeypatch):
+    alg = nakayama_algebra(3, 2)
+    monkeypatch.setattr(koszul, "detect_period", lambda m: None)
+    assert build_periodicity_tower(uniserial(alg, 1, 2)) is None
+
+
+def test_a_step_whose_cone_is_not_projective_raises(a32, monkeypatch):
+    # The cone of the zero map, syzygy^{p-1} + X, passes every check of koszul_object but is not projective.
+    build = koszul.koszul_object
+    monkeypatch.setattr(koszul, "koszul_object", lambda res, eta, d: build(res, ModuleMap.zero(eta.source, eta.target), d))
+    with pytest.raises(AssertionError, match="must be projective"):
+        build_periodicity_tower(simple(a32, 1))
 
 
 def test_cone_of_zero_map_on_projective_gives_x_plus_cover(a32):

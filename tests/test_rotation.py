@@ -1,11 +1,10 @@
-"""The step, Hom-complex, Hom-kernel and tower memos read through the rotation σ: v -> v + 1 of kΓ/J^{n+1}.
+"""The step, Hom-complex, Hom-kernel and stable-rank memos read through the rotation σ: v -> v + 1 of kΓ/J^{n+1}.
 
 The tests compare the library with rotation against the same library with the rotation
 lookup switched off, on a fresh algebra with the same inputs, and check that a turned read
 keeps the checks of a computed one.
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -34,6 +33,7 @@ from quiverhom.modules import (
 )
 from quiverhom.vanishing import gap_suite_cell, nakayama_report
 from test_homology import _by_content, _random_basis
+from test_koszul import _counting_cokernels
 
 
 def _no_rotations(algebra, *keys):
@@ -543,43 +543,19 @@ def test_a_turned_stable_rank_is_the_planted_entry_it_reads():
     assert stable_hom_dim(m, n) == len(hom_basis(m, n)) - rank - 7 and alg._stable_ranks[key] == rank + 7
 
 
-def _counting_towers(mp) -> list:
-    """One entry per build_periodicity_tower call that builds: True when a memo tower was read first and missed."""
-    built, reads = [], []
-    read, build = koszul._turned_tower, koszul.koszul_object
-
-    def reading(hit, k, m):
-        reads.append(m)
-        return read(hit, k, m)
-
-    def building(res, eta, degree):
-        built.append(any(m is res.module for m in reads))
-        return build(res, eta, degree)
-
-    mp.setattr(koszul, "_turned_tower", reading)
-    mp.setattr(koszul, "koszul_object", building)
-    return built
-
-
-def _orbit(alg, key: int, t: int) -> int:
-    return min(modules._turned_key(alg, key, k) for k in range(t))
-
-
 def _same_blocks(got, exp) -> bool:
     return len(got) == len(exp) and all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, exp))
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
 def test_turned_towers_are_the_built_towers_array_for_array(t, monkeypatch):
-    turned = fallbacks = 0
+    # Every step is built, but from σ-turned resolution steps and Hom stacks when rotation is on.
     for n in range(1, 9):
         on, off = nakayama_algebra(t, n), nakayama_algebra(t, n)
         towers = {}
         for alg in (on, off):
             with monkeypatch.context() as mp:
-                if alg is on:
-                    built = _counting_towers(mp)
-                else:
+                if alg is off:
                     _rotation_off(mp)
                 towers[alg] = [(is_projective(m), build_periodicity_tower(m)) for m in _corpus(alg, 100 * t + n)]
         for (projective_source, g), (_, e) in zip(towers[on], towers[off], strict=True):
@@ -590,65 +566,34 @@ def test_turned_towers_are_the_built_towers_array_for_array(t, monkeypatch):
                 assert on._contents[g.cone.content_key()] == off._contents[e.cone.content_key()], (t, n)
                 for name in ("eta", "inclusion", "projection", "leg"):
                     assert _same_blocks(getattr(g, name).blocks, getattr(e, name).blocks), (t, n, name)
-        memo, want = on._towers, _by_content(off, off._towers)
-        assert _by_content(on, memo).keys() == want.keys(), (t, n)
-        for key, step in memo.items():
-            ref = want[on._contents[key]]
-            assert step.degree == ref.degree, (t, n, key)
-            assert on._contents[step.cone.content_key()] == off._contents[ref.cone.content_key()], (t, n, key)
-            assert not any(a.flags.writeable for a in step.cone.arrow_maps)
-            for name in ("eta", "leg", "inclusion", "projection"):
-                assert _same_blocks(getattr(step, name).blocks, getattr(ref, name).blocks), (t, n, key, name)
-                assert not any(a.flags.writeable for a in getattr(step, name).blocks)
-        # One direct build per σ-orbit of non-projective contents, plus a build after each missed read.
-        orbits = {_orbit(on, m.content_key(), t) for m in _corpus(on, 100 * t + n) if not is_projective(m)}
-        assert len(built) == len(orbits) + sum(built), (t, n, len(built), len(orbits))
-        turned += len(memo) - len(built)
-        fallbacks += sum(built)
-    print(f"t = {t}: {turned} towers turned, {fallbacks} fallbacks to a direct build")
-    assert turned > 0 and fallbacks < turned
 
 
 # The cells of the `gap_suite` benchmark workload, in its order (bench/workloads.py, GapSuite.cells).
 GAP_SUITE_CELLS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 5), (4, 1), (4, 3), (4, 4), (5, 4), (6, 8)]
 
 
+def _counting_builds(mp) -> list:
+    """One entry per koszul_object call."""
+    built, build = [], koszul.koszul_object
+    mp.setattr(koszul, "koszul_object", lambda *args: built.append(1) or build(*args))
+    return built
+
+
 def test_gap_suite_cells_equal_the_cells_without_rotation(monkeypatch):
     with monkeypatch.context() as mp:
-        built = _counting_towers(mp)
+        built, cokernels = _counting_builds(mp), _counting_cokernels(mp)
         got = [gap_suite_cell(t, n, 40, 101, 50) for t, n in GAP_SUITE_CELLS]
     with monkeypatch.context() as mp:
         _rotation_off(mp)
-        direct = _counting_towers(mp)
+        direct, direct_cokernels = _counting_builds(mp), _counting_cokernels(mp)
         want = [gap_suite_cell(t, n, 40, 101, 50) for t, n in GAP_SUITE_CELLS]
     assert got == want
     assert all(cell["violations"] == [] for cell in got)
     # Byte for byte the reports recorded when every Koszul cone was still a cokernel.
     digest = hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest()
     assert digest == "27208b756b80620e65a4a413781840cf18693032f8caf957cf26ff421823f44c"
-    # The 129 non-projective sources fall into 41 σ-orbits, and no turned read misses.
-    assert (len(built), sum(built), len(direct)) == (41, 0, 129)
-
-
-def test_a_turned_tower_is_checked_before_it_is_stored():
-    alg = nakayama_algebra(3, 2)
-    m, src = uniserial(alg, 2, 2), uniserial(alg, 1, 2)
-    key = m.content_key()
-    assert modules._turned_key(alg, key, -1) == src.content_key()
-    build_periodicity_tower(src)
-    step = alg._towers[src.content_key()]
-    # The checked step of σ^-1 M = M(1, 2), with one entry of a nonzero projection block changed by 1.
-    blocks = [b.copy() for b in step.projection.blocks]
-    v = next(v for v, b in enumerate(blocks) if b.size)
-    blocks[v][0, 0] = (blocks[v][0, 0] + 1) % alg.field.p
-    wrong = ModuleMap(step.cone, step.projection.target, blocks, check=False)
-    planted = dataclasses.replace(step, projection=wrong)
-    alg._towers[src.content_key()] = planted
-    with pytest.raises(AssertionError, match="turned tower"):
-        build_periodicity_tower(m)
-    assert key not in alg._towers
-    assert alg._towers[src.content_key()] is planted and planted.projection is wrong
-    assert wrong.blocks[v][0, 0] == (step.projection.blocks[v][0, 0] + 1) % alg.field.p
+    # Each of the 129 non-projective sources builds its step, and no period isomorphism takes a cokernel.
+    assert (len(built), len(direct), len(cokernels), len(direct_cokernels)) == (129, 129, 0, 0)
 
 
 def test_the_memo_reader_reads_exact_then_turned_then_built():
@@ -681,38 +626,3 @@ def test_the_memo_reader_reads_exact_then_turned_then_built():
     memo = {}
     assert modules._memo_read(alg, memo, key, turn, build, "none") is None
     assert calls == [("build", ("none",))] and memo == {}
-
-
-def _read_only_step(step) -> bool:
-    maps = (step.eta, step.leg, step.inclusion, step.projection)
-    return not any(a.flags.writeable for a in (*step.cone.arrow_maps, *(b for f in maps for b in f.blocks)))
-
-
-def test_an_exact_tower_hit_is_the_stored_step_unchecked_again(monkeypatch):
-    alg = nakayama_algebra(3, 2)
-    m1, m2 = uniserial(alg, 1, 2), uniserial(alg, 1, 2)
-    stored = build_periodicity_tower(m1)
-    assert alg._towers[m1.content_key()] is stored and stored.source is m1 and _read_only_step(stored)
-
-    def never(*args):
-        raise AssertionError("an exact hit turned or built a tower")
-
-    monkeypatch.setattr(koszul, "_turned_tower", never)
-    monkeypatch.setattr(koszul, "koszul_object", never)
-    assert build_periodicity_tower(m2) is stored
-
-
-def test_a_turned_tower_is_stored_read_only():
-    alg = nakayama_algebra(3, 2)
-    m, src = uniserial(alg, 2, 2), uniserial(alg, 1, 2)
-    build_periodicity_tower(src)
-    step = build_periodicity_tower(m)
-    assert alg._towers[m.content_key()] is step and step.source is m
-    assert _read_only_step(step) and _read_only_step(alg._towers[src.content_key()])
-
-
-def test_a_tower_without_a_period_is_none_and_not_stored(monkeypatch):
-    alg = nakayama_algebra(3, 2)
-    monkeypatch.setattr(koszul, "detect_period", lambda m: None)
-    assert build_periodicity_tower(uniserial(alg, 1, 2)) is None
-    assert alg._towers == {}

@@ -70,11 +70,10 @@ def test_gap_check_without_a_step_for_a_non_projective_source_raises(a32):
 def test_gap_check_accepts_the_stored_step_for_an_equal_module():
     alg = nakayama_algebra(3, 2)
     m1, m2 = uniserial(alg, 2, 2), uniserial(alg, 2, 2)
+    # m1's step serves the equal module m2: gap_check compares sources by content.
     stored = build_periodicity_tower(m1)
-    # An exact memo hit returns the stored step, whose source is the first module object.
-    step = build_periodicity_tower(m2)
-    assert step is stored and step.source is m1 and m1 is not m2
-    report = gap_check(ext_table(m2, simple(alg, 1), 20), step)
+    assert stored.source is m1 and m1 is not m2
+    report = gap_check(ext_table(m2, simple(alg, 1), 20), stored)
     assert report.pair[0] == "uniserial:2:2" and report.gap_length == stored.degree
 
 
