@@ -119,7 +119,6 @@ class BoundQuiverAlgebra:
         self._serial_summands: dict[int, tuple] = {}  # see modules._serial_memo
         self._hom_complex_ranks: dict[tuple, tuple] = {}  # (syzygy id, target id); see homology.ext_dims
         self._hom_kernels: dict[tuple, object] = {}  # (source id, target id): padded Hom stack; see modules._hom_stack
-        self._stable_ranks: dict[tuple, int] = {}  # (source id, target id); see homology.stable_hom_dim
 
     def _walk(self, v: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
         """The walk from v, one length at a time: each entry of length L - 1 extended by every arrow out of its end."""

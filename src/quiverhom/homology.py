@@ -7,8 +7,9 @@ term(d+1) -> term(d) ->> syzygy(d) in the step memo; `hom_basis` keeps the
 intertwining system, which serves bases faster.  For a simple target
 they are cross-asserted against Betti multiplicities in every distinct
 degree, through the end of the source's syzygy content cycle.  A stable
-Hom dimension subtracts the rank of the maps through the target's cover,
-memoized per content pair and read through σ like the Hom-complex ranks.
+Hom dimension subtracts the maps through the target's cover P ->> N,
+Hom(M, P) / Hom(M, ΩN) by left exactness; dim Hom(M, ΩN) is a degree-0
+entry of the same Hom-complex rank memo.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .modules import (
     ModuleMap,
     QuiverModule,
     UnsupportedOperation,
-    _hom_stack,
-    _padded,
-    _pivots_beyond,
     _itself,
     _memo_read,
     _step,
@@ -33,7 +31,6 @@ from .modules import (
     find_isomorphism,
     hom_basis,
     projective_cover,  # noqa: F401 - bench/test_bench.py reads homology.projective_cover
-    radical_matrix,
 )
 
 
@@ -147,16 +144,6 @@ class Resolution:
 
     def betti_multiplicity(self, d: int, j: int) -> int:
         return self.term(d).summands.count(j)
-
-    def is_minimal(self) -> bool:
-        """Every differential must land in the radical, i.e. induce zero on tops."""
-        f = self.algebra.field
-        for d in range(1, self.max_degree + 1):
-            target = self.term(d - 1).module
-            for v in range(1, self.algebra.quiver.vertex_count + 1):
-                if _pivots_beyond(f, radical_matrix(target, v), self.diff(d).block(v))[1]:
-                    return False
-        return True
 
 
 def minimal_resolution(module: QuiverModule, max_degree: int) -> Resolution:
@@ -348,11 +335,13 @@ def stable_hom_dim(m: QuiverModule, n: QuiverModule) -> int:
     """dim of Hom(M, N) modulo the maps factoring through the cover of N.
 
     Over a selfinjective algebra a map factors through a projective iff
-    it factors through the projective cover of its target.  The cover is
-    read from the algebra's step memo, and computed into it on a miss.
-    The stable dimension is dim Hom(M, N) minus the rank of the surjection
-    composed with the basis of Hom(M, cover), memoized per content pair and
-    read through σ like the Hom-complex ranks: one build per σ-orbit.
+    it factors through the projective cover P ->> N of its target, read
+    from the algebra's step memo (computed into it on a miss).  Hom(M, -)
+    is left exact on 0 -> ΩN -> P ->> N, so the maps through the cover are
+    Hom(M, P) / Hom(M, ΩN), and the stable dimension is
+    dim Hom(M, N) - dim Hom(M, P) + dim Hom(M, ΩN).  The last term is
+    h - rank of the Hom-complex entry (M, ΩN) in degree 0, the memo entry
+    `ext_dims` reads, read through σ like every other.
     """
     if not m.algebra.is_selfinjective_nakayama:
         raise UnsupportedOperation("stable Hom requires a selfinjective algebra")
@@ -360,18 +349,19 @@ def stable_hom_dim(m: QuiverModule, n: QuiverModule) -> int:
     if not basis:
         return 0
     step = _step(n.algebra, n.content_key(), _itself, n)
-    if not hom_basis(m, step.term.module):
+    through = hom_basis(m, step.term.module)
+    if not through:
         return len(basis)
-    alg, key = m.algebra, (m.content_key(), n.content_key())
-    return len(basis) - _memo_read(alg, alg._stable_ranks, key, _itself, _stable_rank, m, n, step)
+    res, alg = minimal_resolution(m, 1), m.algebra
+    key = (res.syzygy_key(0), step.next_key)
+    h, rank = _memo_read(alg, alg._hom_complex_ranks, key, _itself, _omega_entry, res, step)
+    return len(basis) - len(through) + h - rank
 
 
-def _stable_rank(m: QuiverModule, n: QuiverModule, step: _Step) -> int:
-    """The rank of N's cover surjection, zero-padded to (vertices, D_N, D_P), composed in one product with
-    the memo's (k, vertices, D_P, D_M) stack of Hom(M, cover) as it is; row j is the composite with map j."""
-    f, P = m.field, step.term.module
-    rows = f.matmul(_padded(step.surj_blocks, max(n.dims), max(P.dims))[0], _hom_stack(m, P))
-    return f.rank(rows.reshape(len(rows), -1))
+def _omega_entry(res: Resolution, step: _Step) -> tuple[int, int]:
+    """The degree-0 Hom-complex entry of res against ΩN, the kernel of the step's cover of N."""
+    omega = QuiverModule(res.algebra, step.ker_dims, step.ker_maps, check=False)
+    return _rank_entry(res, 0, omega)
 
 
 # -- periodicity ------------------------------------------------------------
@@ -390,8 +380,9 @@ class PeriodicityWitness:
 def detect_period(m: QuiverModule) -> PeriodicityWitness | None:
     """The smallest p in 1..period_bound with syzygy^p(M) isomorphic to M.
 
-    Every non-projective module has a period dividing the bound, so None
-    means M is projective or zero (zero would carry every period).
+    Every module with no projective summand has a period dividing the
+    bound, so None means M is zero (zero would carry every period) or has
+    a projective summand, which no syzygy of M has.
     Syzygies are screened by their content ids and memoized covers: a
     degree whose dims or top (its cover's summands) differ from M's is
     skipped unbuilt, and when the content recurs exactly the witness is

@@ -31,6 +31,7 @@ from .modules import (
     QuiverModule,
     UnsupportedOperation,
     cokernel,
+    decompose_serial,
     direct_sum,
     is_projective,
 )
@@ -143,15 +144,19 @@ def build_periodicity_tower(m: QuiverModule) -> KoszulStep | None:
     """The checked step whose cone is the Koszul object of M's periodicity isomorphism.
 
     Over kΓ/J^{n+1} a non-projective module has complexity 1, so one step reduces it to a
-    projective cone; a projective module needs no step and comes back as None.  For any
-    other module None means the period search failed.  Every call builds its step:
-    detect_period finds eta, koszul_object reads the step off M's resolution with its
-    checks, and the cone must be projective.
+    projective cone; a projective module needs no step and comes back as None.  A module
+    with a projective summand (and another) has no period, as Ω drops that summand: it is
+    refused with ValueError.  For any other module None means the period search failed.
+    Every call builds its step: detect_period finds eta, koszul_object reads the step off
+    M's resolution with its checks, and the cone must be projective.
     """
     if is_projective(m):
         return None
     witness = detect_period(m)
     if witness is None:
+        tops = [top for top, length in decompose_serial(m) if length == m.algebra.nilpotency]
+        if tops:
+            raise ValueError(f"{m.describe()} has the projective summand P{tops[0]}, so it has no period")
         return None
     step = koszul_object(witness.resolution, witness.iso, witness.period)
     if not is_projective(step.cone):

@@ -21,7 +21,7 @@ padded stack, whose views are `hom_basis`'s blocks, sliced on first read
 content key is the small-int id its algebra interns for its exact content, with
 the ids of the content's σ-orbit beside it.  Over kΓ/J^{n+1} every
 content-keyed memo that σ acts on (steps, Hom stacks, Hom-complex
-and stable ranks) is read by one reader, `_memo_read`, which probes σ^-k
+ranks) is read by one reader, `_memo_read`, which probes σ^-k
 of a key by indexing that orbit row.  A new cover term is, where it can
 be, a memo term of a turn of its summands, turned: no basis is built.
 A turned Hom stack is re-based to the turned system's own free
@@ -173,7 +173,9 @@ class ModuleMap:
         )
 
     def scale(self, c: int) -> "ModuleMap":
+        """c times this map; c is reduced mod p first, so no int64 product overflows."""
         p = self.source.field.p
+        c %= p
         return ModuleMap(self.source, self.target, [(c * b) % p for b in self.blocks], check=False)
 
     @property
@@ -339,10 +341,6 @@ class LabeledProjective:
                     image.append(f.matmul(target.arrow_maps[a], image[parent]))
                 blocks[end - 1][:, pos[i]] = image[i]
         return ModuleMap(self.module, target, blocks)
-
-    def hom_dim(self, target: QuiverModule) -> int:
-        """dim Hom(self, target) via the projective pairing Hom(P_j, N) = N_j."""
-        return sum(target.dims[j - 1] for j in self.summands)
 
 
 # -- kernels, cokernels, sums ------------------------------------------
@@ -535,7 +533,7 @@ def _rotations(algebra: BoundQuiverAlgebra, key):
 def _memo_read(algebra: BoundQuiverAlgebra, memo: dict, key: int | tuple, turn, build, *args):
     """memo[key]; on a miss the first σ^-k entry that turn(hit, k, *args) does not refuse, else build(*args).
 
-    turn and build return None to refuse; what is found is stored under key unless it is None.
+    turn returns None to refuse; build always returns an entry.  What is found is stored under key.
     Every content-keyed memo read through the rotation goes through here.
     """
     entry = memo.get(key)
@@ -546,8 +544,7 @@ def _memo_read(algebra: BoundQuiverAlgebra, memo: dict, key: int | tuple, turn, 
                 break
         else:
             entry = build(*args)
-        if entry is not None:
-            memo[key] = entry
+        memo[key] = entry
     return entry
 
 

@@ -111,7 +111,7 @@ def test_algebra_memos_are_declared_in_init_and_start_empty():
     # exactly the attributes that a fresh algebra holds empty.
     assert set(fresh) == set(after) == declared
     assert {k for k in after if after[k] != before[k]} == memos
-    assert {"_resolution_steps", "_serial_summands", "_hom_complex_ranks", "_hom_kernels", "_stable_ranks"} <= memos
+    assert {"_resolution_steps", "_serial_summands", "_hom_complex_ranks", "_hom_kernels"} <= memos
 
 
 NAMED_ACCESS = {"getattr", "setattr", "hasattr", "delattr"}

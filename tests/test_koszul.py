@@ -124,6 +124,14 @@ def test_a_tower_without_a_period_is_none(monkeypatch):
     assert build_periodicity_tower(uniserial(alg, 1, 2)) is None
 
 
+def test_a_module_with_a_projective_summand_is_refused_as_input_not_reported_as_a_failed_search(a32):
+    # Ω drops the summand P_1, so no syzygy of S_1 + P_1 is isomorphic to it; Ext against it is S_1's.
+    m, _, _ = direct_sum([simple(a32, 1), projective(a32, 1)])
+    assert detect_period(m) is None and not is_projective(m)
+    with pytest.raises(ValueError, match="projective summand P1"):
+        build_periodicity_tower(m)
+
+
 def test_a_step_whose_cone_is_not_projective_raises(a32, monkeypatch):
     # The cone of the zero map, syzygy^{p-1} + X, passes every check of koszul_object but is not projective.
     build = koszul.koszul_object

@@ -595,6 +595,14 @@ def test_module_map_rejects_too_many_blocks(a32):
         ModuleMap(s1, s1, blocks)
 
 
+def test_scale_reduces_a_large_scalar_before_it_multiplies():
+    # (p - 1) * (2^50 + 1) does not fit in int64, so an unreduced scalar would wrap around.
+    p = 1048573
+    m = uniserial(nakayama_algebra(3, 2, GF(p)), 1, 2)
+    f = ModuleMap.identity(m).scale(p - 1).scale(2**50 + 1)
+    assert [b.tolist() for b in f.blocks] == [[[(p - 1) * (2**50 + 1) % p]], [[(p - 1) * (2**50 + 1) % p]], []]
+
+
 def test_direct_sum_inclusion_projection(a32):
     mods = [simple(a32, 1), projective(a32, 2)]
     total, incls, projs = direct_sum(mods)

@@ -1,4 +1,4 @@
-"""The step, Hom-complex, Hom-kernel and stable-rank memos read through the rotation σ: v -> v + 1 of kΓ/J^{n+1}.
+"""The step, Hom-complex and Hom-kernel memos read through the rotation σ: v -> v + 1 of kΓ/J^{n+1}.
 
 The tests compare the library with rotation against the same library with the rotation
 lookup switched off, on a fresh algebra with the same inputs, and check that a turned read
@@ -250,14 +250,15 @@ def _counting_reduced(mp) -> list:
 
 
 def _counting_stable_ranks(mp) -> list:
+    """One (M, ΩN) content pair per Hom-complex entry that stable_hom_dim builds."""
     built = []
-    build = homology._stable_rank
+    build = homology._omega_entry
 
-    def counting(m, n, step):
-        built.append((m.content_key(), n.content_key()))
-        return build(m, n, step)
+    def counting(res, step):
+        built.append((res.syzygy_key(0), step.next_key))
+        return build(res, step)
 
-    mp.setattr(homology, "_stable_rank", counting)
+    mp.setattr(homology, "_omega_entry", counting)
     return built
 
 
@@ -271,7 +272,7 @@ class _Run(NamedTuple):
     solved: list  # the content pairs whose Hom systems those calls solved
     reduced: list  # what _reduced said of each turned non-empty stack in those calls
     stable: list  # then stable_hom_dim over every ordered pair of the _corpus modules, in order
-    ranks: list  # the content pairs whose stable ranks those calls built
+    ranks: list  # the (M, ΩN) content pairs whose Hom-complex entries those calls built
 
 
 def _run(t: int, n: int, rotation: bool) -> _Run:
@@ -501,9 +502,9 @@ def test_stable_hom_in_one_product_equals_the_per_vertex_composition(runs):
 def test_stable_hom_dims_equal_the_dims_without_rotation(runs):
     for n, (on, off) in runs.items():
         assert on.stable == off.stable, (on.algebra.t, n)
-        # Each rank is built once, and read through σ when a turn of its pair was built first.
-        assert len(on.ranks) == len(set(on.ranks)) < len(on.algebra._stable_ranks), (on.algebra.t, n)
-        assert len(off.ranks) == len(off.algebra._stable_ranks)
+        # Each (M, ΩN) entry is built once, and read through σ when a turn of its pair was built first.
+        assert len(on.ranks) == len(set(on.ranks)) < len(on.algebra._hom_complex_ranks), (on.algebra.t, n)
+        assert len(off.ranks) == len(off.algebra._hom_complex_ranks)
 
 
 def test_stable_hom_solves_one_hom_system_per_rotation_orbit_in_any_query_order(monkeypatch):
@@ -519,8 +520,8 @@ def test_stable_hom_solves_one_hom_system_per_rotation_orbit_in_any_query_order(
             for x, y in pairs:
                 stable_hom_dim(x, y)
         # Every content pair here is (uniserial, uniserial) or (uniserial, P_j); σ moves each
-        # through t distinct pairs, so one solve or rank per orbit is one per t memo entries.
-        assert len(solved) * t == len(alg._hom_kernels) and len(ranks) * t == len(alg._stable_ranks)
+        # through t distinct pairs, so one solve or entry build per orbit is one per t memo entries.
+        assert len(solved) * t == len(alg._hom_kernels) and len(ranks) * t == len(alg._hom_complex_ranks)
         # Every turned stack between uniserials is already reduced: none is re-based.
         assert reduced and all(reduced)
         counts.append((len(solved), len(ranks), len(reduced)))
@@ -533,14 +534,27 @@ def test_a_turned_stable_rank_is_the_planted_entry_it_reads():
     for x in mods:
         for y in mods:
             stable_hom_dim(x, y)
-    (src, rank), *_ = alg._stable_ranks.items()
-    x, y = (next(z for z in mods if z.content_key() == i) for i in src)
+    ranks = alg._hom_complex_ranks
+
+    def omega_key(m, n):
+        return m.content_key(), modules._step(alg, n.content_key(), lambda: n).next_key
+
+    # A pair whose (M, ΩN) entry was built, while that of its turn by σ was not.
+    x, y = next(
+        (x, y)
+        for x in mods
+        for y in mods
+        if omega_key(x, y) in ranks and omega_key(_turned(x, 1), _turned(y, 1)) not in ranks
+    )
+    src, (h, rank) = omega_key(x, y), ranks[omega_key(x, y)]
     m, n = _turned(x, 1), _turned(y, 1)
-    key = (m.content_key(), n.content_key())
-    assert key not in alg._stable_ranks and tuple(modules._turned_key(alg, i, -1) for i in key) == src
+    key = omega_key(m, n)
+    assert tuple(modules._turned_key(alg, i, -1) for i in key) == src
     # A wrong rank planted under σ^-1 of the pair is what the turned read returns, and it is stored.
-    alg._stable_ranks[src] = rank + 7
-    assert stable_hom_dim(m, n) == len(hom_basis(m, n)) - rank - 7 and alg._stable_ranks[key] == rank + 7
+    ranks[src] = (h, rank + 7)
+    cover = modules._step(alg, n.content_key(), lambda: n).term.module
+    want = len(hom_basis(m, n)) - len(hom_basis(m, cover)) + h - rank - 7
+    assert stable_hom_dim(m, n) == want and ranks[key] == (h, rank + 7)
 
 
 def _same_blocks(got, exp) -> bool:
@@ -607,7 +621,7 @@ def test_the_memo_reader_reads_exact_then_turned_then_built():
 
     def build(*args):
         calls.append(("build", args))
-        return None if args == ("none",) else "built"
+        return "built"
 
     memo = {key: "exact"}
     assert modules._memo_read(alg, memo, key, turn, build, "arg") == "exact" and calls == []
@@ -621,8 +635,3 @@ def test_the_memo_reader_reads_exact_then_turned_then_built():
     memo = {modules._turned_key(alg, key, -k): "refused" for k in (1, 2)}
     assert modules._memo_read(alg, memo, key, turn, build, "arg") == "built"
     assert [c[0] for c in calls] == ["turn", "turn", "build"] and memo[key] == "built"
-    # A build that refuses is returned and not stored.
-    calls.clear()
-    memo = {}
-    assert modules._memo_read(alg, memo, key, turn, build, "none") is None
-    assert calls == [("build", ("none",))] and memo == {}
