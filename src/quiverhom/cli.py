@@ -82,10 +82,10 @@ class RunConfig:
             value = getattr(self, key)
             if not _is_int(value):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if self.field_p > GF.MAX_CHARACTERISTIC:  # checked first: trial division grows with sqrt(field_p)
+            raise ConfigError(f"field_p must be at most {GF.MAX_CHARACTERISTIC}, got {self.field_p}")
         if not is_prime(self.field_p):
             raise ConfigError(f"field_p must be prime, got {self.field_p}")
-        if self.field_p > GF.MAX_CHARACTERISTIC:
-            raise ConfigError(f"field_p must be at most {GF.MAX_CHARACTERISTIC}, got {self.field_p}")
         if not 1 <= self.max_degree <= MAX_DEGREE:
             raise ConfigError(f"max_degree must be in [1,{MAX_DEGREE}], got {self.max_degree}")
         if not 1 <= self.workers <= MAX_WORKERS:

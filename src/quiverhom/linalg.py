@@ -44,12 +44,12 @@ class GF:
     MAX_CHARACTERISTIC = 2**20
 
     def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"field characteristic must be prime, got {p}")
-        if p > self.MAX_CHARACTERISTIC:
+        if p > self.MAX_CHARACTERISTIC:  # before the primality test, whose trial division grows with sqrt(p)
             raise ValueError(
                 f"characteristic {p} exceeds exact-arithmetic bound {self.MAX_CHARACTERISTIC}"
             )
+        if not is_prime(p):
+            raise ValueError(f"field characteristic must be prime, got {p}")
         self.p = p
         self._max_inner = (2**63 - 1) // (p - 1) ** 2
 

@@ -22,11 +22,11 @@ content key is the small-int id its algebra interns for its exact content, with
 the ids of the content's σ-orbit beside it.  Over kΓ/J^{n+1} every
 content-keyed memo that σ acts on (steps, Hom stacks, Hom-complex
 ranks) is read by one reader, `_memo_read`, which probes σ^-k
-of a key by indexing that orbit row.  A new cover term is, where it can
-be, a memo term of a turn of its summands, turned: no basis is built.
-A turned Hom stack is re-based to the turned system's own free
-unknowns, the array a solve would give, unless it is in that form already,
-and passes the same batched check when it is not empty.
+of a key by indexing that orbit row.  A cover term is built once per
+summand tuple and shared (`_labeled_projective`).  A turned Hom stack
+is re-based to the turned system's own free unknowns, the array a solve
+would give, unless it is in that form already, and passes the same
+batched check when it is not empty.
 """
 
 from __future__ import annotations
@@ -166,12 +166,6 @@ class ModuleMap:
         blocks = [f.matmul(a, b) for a, b in zip(self.blocks, other.blocks)]
         return ModuleMap(other.source, self.target, blocks, check=False)
 
-    def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        p = self.source.field.p
-        return ModuleMap(
-            self.source, self.target, [(a + b) % p for a, b in zip(self.blocks, other.blocks)], check=False
-        )
-
     def scale(self, c: int) -> "ModuleMap":
         """c times this map; c is reduced mod p first, so no int64 product overflows."""
         p = self.source.field.p
@@ -298,21 +292,10 @@ class LabeledProjective:
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, summands: tuple[int, ...]):
-        summands = tuple(int(j) for j in summands)
-        self._set(algebra, summands, *_path_basis(algebra, summands, algebra.nilpotency))
-
-    def _set(self, algebra: BoundQuiverAlgebra, summands: tuple[int, ...], dims, maps, positions):
-        self.algebra, self.summands, self.positions = algebra, summands, positions
-        label = "+".join(f"P{j}" for j in summands) or "0"
+        self.algebra, self.summands = algebra, tuple(int(j) for j in summands)
+        dims, maps, self.positions = _path_basis(algebra, self.summands, algebra.nilpotency)
+        label = "+".join(f"P{j}" for j in self.summands) or "0"
         self.module = QuiverModule(algebra, dims, maps, name=label, check=False)
-
-    def turned(self, k: int) -> "LabeledProjective":
-        """σ^k of this sum over kΓ/J^{n+1}, with no path basis built: the walk from j + k is the walk
-        from j with arrows and ends moved k on, so the positions are these and dims and arrows turn by k."""
-        P, m = LabeledProjective.__new__(LabeledProjective), self.module
-        summands = tuple(self.algebra.wrap(j + k) for j in self.summands)
-        P._set(self.algebra, summands, _turn(m.dims, k), _turn(m.arrow_maps, k), self.positions)
-        return P
 
     @property
     def total_dim(self) -> int:
@@ -465,18 +448,11 @@ class ProjectiveCover:
 
 
 def _labeled_projective(algebra: BoundQuiverAlgebra, summands: tuple[int, ...]) -> LabeledProjective:
-    """The algebra's one LabeledProjective with these summands: on first use the memo term of the first turn
-    σ^-k of them, k = 1..t-1, turned by σ^k over kΓ/J^{n+1}, else built; one is built per σ-orbit."""
+    """The algebra's one LabeledProjective with these summands, built on first use."""
     memo = algebra._labeled_projectives
     P = memo.get(summands)
     if P is None:
-        for k in range(1, algebra.t) if algebra.is_selfinjective_nakayama else ():
-            if (hit := memo.get(tuple(algebra.wrap(j - k) for j in summands))) is not None:
-                P = hit.turned(k)
-                break
-        else:
-            P = LabeledProjective(algebra, summands)
-        memo[summands] = P
+        P = memo[summands] = LabeledProjective(algebra, summands)
     return P
 
 
@@ -745,15 +721,17 @@ def serial_summands(m: QuiverModule) -> list[SerialSummand]:
     n = alg.n
 
     # ker[v][d]: the kernel of act(v, d), the length-d path from v (walk entry d), with act(v, d) = A_a act(v, d-1)
-    # for a its last arrow; ker[v][0] is empty and ker[v][n + 1] the whole space, as J^{n+1} = 0.
+    # for a its last arrow; ker[v][0] is empty.  From the first zero act(v, d) on (d = n + 1 at the latest, as
+    # J^{n+1} = 0; a zero space is not walked) every kernel is the whole space, as kernel_matrix would give.
     ker = {}
-    for v in range(1, t + 1):
-        act = field.eye(m.dims[v - 1])
-        ker[v] = [np.zeros((m.dims[v - 1], 0), dtype=np.int64)]
-        for _, a, _ in alg.walk(v)[0][1 : n + 1]:
+    for v, dim in enumerate(m.dims, start=1):
+        act, ker[v] = field.eye(dim), [np.zeros((dim, 0), dtype=np.int64)]
+        for _, a, _ in alg.walk(v)[0][1 : n + 1] if dim else ():
             act = field.matmul(m.arrow_maps[a], act)
+            if not act.any():
+                break
             ker[v].append(field.kernel_matrix(act))
-        ker[v].append(field.eye(m.dims[v - 1]))
+        ker[v] += [field.eye(dim)] * (n + 2 - len(ker[v]))
     summands: list[SerialSummand] = []
     for length in range(n + 1, 0, -1):
         for j in range(1, t + 1):

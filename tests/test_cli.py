@@ -418,6 +418,17 @@ def test_prime_field_above_exact_bound_rejected(capsys, argv):
     assert "field_p must be at most 1048576" in err
 
 
+def test_a_field_p_above_the_bound_is_refused_before_the_primality_test(capsys, monkeypatch):
+    # 10**18 + 3 is prime; trial division would run up to 10**9.
+    def refuse(p):
+        raise AssertionError(f"is_prime({p}) called")
+
+    monkeypatch.setattr(cli, "is_prime", refuse)
+    code, out, err = run(["resolve", "--algebra", ALG32, "--module", "simple:1", "--field-p", str(10**18 + 3)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "field_p must be at most 1048576" in err
+
+
 ALG43 = '{"kind":"circular_nakayama","t":4,"n":3}'
 
 

@@ -60,29 +60,31 @@ def test_check_exact_rejects_a_cone_one_simple_too_large(a32):
     assert not padded.check_exact()
 
 
-def _counting_cokernels(monkeypatch) -> list:
-    calls, cokernel = [], koszul.cokernel
-    monkeypatch.setattr(koszul, "cokernel", lambda *args, **kw: calls.append(1) or cokernel(*args, **kw))
-    return calls
-
-
-def test_cone_of_zero_map_splits_degree_one(a32, monkeypatch):
-    # With eta = 0 the sequence 0 -> X -> C -> X -> 0 splits, so the cone
-    # doubles X's summands; it is still pushed out as one cokernel.
-    cokernels = _counting_cokernels(monkeypatch)
+def test_a_zero_eta_is_refused(a32):
+    # Omega^2 S_1 = S_1 over (3, 2): eta = 0 has square blocks, and they are singular.
     x = simple(a32, 1)
     res = minimal_resolution(x, 2)
-    eta = ModuleMap.zero(res.syzygy(1), x)
-    step = koszul_object(res, eta, 1)
-    assert decompose_serial(step.cone) == sorted(decompose_serial(x) * 2)
-    assert cokernels == [1]
+    with pytest.raises(ValueError, match="not an isomorphism"):
+        koszul_object(res, ModuleMap.zero(res.syzygy(2), x), 2)
+    # In degree 1 the blocks are not even square.
+    with pytest.raises(ValueError, match="not an isomorphism"):
+        koszul_object(res, ModuleMap.zero(res.syzygy(1), x), 1)
+
+
+def test_an_eta_with_one_singular_block_is_refused(a32):
+    # X = S_1 + S_2 is semisimple, so the period isomorphism with its vertex-2 block zeroed is still a module map.
+    x = direct_sum([simple(a32, 1), simple(a32, 2)])[0]
+    w = detect_period(x)
+    blocks = [b if v != 1 else 0 * b for v, b in enumerate(w.iso.blocks)]
+    eta = ModuleMap(w.iso.source, w.iso.target, blocks)
+    assert [b.shape for b in eta.blocks] == [(1, 1), (1, 1), (0, 0)]
+    with pytest.raises(ValueError, match="not an isomorphism"):
+        koszul_object(w.resolution, eta, w.period)
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
-def test_the_cone_of_a_period_isomorphism_is_the_resolutions_term(t, monkeypatch):
-    # The pushout of incl: syzygy^p -> P_{p-1} along an isomorphism eta is P_{p-1} with leg = id and
-    # inclusion = incl o eta^-1; no cokernel is taken.
-    cokernels = _counting_cokernels(monkeypatch)
+def test_the_cone_of_a_period_isomorphism_is_the_resolutions_term(t):
+    # The pushout of incl: syzygy^p -> P_{p-1} along an isomorphism eta is P_{p-1} with inclusion = incl o eta^-1.
     for n in range(1, 9):
         alg = nakayama_algebra(t, n)
         for i in range(1, t + 1):
@@ -92,10 +94,8 @@ def test_the_cone_of_a_period_isomorphism_is_the_resolutions_term(t, monkeypatch
                 res, f = minimal_resolution(m, p), alg.field
                 assert step.degree == p, (t, n, i, length)
                 assert step.cone.content_key() == res.term(p - 1).module.content_key(), (t, n, i, length)
-                assert all(np.array_equal(b, np.eye(d, dtype=np.int64)) for b, d in zip(step.leg.blocks, step.cone.dims))
                 composed = (f.matmul(a, e) for a, e in zip(step.inclusion.blocks, step.eta.blocks))
                 assert all(np.array_equal(a, b) for a, b in zip(composed, res.syzygy_inclusion(p).blocks, strict=True))
-    assert cokernels == []
 
 
 @pytest.mark.parametrize("t, n, i, length", [(3, 2, 1, 1), (3, 2, 3, 1), (2, 2, 1, 1), (4, 3, 2, 2), (5, 4, 4, 1)])
@@ -133,33 +133,11 @@ def test_a_module_with_a_projective_summand_is_refused_as_input_not_reported_as_
 
 
 def test_a_step_whose_cone_is_not_projective_raises(a32, monkeypatch):
-    # The cone of the zero map, syzygy^{p-1} + X, passes every check of koszul_object but is not projective.
-    build = koszul.koszul_object
-    monkeypatch.setattr(koszul, "koszul_object", lambda res, eta, d: build(res, ModuleMap.zero(eta.source, eta.target), d))
+    # The step passes every check of koszul_object; only the cone is planted as not projective.
+    projective_test = koszul.is_projective
+    monkeypatch.setattr(koszul, "is_projective", lambda m: not m.name.startswith("cone(") and projective_test(m))
     with pytest.raises(AssertionError, match="must be projective"):
         build_periodicity_tower(simple(a32, 1))
-
-
-def test_cone_of_zero_map_on_projective_gives_x_plus_cover(a32):
-    # For projective X the only map syzygy(X) -> X is zero and the cone is
-    # X plus the degree-0 projective term.
-    x = projective(a32, 1)
-    res = minimal_resolution(x, 2)
-    eta = ModuleMap.zero(res.syzygy(1), x)
-    step = koszul_object(res, eta, 1)
-    assert decompose_serial(step.cone) == sorted(
-        decompose_serial(x) + decompose_serial(res.term(0).module)
-    )
-
-
-def test_cone_of_zero_map_degree_two(a32):
-    x = simple(a32, 2)
-    res = minimal_resolution(x, 3)
-    eta = ModuleMap.zero(res.syzygy(2), x)
-    step = koszul_object(res, eta, 2)
-    assert decompose_serial(step.cone) == sorted(
-        decompose_serial(x) + decompose_serial(res.syzygy(1))
-    )
 
 
 def test_cone_scaling_invariance(a32):

@@ -19,6 +19,12 @@ def test_rejects_composite_characteristic():
         GF(1)
 
 
+def test_a_characteristic_above_the_bound_is_refused_before_the_primality_test():
+    # 10**18 + 3 is prime; trial division would run up to 10**9.
+    with pytest.raises(ValueError, match="exceeds exact-arithmetic bound 1048576"):
+        GF(10**18 + 3)
+
+
 def test_matmul_enforces_the_int64_exactness_bound():
     # Zero-stride operands: the inner dimension is large, but nothing large is allocated.
     f = GF(1048573)  # the largest prime <= GF.MAX_CHARACTERISTIC
