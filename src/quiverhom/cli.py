@@ -14,10 +14,10 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .algebra import nakayama_algebra
+from .algebra import DEFAULT_FIELD_P, nakayama_algebra
 from .homology import ext_table, minimal_resolution
 from .koszul import build_periodicity_tower
-from .linalg import GF, is_prime
+from .linalg import GF
 from .specifiers import GRAMMAR, MAX_DEGREE, SpecifierError, parse_module_spec
 from .vanishing import (
     FalsificationError,
@@ -41,7 +41,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    field_p: int = 101
+    field_p: int = DEFAULT_FIELD_P
     algebra: dict | None = None
     max_degree: int = 40
     module: str | None = None
@@ -82,10 +82,10 @@ class RunConfig:
             value = getattr(self, key)
             if not _is_int(value):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if self.field_p > GF.MAX_CHARACTERISTIC:  # checked first: trial division grows with sqrt(field_p)
-            raise ConfigError(f"field_p must be at most {GF.MAX_CHARACTERISTIC}, got {self.field_p}")
-        if not is_prime(self.field_p):
-            raise ConfigError(f"field_p must be prime, got {self.field_p}")
+        try:
+            GF(self.field_p)
+        except ValueError as e:
+            raise ConfigError(f"field_p: {e}") from e
         if not 1 <= self.max_degree <= MAX_DEGREE:
             raise ConfigError(f"max_degree must be in [1,{MAX_DEGREE}], got {self.max_degree}")
         if not 1 <= self.workers <= MAX_WORKERS:
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config document; flags override its values")
         if name != "sweep":
             p.add_argument("--algebra", help='algebra spec JSON or @file, e.g. \'{"kind":"circular_nakayama","t":3,"n":2}\'')
-        p.add_argument("--field-p", dest="field_p", type=int, help="prime field characteristic (default 101)")
+        p.add_argument("--field-p", dest="field_p", type=int, help=f"prime field characteristic (default {DEFAULT_FIELD_P})")
         p.add_argument("--max-degree", dest="max_degree", type=int, help="degree bound B (default 40)")
         p.add_argument("--out", help="output path (default: stdout)")
         if name == "resolve":

@@ -44,21 +44,19 @@ class Resolution:
     built on first access and kept, named for this resolution's module.
     `extend` grows the degree bound in place.
 
-    The step memo is keyed by content id, so once a syzygy's id repeats an
-    earlier one the chain is a cycle: `content_cycle()` holds (start,
-    length), and no step is stored past it.  Degree d >= start reads the
-    stored degree start + (d - start) % length, so a resolution holds
-    start + length steps at any degree bound.
+    A resolution is its content ids: it stores no step, and reads degree
+    d's step from the memo under the id of syzygy(d).  Once an id repeats
+    an earlier one the chain is a cycle: `content_cycle()` holds (start,
+    length), and no id is kept past it.  Degree d >= start reads degree
+    start + (d - start) % length, so a resolution holds start + length + 1
+    ids at any degree bound.
     """
 
     def __init__(self, module: QuiverModule, max_degree: int):
         self.module = module
         self.algebra = module.algebra
         self.max_degree = -1
-        self._steps: list[_Step] = []
         self._keys: list[int] = [module.content_key()]  # _keys[d]: content id of syzygy(d)
-        # Content id -> first degree it appeared in; dropped once the cycle is found.
-        self._first: dict[int, int] | None = {self._keys[0]: 0}
         self._cycle: tuple[int, int] | None = None
         self._objects: dict[tuple[str, int], object] = {}
         self.extend(max_degree)
@@ -73,13 +71,11 @@ class Resolution:
             raise ValueError(f"degree bound must be >= 0, got {max_degree}")
         if self._cycle is None:
             for d in range(self.max_degree + 1, max_degree + 1):
-                step = _step(self.algebra, self._keys[d], self.syzygy, d)
-                self._steps.append(step)
-                self._keys.append(step.next_key)
+                key = _step(self.algebra, self._keys[d], self.syzygy, d).next_key
+                self._keys.append(key)
                 self.max_degree = d
-                c = self._first.setdefault(step.next_key, d + 1)
-                if c <= d:
-                    self._cycle, self._first = (c, d + 1 - c), None
+                if (c := self._keys.index(key)) <= d:
+                    self._cycle = (c, d + 1 - c)
                     break
         self.max_degree = max(self.max_degree, max_degree)
 
@@ -100,6 +96,10 @@ class Resolution:
         c, length = self._cycle
         return c + (d - c) % length
 
+    def _step_at(self, d: int) -> _Step:
+        """The algebra's memo step of syzygy(d), stored under its content id."""
+        return self.algebra._resolution_steps[self._keys[self._at(d)]]
+
     def _built(self, kind: str, d: int, cls, *args):
         """This resolution's object of the given kind in degree d: cls(*args, check=False), built once."""
         obj = self._objects.get((kind, d))
@@ -108,7 +108,7 @@ class Resolution:
         return obj
 
     def term(self, d: int) -> LabeledProjective:
-        return self._steps[self._at(d)].term
+        return self._step_at(d).term
 
     def syzygy_key(self, d: int) -> int:
         """The content id of syzygy(d), read without building the syzygy."""
@@ -118,24 +118,24 @@ class Resolution:
         """term(d) ->> syzygy(d) -> term(d-1), composed from the two steps' blocks."""
         if d < 1:
             raise ValueError("differentials are indexed from degree 1")
-        lo, up, f = self._steps[self._at(d - 1)], self._steps[self._at(d)], self.algebra.field
+        lo, up, f = self._step_at(d - 1), self._step_at(d), self.algebra.field
         blocks = (f.matmul(a, b) for a, b in zip(lo.incl_blocks, up.surj_blocks))
         return self._built("diff", d, ModuleMap, up.term.module, lo.term.module, blocks)
 
     def syzygy(self, d: int) -> QuiverModule:
         if d <= 0 and self._at(d) == 0:  # _at raises for a negative degree
             return self.module
-        s, name = self._steps[self._at(d - 1)], f"syzygy:{d}:{self.module.describe()}"
+        s, name = self._step_at(d - 1), f"syzygy:{d}:{self.module.describe()}"
         return self._built("syzygy", d, QuiverModule, self.algebra, s.ker_dims, s.ker_maps, name)
 
     def syzygy_inclusion(self, d: int) -> ModuleMap:
         if d < 1:
             raise ValueError("syzygy inclusions are indexed from degree 1")
-        s = self._steps[self._at(d - 1)]
+        s = self._step_at(d - 1)
         return self._built("incl", d, ModuleMap, self.syzygy(d), s.term.module, s.incl_blocks)
 
     def cover_surjection(self, d: int) -> ModuleMap:
-        s = self._steps[self._at(d)]
+        s = self._step_at(d)
         return self._built("cover", d, ModuleMap, s.term.module, self.syzygy(d), s.surj_blocks)
 
     def betti(self, d: int) -> list[tuple[int, int]]:
@@ -143,7 +143,7 @@ class Resolution:
         return sorted(Counter(self.term(d).summands).items())
 
     def betti_multiplicity(self, d: int, j: int) -> int:
-        return self.term(d).summands.count(j)
+        return self._step_at(d).term.summands.count(j)
 
 
 def minimal_resolution(module: QuiverModule, max_degree: int) -> Resolution:
@@ -242,7 +242,7 @@ def _rank_entry(res: Resolution, d: int, n: QuiverModule) -> tuple[int, int]:
     nonzero c[pos_s[i]] adds c[pos_s[i]] N_path x_s, path walk entry i of summand s, whose action is N_a times its
     parent's (as in `LabeledProjective.map_to`); a zero product ends its branch, and the walk ends once c is read.
     """
-    lo, up, f, dims, arrows = res._steps[res._at(d)], res._steps[res._at(d + 1)], n.field, n.dims, n.arrow_maps
+    lo, up, f, dims, arrows = res._step_at(d), res._step_at(d + 1), n.field, n.dims, n.arrow_maps
     offs, rows = [0], 0  # x_s is columns offs[s]:offs[s + 1]
     for j in lo.term.summands:
         offs.append(offs[-1] + dims[j - 1])

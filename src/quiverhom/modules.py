@@ -24,9 +24,9 @@ content-keyed memo that σ acts on (steps, Hom stacks, Hom-complex
 ranks) is read by one reader, `_memo_read`, which probes σ^-k
 of a key by indexing that orbit row.  A cover term is built once per
 summand tuple and shared (`_labeled_projective`).  A turned Hom stack
-is re-based to the turned system's own free unknowns, the array a solve
-would give, unless it is in that form already, and passes the same
-batched check when it is not empty.
+is kept only when it is already the array a solve would give, and then
+passes the same batched check when it is not empty; any other turn is
+refused, and the next rotation is tried or the system solved.
 """
 
 from __future__ import annotations
@@ -509,8 +509,9 @@ def _rotations(algebra: BoundQuiverAlgebra, key):
 def _memo_read(algebra: BoundQuiverAlgebra, memo: dict, key: int | tuple, turn, build, *args):
     """memo[key]; on a miss the first σ^-k entry that turn(hit, k, *args) does not refuse, else build(*args).
 
-    turn returns None to refuse; build always returns an entry.  What is found is stored under key.
-    Every content-keyed memo read through the rotation goes through here.
+    turn returns exactly the entry build would store, or None to refuse; build always returns an
+    entry.  What is found is stored under key.  Every content-keyed memo read through the rotation
+    goes through here.
     """
     entry = memo.get(key)
     if entry is None:
@@ -578,8 +579,8 @@ def hom_basis(m: QuiverModule, n: QuiverModule) -> list[ModuleMap]:
     The algebra's memo keeps the checked basis under the content pair (M, N) as one read-only
     padded stack (`_hom_stack`); block w of map j is its view S[j, w, :n_w, :m_w], so the blocks
     are read-only and a hit solves and copies nothing.  On a miss, a memo stack of (σ^-k M, σ^-k N)
-    is turned by σ^k and re-based to the basis a solve would give, or else the system is solved;
-    either way the whole basis is checked against every arrow in one batch.
+    is turned by σ^k when the turn is already the basis a solve would give, or else the system is
+    solved; either way the whole basis is checked against every arrow in one batch.
     """
     if m.algebra is not n.algebra:
         raise ValueError("hom_basis requires modules over the same algebra")
@@ -634,26 +635,24 @@ def _solved_hom_stack(m: QuiverModule, n: QuiverModule) -> np.ndarray:
     return _checked(m, n, _padded(blocks, max(n.dims), max(m.dims)))
 
 
-def _turned_hom_stack(hit: np.ndarray, k: int, m: QuiverModule, n: QuiverModule) -> np.ndarray:
-    """The checked stack of (M, N) from the memo stack of (σ^-k M, σ^-k N); read-only.
+def _turned_hom_stack(hit: np.ndarray, k: int, m: QuiverModule, n: QuiverModule) -> np.ndarray | None:
+    """The checked stack of (M, N) from the memo stack of (σ^-k M, σ^-k N), read-only; None when a solve would differ.
 
     Block w of (M, N) is block w - k of the source pair, so the hit's last k vertices come first;
-    the turned maps span Hom(M, N) in another basis.  kernel_matrix gives one map per free unknown
-    c (1 at c, 0 at the other free ones), and c is free iff some map has its last nonzero entry at c.
-    So the basis is the RREF of the flattened stack read right to left, turned back: flattening
-    keeps the unknowns in (w, r, c) order, and padding is zero in every map, never a pivot.  A
-    stack already in that form (`_reduced`) is kept as it is.
+    the turned maps span Hom(M, N), but maybe in another basis.  kernel_matrix gives one map per free
+    unknown c (1 at c, 0 at the other free ones), and c is free iff some map has its last nonzero
+    entry at c: flattening keeps the unknowns in (w, r, c) order, and padding is zero in every map.
+    So a turned stack in that form (`_reduced`) is the solve's array; any other is refused.
     """
     turned = np.concatenate((hit[:, -k:], hit[:, :-k]), axis=1)
-    if len(turned) and not _reduced((flat := turned.reshape(len(turned), -1)).tolist()):
-        rows, _ = m.field.rref(flat[:, ::-1])
-        turned = np.ascontiguousarray(rows[::-1, ::-1]).reshape(turned.shape)
+    if len(turned) and not _reduced(turned.reshape(len(turned), -1).tolist()):
+        return None
     return _checked(m, n, turned)
 
 
 def _reduced(rows: list[list[int]]) -> bool:
-    """Whether re-basing would return these rows, entries in [0, p), unchanged: read right to left and turned back
-    they are in RREF.  So zero rows come first, and each other row's last nonzero entry is a 1, past the previous
+    """Whether these rows, entries in [0, p), have the form of a solved kernel basis: read right to left and turned
+    back they are in RREF.  So zero rows come first, and each other row's last nonzero entry is a 1, past the previous
     row's, and 0 in every later row (an earlier row is 0 there already)."""
     last = -1
     for i, row in enumerate(rows):
@@ -736,7 +735,7 @@ def serial_summands(m: QuiverModule) -> list[SerialSummand]:
     for length in range(n + 1, 0, -1):
         for j in range(1, t + 1):
             cand = ker[j][length]
-            if cand.shape[1] == 0:
+            if cand.shape[1] == ker[j][length - 1].shape[1]:  # the previous kernel lies inside cand: no new top
                 continue
             prev = alg.wrap(j - 1)
             shifted = field.matmul(m.arrow_maps[alg.quiver.arrows_from[prev][0]], ker[prev][min(length + 1, n + 1)])
@@ -790,8 +789,5 @@ def find_isomorphism(m: QuiverModule, n: QuiverModule) -> ModuleMap | None:
 
 
 def is_isomorphic(m: QuiverModule, n: QuiverModule) -> bool:
-    """Same dimension vector and the same uniserial summands."""
-    if m.algebra is not n.algebra:
-        raise ValueError("modules live over different algebras")
-    _require_nakayama(m)
-    return m.dims == n.dims and decompose_serial(m) == decompose_serial(n)
+    """Whether `find_isomorphism` finds one: the same dimension vector and the same uniserial summands."""
+    return find_isomorphism(m, n) is not None

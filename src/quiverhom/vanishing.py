@@ -13,9 +13,9 @@ from __future__ import annotations
 import os
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .algebra import BoundQuiverAlgebra, nakayama_algebra
+from .algebra import DEFAULT_FIELD_P, BoundQuiverAlgebra, nakayama_algebra
 from .homology import ExtTable, _require_ext_degrees, ext_table, minimal_resolution
 from .koszul import KoszulStep, build_periodicity_tower
 from .linalg import GF
@@ -43,14 +43,7 @@ class GapReport:
     verdict: str  # no-gap | gap-implies-all-zero-verified | violation
 
     def to_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "max_degree": self.max_degree,
-            "gap_length": self.gap_length,
-            "gap_start": self.gap_start,
-            "verdict": self.verdict,
-            "seed": RANDOM_SEED,
-        }
+        return {**asdict(self), "seed": RANDOM_SEED}
 
 
 def gap_check(table: ExtTable, step: KoszulStep | None) -> GapReport:
@@ -119,15 +112,7 @@ class SymmetryReport:
     witness_degrees: dict[str, list[int]]
 
     def to_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "max_degree": self.max_degree,
-            "tail": self.tail,
-            "verdict": self.verdict,
-            "vanishing_direction": self.vanishing_direction,
-            "witness_degrees": self.witness_degrees,
-            "seed": RANDOM_SEED,
-        }
+        return {**asdict(self), "seed": RANDOM_SEED}
 
 
 def _symmetry_window(alg: BoundQuiverAlgebra, max_degree: int) -> int:
@@ -326,7 +311,7 @@ def run_sweep(
     t_range: tuple[int, int],
     n_range: tuple[int, int],
     max_degree: int,
-    field_p: int = 101,
+    field_p: int = DEFAULT_FIELD_P,
     workers: int = 1,
 ) -> dict:
     """Run nakayama_report over a (t, n) grid on min(workers, cells, usable CPUs) processes, cells in (t, n) order.

@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import inspect
 import json
 import os
 import shlex
@@ -13,6 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quiverhom.cli as cli
+import quiverhom.linalg
+from quiverhom.algebra import DEFAULT_FIELD_P
 from quiverhom.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -25,6 +28,7 @@ from quiverhom.cli import (
     RunConfig,
     main,
 )
+from quiverhom.vanishing import run_sweep
 
 ALG32 = '{"kind":"circular_nakayama","t":3,"n":2}'
 
@@ -149,6 +153,20 @@ def test_gaps_over_the_uniserials_of_3_2_and_the_zero_module_are_the_recorded_by
             assert (code, err) == (EXIT_OK, ""), (a, b)
             digest.update(out.encode())
     assert digest.hexdigest() == "fc56f57397a69b303903893fa36f899fe01d27b56e3c1777bd47ade42b592f7f"
+
+
+def test_symmetry_over_the_uniserials_of_3_2_and_the_zero_module_are_the_recorded_bytes(capsys):
+    # The pairs of the gaps digest above (24 no-gap verdicts among them): 64 both-tails-vanish, 24 asymmetric (one
+    # witness list empty, one not) and 12 neither-vanishes verdicts.  Both digests were recorded while each report's
+    # to_dict still listed its fields by hand.
+    specs = [f"uniserial:{i}:{length}" for i in range(1, 4) for length in range(1, 4)] + ["syzygy:1:projective:1"]
+    digest = hashlib.sha256()
+    for a in specs:
+        for b in specs:
+            code, out, err = run(["symmetry", "--algebra", ALG32, "--pair", a, b, "--max-degree", "20"], capsys)
+            assert (code, err) == (EXIT_OK, ""), (a, b)
+            digest.update(out.encode())
+    assert digest.hexdigest() == "d9bd12a5fc693ea4283b87bafb28085df3e7551d2e06f9bb3960112d8857df42"
 
 
 def test_symmetry_json(capsys):
@@ -415,18 +433,27 @@ def test_prime_field_above_exact_bound_rejected(capsys, argv):
     code, out, err = run(argv + ["--field-p", "1048583"], capsys)
     assert code == EXIT_CONFIG
     assert out == ""
-    assert "field_p must be at most 1048576" in err
+    assert err == "error: field_p: characteristic 1048583 exceeds exact-arithmetic bound 1048576\n"
 
 
 def test_a_field_p_above_the_bound_is_refused_before_the_primality_test(capsys, monkeypatch):
-    # 10**18 + 3 is prime; trial division would run up to 10**9.
+    # 10**18 + 3 is prime; trial division would run up to 10**9.  The field rule lives in GF alone.
     def refuse(p):
         raise AssertionError(f"is_prime({p}) called")
 
-    monkeypatch.setattr(cli, "is_prime", refuse)
+    monkeypatch.setattr(quiverhom.linalg, "is_prime", refuse)
     code, out, err = run(["resolve", "--algebra", ALG32, "--module", "simple:1", "--field-p", str(10**18 + 3)], capsys)
     assert (code, out) == (EXIT_CONFIG, "")
-    assert "field_p must be at most 1048576" in err
+    assert "exceeds exact-arithmetic bound 1048576" in err
+    assert not hasattr(cli, "is_prime")
+
+
+def test_the_field_p_default_is_the_algebra_default(capsys):
+    assert RunConfig().field_p == DEFAULT_FIELD_P
+    assert inspect.signature(run_sweep).parameters["field_p"].default == DEFAULT_FIELD_P
+    with pytest.raises(SystemExit):
+        main(["ext", "--help"])
+    assert f"(default {DEFAULT_FIELD_P})" in " ".join(capsys.readouterr().out.split())
 
 
 ALG43 = '{"kind":"circular_nakayama","t":4,"n":3}'

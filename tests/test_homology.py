@@ -576,10 +576,10 @@ def test_content_cycle_is_the_first_repeat_of_the_step_memo_walk(t):
                 short = Resolution(m, start + length - 2)
                 assert short.content_cycle() is None
                 short.extend(top)
-                assert short.content_cycle() == cycle and short._steps == res._steps
-            # Past the cycle only the bound moves: the resolution holds start + length steps.
+                assert short.content_cycle() == cycle and short._keys == res._keys
+            # Past the cycle only the bound moves: the resolution holds start + length + 1 content ids.
             res.extend(10000)
-            assert res.max_degree == 10000 and len(res._steps) <= start + length, (t, n, m)
+            assert res.max_degree == 10000 and len(res._keys) <= start + length + 1, (t, n, m)
             assert res.term(10000) is steps[keys[start + (10000 - start) % length]].term
 
 
@@ -948,4 +948,5 @@ def test_stable_hom_stores_one_step_that_the_resolution_reuses():
     step = alg._resolution_steps[n.content_key()]
     assert step.term.summands == (1,) and n._resolution_cache is None
     res = minimal_resolution(n, 1)
-    assert res._steps[0] is step and len(alg._resolution_steps) == 2
+    assert res._step_at(0) is step and len(alg._resolution_steps) == 2
+    assert res._step_at(1) is alg._resolution_steps[step.next_key] and res.term(1) is res._step_at(1).term

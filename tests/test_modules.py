@@ -236,7 +236,8 @@ def test_is_projective_stores_one_step_that_the_resolution_reuses():
     step = alg._resolution_steps[m.content_key()]
     assert step.term.summands == (2,) and m._resolution_cache is None
     res = minimal_resolution(m, 1)
-    assert res._steps[0] is step and len(alg._resolution_steps) == 2
+    assert res._step_at(0) is step and len(alg._resolution_steps) == 2
+    assert res._step_at(1) is alg._resolution_steps[step.next_key] and res.term(1) is res._step_at(1).term
 
 
 def test_decompose_serial_examples(a32):
@@ -270,6 +271,19 @@ def test_serial_summands_walk_each_path_up_to_its_first_zero_product(monkeypatch
             calls.clear()
             assert [(s.top, s.length) for s in serial_summands(m)] == [(top, length)]
             assert len(calls) == length * (length - 1) // 2, (top, length)
+
+
+def test_serial_summands_look_for_new_tops_only_where_a_kernel_grows(monkeypatch):
+    # A uniserial of length l <= t is one-dimensional at l vertices, and the kernel at each of them grows once,
+    # so l candidate spaces hold a new top: 8 * (1 + ... + 8) = 288 over (8, 7).  Skipping only empty candidates
+    # took 1632 calls.
+    alg = nakayama_algebra(8, 7)
+    calls, pivots_beyond = [], modules._pivots_beyond
+    monkeypatch.setattr(modules, "_pivots_beyond", lambda *args: calls.append(1) or pivots_beyond(*args))
+    for top in range(1, 9):
+        for length in range(1, 9):
+            assert [(s.top, s.length) for s in serial_summands(uniserial(alg, top, length))] == [(top, length)]
+    assert len(calls) == 288
 
 
 def test_rank_count_matches_chain_count():

@@ -233,11 +233,30 @@ def _counting_solves(mp) -> list:
 
 
 def _counting_reduced(mp) -> list:
-    """One entry per turned non-empty Hom stack: False when it was re-based, True when it was kept as it was."""
+    """One entry per turned non-empty Hom stack: False when it was refused, True when it was kept as it was."""
     seen = []
     reduced = modules._reduced
     mp.setattr(modules, "_reduced", lambda rows: seen.append(reduced(rows)) or seen[-1])
     return seen
+
+
+def _logging_hom_stacks(mp) -> list:
+    """(outcome, content pair) per turn or solve of a Hom stack, in call order: "turned", "refused" or "solved"."""
+    log = []
+    turn, solve = modules._turned_hom_stack, modules._solved_hom_stack
+
+    def turning(hit, k, m, n):
+        got = turn(hit, k, m, n)
+        log.append(("refused" if got is None else "turned", (m.content_key(), n.content_key())))
+        return got
+
+    def solving(m, n):
+        log.append(("solved", (m.content_key(), n.content_key())))
+        return solve(m, n)
+
+    mp.setattr(modules, "_turned_hom_stack", turning)
+    mp.setattr(modules, "_solved_hom_stack", solving)
+    return log
 
 
 def _counting_stable_ranks(mp) -> list:
@@ -262,6 +281,7 @@ class _Run(NamedTuple):
     kernels: dict  # the Hom stacks after those calls, keyed by content ids
     solved: list  # the content pairs whose Hom systems those calls solved
     reduced: list  # what _reduced said of each turned non-empty stack in those calls
+    log: list  # the outcome of each turn or solve in those calls, with its content pair
     stable: list  # then stable_hom_dim over every ordered pair of the _corpus modules, in order
     ranks: list  # the (M, ΩN) content pairs whose Hom-complex entries those calls built
 
@@ -272,12 +292,13 @@ def _run(t: int, n: int, rotation: bool) -> _Run:
         if not rotation:
             _rotation_off(mp)
         solved, reduced, ranks = _counting_solves(mp), _counting_reduced(mp), _counting_stable_ranks(mp)
+        log = _logging_hom_stacks(mp)
         corpus = _corpus(alg, 100 * t + n)
         mods = corpus + [projective(alg, i) for i in range(1, t + 1)]
         maps = [hom_basis(x, y) for x in mods for y in mods]
-        kernels, solved, reduced = dict(alg._hom_kernels), solved[:], reduced[:]
+        kernels, solved, reduced, log = dict(alg._hom_kernels), solved[:], reduced[:], log[:]
         stable = [stable_hom_dim(x, y) for x in corpus for y in corpus]
-    return _Run(alg, mods, maps, kernels, solved, reduced, stable, ranks)
+    return _Run(alg, mods, maps, kernels, solved, reduced, log, stable, ranks)
 
 
 @pytest.fixture(scope="module", params=[2, 3, 4, 5, 6], ids=str)
@@ -289,7 +310,7 @@ def runs(request) -> dict[int, tuple[_Run, _Run]]:
 
 
 def test_turned_hom_kernels_are_the_solved_kernels_array_for_array(runs):
-    turned = rebased = 0
+    turned = refused = 0
     for n, (on, off) in runs.items():
         t, want = on.algebra.t, _by_content(off.algebra, off.kernels)
         assert _by_content(on.algebra, on.kernels).keys() == want.keys(), (t, n)
@@ -302,11 +323,21 @@ def test_turned_hom_kernels_are_the_solved_kernels_array_for_array(runs):
             for g, e in zip(got, exp):
                 assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(g.blocks, e.blocks, strict=True))
         assert len(on.solved) == len(set(on.solved)) < len(on.kernels) == len(off.solved)
-        # Every turned non-empty stack is tested for the reduced form; the random-basis sums make some re-base.
-        assert len(on.reduced) <= len(on.kernels) - len(on.solved) and off.reduced == []
+        # Every turned non-empty stack is tested for the reduced form; the random-basis sums get some refused.
+        assert on.reduced.count(True) <= len(on.kernels) - len(on.solved) and off.reduced == []
+        # A miss reads its key's rotations until one turns, else solves: every refusal is followed by another
+        # rotation or a solve of that key, and the last outcome is what the memo stores.
+        outcomes: dict[tuple, list] = {}
+        for outcome, key in on.log:
+            outcomes.setdefault(key, []).append(outcome)
+        assert outcomes.keys() == on.kernels.keys(), (t, n)
+        for key, seq in outcomes.items():
+            assert seq[-1] in ("turned", "solved") and seq[:-1] == ["refused"] * (len(seq) - 1), (t, n, key)
+        assert [o for o, _ in on.log].count("refused") == on.reduced.count(False), (t, n)
+        assert {o for o, _ in off.log} == {"solved"}
         turned += len(on.kernels) - len(on.solved)
-        rebased += on.reduced.count(False)
-    assert turned > 0 and rebased > 0
+        refused += on.reduced.count(False)
+    assert turned > 0 and refused > 0
 
 
 def test_a_turned_hom_kernel_is_checked_before_it_is_stored():
@@ -331,14 +362,35 @@ def test_a_turned_hom_kernel_is_checked_before_it_is_stored():
     assert np.array_equal(planted, before)
 
 
+def test_a_turned_hom_stack_not_in_solved_form_is_refused_and_the_system_solved(monkeypatch):
+    alg, fresh = nakayama_algebra(3, 2), nakayama_algebra(3, 2)
+    m = n = uniserial(alg, 2, 2)
+    src_m = src_n = uniserial(alg, 1, 2)
+    key, src = (m.content_key(), n.content_key()), (src_m.content_key(), src_n.content_key())
+    assert tuple(modules._turned_key(alg, x, -1) for x in key) == src
+    # Twice the solved stack of σ^-1 (M, M): the same span, but its maps' last nonzero entries are 2s.
+    solved = modules._solved_hom_stack(src_m, src_n)
+    planted = (2 * solved) % alg.field.p
+    assert len(planted) and not modules._reduced(planted.reshape(len(planted), -1).tolist())
+    alg._hom_kernels[src] = planted
+    with monkeypatch.context() as mp:
+        solves, reduced = _counting_solves(mp), _counting_reduced(mp)
+        maps = hom_basis(m, n)
+    assert reduced == [False] and solves == [key]
+    want = modules._solved_hom_stack(uniserial(fresh, 2, 2), uniserial(fresh, 2, 2))
+    stack = alg._hom_kernels[key]
+    assert stack.shape == want.shape and np.array_equal(stack, want) and not stack.flags.writeable
+    assert len(maps) == len(want) and alg._hom_kernels[src] is planted
+
+
 def _rebased(rows: np.ndarray, field: GF) -> np.ndarray:
-    """The re-basing of _turned_hom_stack: the RREF of the rows read right to left, turned back."""
+    """The rows' span in the form of a solved kernel basis: the RREF of the rows read right to left, turned back."""
     out, _ = field.rref(rows[:, ::-1])
     return out[::-1, ::-1]
 
 
 def _reduced_rows(rng: random.Random, k: int, width: int, p: int) -> list[list[int]]:
-    """k rows in the re-based form: last nonzero entries 1 at ascending columns, 0 there in every other row."""
+    """k rows in the solved form: last nonzero entries 1 at ascending columns, 0 there in every other row."""
     pivots = sorted(rng.sample(range(width), k))
     rows = [[rng.randrange(p) if c < pc else 0 for c in range(width)] for pc in pivots]
     for i, pc in enumerate(pivots):
@@ -453,7 +505,7 @@ def test_an_empty_hom_basis_is_turned_and_stored_as_an_empty_stack(monkeypatch):
         mp.setattr(modules, "_failed_arrow", lambda m, n, s: checks.append(len(s)) or failed_arrow(m, n, s))
         assert hom_basis(src_m, src_n) == [] and hom_basis(m, n) == []
     assert solved == [(src_m.content_key(), src_n.content_key())]
-    # An empty stack has no map to check or re-base.
+    # An empty stack has no map to check or refuse.
     assert checks == [] and reduced == []
     for key in solved + [(m.content_key(), n.content_key())]:
         stack = alg._hom_kernels[key]
@@ -512,7 +564,7 @@ def test_stable_hom_solves_one_hom_system_per_rotation_orbit_in_any_query_order(
         # Every content pair here is (uniserial, uniserial) or (uniserial, P_j); σ moves each
         # through t distinct pairs, so one solve or entry build per orbit is one per t memo entries.
         assert len(solved) * t == len(alg._hom_kernels) and len(ranks) * t == len(alg._hom_complex_ranks)
-        # Every turned stack between uniserials is already reduced: none is re-based.
+        # Every turned stack between uniserials is already reduced: none is refused.
         assert reduced and all(reduced)
         counts.append((len(solved), len(ranks), len(reduced)))
     assert counts[0] == counts[1] and counts[0][:2] == (397, 160)
