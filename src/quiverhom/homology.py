@@ -49,7 +49,7 @@ class Resolution:
     an earlier one the chain is a cycle: `content_cycle()` holds (start,
     length), and no id is kept past it.  Degree d >= start reads degree
     start + (d - start) % length, so a resolution holds start + length + 1
-    ids at any degree bound.
+    ids at any degree bound; `syzygy_keys` reads them as one slice.
     """
 
     def __init__(self, module: QuiverModule, max_degree: int):
@@ -113,6 +113,13 @@ class Resolution:
     def syzygy_key(self, d: int) -> int:
         """The content id of syzygy(d), read without building the syzygy."""
         return self._keys[self._at(d)]
+
+    def syzygy_keys(self, top: int) -> list[int]:
+        """[syzygy_key(d) for d in 0..top] as one slice: the ids are stored through max_degree + 1,
+        or through c + l once the content cycle (c, l) is known."""
+        if not 0 <= top < len(self._keys):
+            raise ValueError(f"content ids are stored for degrees 0..{len(self._keys) - 1}, got {top}")
+        return self._keys[: top + 1]
 
     def diff(self, d: int) -> ModuleMap:
         """term(d) ->> syzygy(d) -> term(d-1), composed from the two steps' blocks."""
@@ -200,6 +207,8 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
     When N is simple the Betti-multiplicity route is computed as well and
     the two values are asserted equal in every degree through the end of
     the source's content cycle; each later degree repeats one of those.
+    Both routes read the ids of degrees 0..top as one slice of the
+    resolution's, and a Hom-complex memo hit is read without a call.
     """
     if m.algebra is not n.algebra:
         raise ValueError("Ext requires modules over the same algebra")
@@ -211,18 +220,17 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
     # reads a rotated pair's entry when there is one.
     # Past the content cycle (start c, length l) degree i repeats degree i - l step for step, so
     # entries and the Betti check run through degree min(B, c + l); later degrees are laps of the last l.
-    alg, target_key = m.algebra, n.content_key()
+    alg, memo, target_key = m.algebra, m.algebra._hom_complex_ranks, n.content_key()
     cycle = res.content_cycle()
     top = max_degree if cycle is None else min(max_degree, cycle[0] + cycle[1])
-    entries = [
-        _memo_read(alg, alg._hom_complex_ranks, (res.syzygy_key(d), target_key), _itself, _rank_entry, res, d, n)
-        for d in range(top + 1)
+    ids = res.syzygy_keys(top)
+    entries = [  # an entry is a nonempty tuple, so only a miss goes on to _memo_read
+        memo.get((key, target_key)) or _memo_read(alg, memo, (key, target_key), _itself, _rank_entry, res, d, n)
+        for d, key in enumerate(ids)
     ]
     out = [entries[i][0] - entries[i][1] - entries[i - 1][1] for i in range(1, top + 1)]
     if n.total_dim == 1:  # N = S_j: Ext^i(M, S_j) is the multiplicity of P_j in term(i)
-        j = n.dims.index(1) + 1
-        for i in range(1, top + 1):
-            betti = res.betti_multiplicity(i, j)
+        for i, betti in enumerate(_betti_read(alg, ids[1:], n.dims.index(1) + 1), start=1):
             if betti != out[i - 1]:
                 raise AssertionError(
                     f"Ext oracle mismatch at degree {i}: complex gives {out[i - 1]}, "
@@ -232,6 +240,11 @@ def ext_dims(m: QuiverModule, n: QuiverModule, max_degree: int) -> list[int]:
         laps = (max_degree - top) // cycle[1] + 1
         out = (out + out[-cycle[1] :] * laps)[:max_degree]
     return out
+
+
+def _betti_read(alg, ids: list[int], j: int) -> list[int]:
+    """The multiplicity of P_j in the memo step's cover term of each content id: the Betti route of `ext_dims`."""
+    return [alg._resolution_steps[key].term.summands.count(j) for key in ids]
 
 
 def _rank_entry(res: Resolution, d: int, n: QuiverModule) -> tuple[int, int]:

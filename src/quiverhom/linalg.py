@@ -140,6 +140,10 @@ class GF:
 
     def kernel_matrix(self, m: np.ndarray) -> np.ndarray:
         """Kernel basis packed as columns, one per free column of the RREF; shape (cols, dim ker)."""
+        return self._kernel_free(m)[0]
+
+    def _kernel_free(self, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """kernel_matrix(m) and the free columns of the RREF, in order: its rows there are the identity."""
         cols = m.shape[1]
         r, pivots = self._echelon(m)
         free = sorted(set(range(cols)).difference(pivots))
@@ -148,7 +152,7 @@ class GF:
             out[c][j] = 1
         for row, c in zip(r, pivots):
             out[c] = [-row[f] % self.p for f in free]
-        return np.array(out, dtype=np.int64).reshape(cols, len(free))
+        return np.array(out, dtype=np.int64).reshape(cols, len(free)), free
 
     def solve(self, m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """Some x with m @ x = b, or None when the system is inconsistent."""

@@ -336,21 +336,16 @@ def _pivots_beyond(field, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, lis
 
 
 def kernel(f: ModuleMap) -> tuple[QuiverModule, ModuleMap]:
-    """Vertex-wise kernel with induced arrow actions, plus its inclusion."""
-    M = f.source
-    field = M.field
-    q = M.algebra.quiver
-    incl_blocks = [field.kernel_matrix(f.blocks[v]) for v in range(q.vertex_count)]
-    dims = [b.shape[1] for b in incl_blocks]
-    maps = []
-    for a in range(len(q.arrows)):
-        u, v = q.source(a), q.target(a)
-        rhs = field.matmul(M.arrow_maps[a], incl_blocks[u - 1])
-        sol = field.solve_matrix(incl_blocks[v - 1], rhs)
-        if sol is None:
-            raise AssertionError("kernel is not arrow-stable; invalid module map")
-        maps.append(sol)
-    ker = QuiverModule(M.algebra, dims, maps, name=f"ker({M.describe()})", check=False)
+    """Vertex-wise kernel with induced arrow actions, plus its inclusion.
+
+    incl_v, the kernel matrix of f_v, is the identity on its free rows, so X_a = (M_a incl_u)[those rows] is the
+    one X with incl_v X = M_a incl_u if any is: the inclusion's check tests that equation and names a failed arrow.
+    """
+    M, field = f.source, f.source.field
+    incl_blocks, free = zip(*(field._kernel_free(b) for b in f.blocks))
+    arrows = M.algebra.quiver.arrows
+    maps = [field.matmul(M.arrow_maps[a], incl_blocks[u - 1])[free[v - 1]] for a, (u, v) in enumerate(arrows)]
+    ker = QuiverModule(M.algebra, [b.shape[1] for b in incl_blocks], maps, name=f"ker({M.describe()})", check=False)
     return ker, ModuleMap(ker, M, incl_blocks)
 
 
@@ -419,12 +414,12 @@ def direct_sum(mods: list[QuiverModule]) -> tuple[QuiverModule, list[ModuleMap],
 
 
 def radical_matrix(m: QuiverModule, v: int) -> np.ndarray:
-    """Columns spanning rad(M)_v = the sum of incoming arrow images."""
+    """Columns spanning rad(M)_v = the sum of incoming arrow images; the arrow's own matrix when only one comes in."""
     q = m.algebra.quiver
     cols = [m.arrow_maps[a] for a in q.arrows_into[v]]
     if not cols:
         return np.zeros((m.dims[v - 1], 0), dtype=np.int64)
-    return np.hstack(cols)
+    return cols[0] if len(cols) == 1 else np.hstack(cols)
 
 
 def top_dims(m: QuiverModule) -> tuple[int, ...]:
@@ -437,10 +432,12 @@ def top_dims(m: QuiverModule) -> tuple[int, ...]:
 
 @dataclass
 class ProjectiveCover:
-    """A labeled projective together with its minimal surjection onto M."""
+    """A labeled projective together with its minimal surjection onto M, and that surjection's kernel."""
 
     P: LabeledProjective
     surjection: ModuleMap
+    kernel: QuiverModule
+    inclusion: ModuleMap  # kernel -> P.module
 
     @property
     def module(self) -> QuiverModule:
@@ -457,21 +454,20 @@ def _labeled_projective(algebra: BoundQuiverAlgebra, summands: tuple[int, ...]) 
 
 
 def projective_cover(m: QuiverModule) -> ProjectiveCover:
-    """The projective cover: one P_j per top composition factor, any lift of a top basis."""
-    field = m.field
-    q = m.algebra.quiver
-    summands: list[int] = []
-    images: list[np.ndarray] = []
-    for v in range(1, q.vertex_count + 1):
+    """The projective cover: one P_j per top composition factor, any lift of a top basis, and its kernel; by
+    rank-nullity on the kernel's elimination, the surjection covers M iff dim ker_v = dim P_v - dim M_v everywhere."""
+    field, summands, images = m.field, [], []
+    for v in range(1, m.algebra.quiver.vertex_count + 1):
         eye = field.eye(m.dims[v - 1])
         for c in _pivots_beyond(field, radical_matrix(m, v), eye)[1]:
             summands.append(v)
             images.append(eye[:, c])
     P = _labeled_projective(m.algebra, tuple(summands))
     surj = P.map_to(m, images)
-    if not surj.is_surjective():
+    ker, incl = kernel(surj)
+    if any(k != p - d for k, p, d in zip(ker.dims, P.module.dims, m.dims)):
         raise AssertionError("projective cover surjection failed to cover")
-    return ProjectiveCover(P=P, surjection=surj)
+    return ProjectiveCover(P=P, surjection=surj, kernel=ker, inclusion=incl)
 
 
 class _Step(NamedTuple):
@@ -544,10 +540,11 @@ def _turned_step(step: _Step, k: int, *_) -> _Step | None:
 
 
 def _covered_step(module, args: tuple) -> _Step:
-    """The step of module(*args), covered with every check."""
+    """The step of module(*args), covered with every check: its kernel, one elimination per vertex block, shows
+    the cover surjective, and its inclusion checks each arrow's equation once."""
     cover = projective_cover(module(*args))
-    ker, incl = kernel(cover.surjection)
-    return _Step(cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, incl.blocks, ker.content_key())
+    ker = cover.kernel
+    return _Step(cover.P, cover.surjection.blocks, ker.dims, ker.arrow_maps, cover.inclusion.blocks, ker.content_key())
 
 
 def _step(algebra: BoundQuiverAlgebra, key: int, module, *args) -> _Step:

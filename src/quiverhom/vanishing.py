@@ -143,8 +143,8 @@ def _classify_tails(fwd: ExtTable, bwd: ExtTable) -> SymmetryReport:
     alg = m.algebra
     tail = _symmetry_window(alg, max_degree)
     lo = max_degree - tail + 1
-    wit_fwd = [i for i in range(lo, max_degree + 1) if fwd.dim(i) != 0]
-    wit_bwd = [i for i in range(lo, max_degree + 1) if bwd.dim(i) != 0]
+    wit_fwd = [i for i, d in enumerate(fwd.dims[lo - 1 :], start=lo) if d]
+    wit_bwd = [i for i, d in enumerate(bwd.dims[lo - 1 :], start=lo) if d]
     fwd_vanishes = not wit_fwd
     bwd_vanishes = not wit_bwd
     if fwd_vanishes and bwd_vanishes:

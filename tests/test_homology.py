@@ -386,10 +386,10 @@ def _no_rank_entry(*args):
 
 
 def test_ext_dims_raises_when_betti_route_disagrees(monkeypatch):
-    # The Betti route is read once per distinct degree, 1..c + l for the content cycle (c, l):
+    # The Betti route is read once per call, for each distinct degree 1..c + l of the content cycle (c, l):
     # a fault in any one of them is caught, by a cold memo and by a warm one.  S_1's cycle
     # starts at 0, the sheared sum's at 2.
-    honest = Resolution.betti_multiplicity
+    honest = homology._betti_read
     sources = [(lambda alg: simple(alg, 1), [(1, 1)], 0), (lambda alg: _sheared_sum(alg, 1), _sheared_sum_types(1, 2), 2)]
     for source, types, want_start in sources:
         start, length = minimal_resolution(source(nakayama_algebra(3, 2)), 10).content_cycle()
@@ -397,12 +397,12 @@ def test_ext_dims_raises_when_betti_route_disagrees(monkeypatch):
         for bad in range(start + length + 1):  # bad = 0 injects no fault
             alg, read = nakayama_algebra(3, 2), []
 
-            def faulty(self, d, j, bad=bad, read=read):
-                read.append(d)
-                return honest(self, d, j) + (d == bad)
+            def faulty(alg, ids, j, bad=bad, read=read):
+                read.append(list(range(1, len(ids) + 1)))  # ids[0] is degree 1's
+                return [b + (d == bad) for d, b in enumerate(honest(alg, ids, j), start=1)]
 
             with monkeypatch.context() as mp:
-                mp.setattr(Resolution, "betti_multiplicity", faulty)
+                mp.setattr(homology, "_betti_read", faulty)
                 for warm in (False, True):
                     assert bool(alg._hom_complex_ranks) is warm
                     if bad:
@@ -411,8 +411,26 @@ def test_ext_dims_raises_when_betti_route_disagrees(monkeypatch):
                     else:
                         assert ext_dims(source(alg), simple(alg, 2), 10) == _closed_form_sums(3, 2, types, [(2, 1)], 10)
                     mp.setattr(homology, "_rank_entry", _no_rank_entry)
-            # Each call stops at the faulty degree, or reads through c + l < B = 10 and no further.
-            assert read == 2 * list(range(1, (bad or start + length) + 1)), (start, length, bad)
+            # Each call reads degrees 1..c + l < B = 10 once, and no further.
+            assert read == 2 * [list(range(1, start + length + 1))], (start, length, bad)
+
+
+def test_ext_dims_reads_the_ids_through_top_as_one_slice(monkeypatch):
+    # S_1's content cycle starts at 0, the sheared sum's at 2; top = min(B, c + l).
+    honest, sliced = Resolution.syzygy_keys, []
+    monkeypatch.setattr(Resolution, "syzygy_keys", lambda res, top: sliced.append((res, top)) or honest(res, top))
+    for source, want_start in ((lambda alg: simple(alg, 1), 0), (lambda alg: _sheared_sum(alg, 1), 2)):
+        for max_degree in (1, 10):
+            alg = nakayama_algebra(3, 2)
+            sliced.clear()
+            ext_dims(source(alg), simple(alg, 2), max_degree)
+            [(res, top)] = sliced
+            res.extend(10)  # at B = 1 the cycle may not be known yet
+            start, length = res.content_cycle()
+            assert start == want_start and top == min(max_degree, start + length)
+            assert honest(res, top) == [res.syzygy_key(d) for d in range(top + 1)]
+            with pytest.raises(ValueError, match=f"^content ids are stored for degrees 0..{start + length}, got "):
+                honest(res, start + length + 1)
 
 
 def _path_matrix(m, path):

@@ -126,6 +126,30 @@ def test_kernel_of_cover_is_radical(a32):
     assert decompose_serial(k) == [(2, 2)]
 
 
+def test_kernel_of_an_unchecked_map_that_breaks_an_arrow_names_that_arrow(a32):
+    # f is the identity at vertex 3 of P_1 and zero elsewhere: it breaks arrow 1 (2 -> 3) alone, and
+    # its kernel, all of P_1 at vertices 1 and 2, is not stable under that arrow.
+    m = projective(a32, 1)
+    f = ModuleMap(m, m, [np.zeros((1, 1), dtype=np.int64)] * 2 + [np.eye(1, dtype=np.int64)], check=False)
+    with pytest.raises(ValueError, match="^map does not intertwine arrow 1$"):
+        ModuleMap(m, m, f.blocks)
+    with pytest.raises(ValueError, match="^map does not intertwine arrow 1$"):
+        kernel(f)
+
+
+def test_a_cover_that_misses_a_generator_raises_at_the_step(monkeypatch):
+    # Zeroing the first generator image leaves the map a module map, whose kernel is then too large at some vertex.
+    alg = nakayama_algebra(3, 2)
+    m = direct_sum([uniserial(alg, 1, 2), uniserial(alg, 2, 1)])[0]
+    honest = modules.LabeledProjective.map_to
+    monkeypatch.setattr(
+        modules.LabeledProjective, "map_to", lambda P, target, images: honest(P, target, [0 * images[0], *images[1:]])
+    )
+    with pytest.raises(AssertionError, match="^projective cover surjection failed to cover$"):
+        modules._step(alg, m.content_key(), modules._itself, m)
+    assert m.content_key() not in alg._resolution_steps
+
+
 def test_kernel_cokernel_rank_nullity(a32):
     maps = hom_basis(projective(a32, 1), uniserial(a32, 1, 2))
     for f in maps:

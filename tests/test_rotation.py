@@ -164,6 +164,33 @@ def test_turned_steps_are_the_covered_steps_array_for_array(t, monkeypatch):
     assert turned > 0 and multi > 0
 
 
+def _solved_kernel_maps(step, field: GF) -> list:
+    """The kernel's arrow maps as one solve of incl_v X = P_a incl_u per arrow: the route the library dropped."""
+    P, incl = step.term.module, step.incl_blocks
+    arrows = P.algebra.quiver.arrows
+    return [field.solve_matrix(incl[v - 1], field.matmul(P.arrow_maps[a], incl[u - 1])) for a, (u, v) in enumerate(arrows)]
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_memo_kernel_maps_are_the_solved_maps_array_for_array(t):
+    # Every uniserial, and at t = 2, 3 the random-basis sums of the corpus too, resolved through the memo,
+    # covered or turned: every step's kernel maps are the solves, and its kernel dims are P's minus the module's.
+    for n in range(1, 9):
+        alg = nakayama_algebra(t, n)
+        if t <= 3:
+            mods = _corpus(alg, 100 * t + n)  # every uniserial, then the sums
+        else:
+            mods = [uniserial(alg, i, length) for i in range(1, t + 1) for length in range(1, n + 2)]
+        for m in mods:
+            minimal_resolution(m, 2 * t + 1)
+        for key, step in alg._resolution_steps.items():
+            want = _solved_kernel_maps(step, alg.field)
+            same = [w is not None and g.shape == w.shape and np.array_equal(g, w) for g, w in zip(step.ker_maps, want)]
+            assert len(same) == t and all(same), (t, n, key)
+            dims = alg._contents[key][0]
+            assert step.ker_dims == tuple(p - d for p, d in zip(step.term.module.dims, dims, strict=True)), (t, n, key)
+
+
 def _same_labeled_projective(got, want):
     """Equal summands, label, positions, dims, arrow matrices (dtype and bytes) and generator vectors."""
     assert got.summands == want.summands and got.positions == want.positions

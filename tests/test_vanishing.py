@@ -248,15 +248,21 @@ def test_nakayama_report_computes_each_pair_once(monkeypatch):
 
         return wrapped
 
+    def counting_reads(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            calls["betti"] += len(out)
+            return out
+
+        return wrapped
+
     monkeypatch.setattr(homology.Resolution, "__init__", counting_init("builds", homology.Resolution.__init__))
     monkeypatch.setattr(modules.QuiverModule, "__init__", counting_init("modules", modules.QuiverModule.__init__))
     monkeypatch.setattr(homology, "ext_dims", counting("ext_dims", homology.ext_dims))
     monkeypatch.setattr(modules, "projective_cover", counting("projective_cover", modules.projective_cover))
     monkeypatch.setattr(modules, "serial_summands", counting("serial_summands", modules.serial_summands))
     monkeypatch.setattr(homology, "_rank_entry", counting("rank_entry", homology._rank_entry))
-    monkeypatch.setattr(
-        homology.Resolution, "betti_multiplicity", counting("betti", homology.Resolution.betti_multiplicity)
-    )
+    monkeypatch.setattr(homology, "_betti_read", counting_reads(homology._betti_read))
     # Omega^2 S_i = S_i over (4, 3): the 4 simples and their 4 first syzygies are
     # the only modules resolved, and every even syzygy is one of the 4 simples.
     # The rotation v -> v + 1 carries S_1 and its syzygy to the other simples and theirs,
