@@ -1,15 +1,12 @@
-"""Quivers, path words, and truncated path algebras kQ/J^N.
+"""Quivers and the circular Nakayama algebras kΓ/J^{n+1}.
 
-Vertices are 1-based everywhere.  A path word lists its arrows in
-traversal order: the path ``(a1, a2)`` starts at the source of ``a1``
-and ends at the target of ``a2``.  Multiplication ``p * q`` is "follow
-p, then q" and is defined when ``p`` ends where ``q`` starts.
+Vertices are 1-based everywhere.  A path lists its arrows in traversal
+order: the path ``(a1, a2)`` starts at the source of ``a1`` and ends at
+the target of ``a2``.  Multiplication ``p * q`` is "follow p, then q"
+and is defined when ``p`` ends where ``q`` starts.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -21,24 +18,6 @@ DEFAULT_FIELD_P = 101
 def _turn(x: tuple, k: int) -> tuple:
     """σ^k of a per-vertex or per-arrow tuple over the circular quiver: entry v moves to v + k."""
     return x[-k:] + x[:-k]
-
-
-@dataclass(frozen=True)
-class PathWord:
-    """A directed path: start vertex plus an arrow index sequence (empty = e_i)."""
-
-    start: int
-    arrows: tuple[int, ...]
-    end: int
-
-    @property
-    def length(self) -> int:
-        return len(self.arrows)
-
-    def __repr__(self) -> str:
-        if not self.arrows:
-            return f"e_{self.start}"
-        return f"path({self.start}->{self.end}, arrows={list(self.arrows)})"
 
 
 class Quiver:
@@ -76,38 +55,39 @@ def circular_quiver(t: int) -> Quiver:
 
 
 class BoundQuiverAlgebra:
-    """A path algebra truncated at a nilpotency degree, kQ/J^N, with its paths walked once per start vertex.
+    """The circular Nakayama algebra kΓ/J^{n+1} on t vertices, with its paths walked once per start vertex.
 
-    The basis consists of all paths of length < N, the relations of those of length N.  Serial structure,
-    isomorphism, stable Hom, periodicity and complexity are defined only
-    for the circular Nakayama algebras built by nakayama_algebra().
+    Γ is circular_quiver(t); the basis consists of all paths of length <= n, the relations of those of
+    length n + 1.  The algebra is selfinjective, and symmetric exactly when t divides n.
     """
 
-    def __init__(self, quiver: Quiver, nilpotency: int, field: GF | None = None):
-        if nilpotency < 1:
-            raise ValueError(f"nilpotency degree must be >= 1, got {nilpotency}")
-        self.quiver = quiver
-        self.nilpotency = nilpotency
+    def __init__(self, t: int, n: int, field: GF | None = None):
+        if t < 2:
+            raise ValueError(f"need t >= 2, got {t}")
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        self.quiver = circular_quiver(t)
+        self.t = t
+        self.n = n
+        self.r = n % t
+        self.nilpotency = n + 1
+        self.is_symmetric = self.r == 0
+        # Omega^2 M(i, l) = M(i+n+1, l), so Omega^{2t} fixes every non-projective
+        # module and each syzygy period divides 2t.
+        self.period_bound = 2 * t
         self.field = field if field is not None else GF(DEFAULT_FIELD_P)
         # The walk from v, _walks[v - 1] = (entries, levels): each path from v through length nilpotency as (parent
         # entry, last arrow, end vertex), e_v = (-1, -1, v) first, shortest first, lexicographic within a length (as
         # arrows_from ascends); levels[L] is the first entry of length L.  Basis paths precede levels[nilpotency].
-        self._walks = tuple(self._walk(v) for v in range(1, quiver.vertex_count + 1))
+        self._walks = tuple(self._walk(v) for v in range(1, t + 1))
         # The relation paths' arrows, by start vertex and in walk order; each row read back along its parents.
         self._relation_arrows = np.array(
             [self._arrows_of(entries, i) for entries, levels in self._walks for i in range(levels[-2], levels[-1])],
             dtype=np.intp,
-        ).reshape(-1, nilpotency)
+        ).reshape(-1, self.nilpotency)
         self._relation_arrows.flags.writeable = False
-        # Circular Nakayama metadata; set by nakayama_algebra().
-        self.is_selfinjective_nakayama = False
-        self.is_symmetric = False
-        self.t: int | None = None
-        self.n: int | None = None
-        self.r: int | None = None
-        self.period_bound: int | None = None
         # Content ids, interned by _content_id: _contents[i] is the exact (dims, arrow bytes) of id i, and
-        # _orbits[i] the ids of its turns σ^0 .. σ^{t-1} over kΓ/J^{n+1} (a σ-fixed one repeats), else (i,).
+        # _orbits[i] the ids of its turns σ^0 .. σ^{t-1} (a σ-fixed one repeats).
         self._ids: dict[tuple, int] = {}
         self._contents: list[tuple] = []
         self._orbits: list[tuple[int, ...]] = []
@@ -138,14 +118,6 @@ class BoundQuiverAlgebra:
             arrows.append(a)
         return tuple(reversed(arrows))
 
-    def _words(self, v: int) -> list[PathWord]:
-        """Every walk entry from v as a PathWord, in walk order: each arrow word is its parent's plus one arrow."""
-        entries, _ = self._walks[v - 1]
-        words = [()]
-        for parent, a, _ in entries[1:]:
-            words.append(words[parent] + (a,))
-        return [PathWord(v, w, end) for w, (_, _, end) in zip(words, entries)]
-
     def walk(self, v: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
         """The walk from vertex v, (entries, levels), as described in __init__."""
         if not (1 <= v <= self.quiver.vertex_count):
@@ -155,12 +127,11 @@ class BoundQuiverAlgebra:
     def _content_id(self, content: tuple) -> int:
         """The id of an exact content (dims, arrow bytes); the first content of a σ-orbit interns all of it.
 
-        Over kΓ/J^{n+1} arrow a runs a + 1 -> a + 2, so σ^k turns both tuples by k.
+        Arrow a runs a + 1 -> a + 2, so σ^k turns both tuples by k.
         """
         i = self._ids.get(content)
         if i is None:
-            t = self.t if self.is_selfinjective_nakayama else 1
-            turns = [(_turn(content[0], k), _turn(content[1], k)) for k in range(t)]
+            turns = [(_turn(content[0], k), _turn(content[1], k)) for k in range(self.t)]
             row = tuple(self._ids.setdefault(c, len(self._ids)) for c in turns)
             new = len(self._ids) - len(self._contents)  # the orbit's distinct contents: turns[:new]
             self._contents.extend(turns[:new])
@@ -168,33 +139,16 @@ class BoundQuiverAlgebra:
             i = row[0]
         return i
 
-    @cached_property
-    def _path_words(self) -> tuple[tuple[PathWord, ...], tuple[PathWord, ...]]:
-        """(path_basis, relation generators) as PathWords: the walks' entries by length, then start vertex."""
-        words = [(self._words(v), levels) for v, (_, levels) in enumerate(self._walks, start=1)]
-        by_length = [[p for ws, lv in words for p in ws[lv[d] : lv[d + 1]]] for d in range(self.nilpotency + 1)]
-        return tuple(p for paths in by_length[:-1] for p in paths), tuple(by_length[-1])
-
-    @property
-    def path_basis(self) -> tuple[PathWord, ...]:
-        """Every basis path, shortest first and by start vertex within a length; built on first read."""
-        return self._path_words[0]
-
     @property
     def dimension(self) -> int:
-        return len(self.path_basis)
-
-    def paths_from(self, v: int) -> list[PathWord]:
-        """The basis paths from v, shortest first: the walk's entries of length < nilpotency."""
-        _, levels = self.walk(v)
-        return self._words(v)[: levels[self.nilpotency]]
-
-    def relation_generators(self) -> tuple[PathWord, ...]:
-        """Every composable word of length = nilpotency: the walk's last entries, by start vertex; built on first read."""
-        return self._path_words[1]
+        """t(n + 1): one basis path of each length 0..n from each vertex."""
+        return self.t * self.nilpotency
 
     def relation_arrows(self) -> np.ndarray:
-        """The relation generators as one read-only (paths, nilpotency) array of arrow indices, in the same order."""
+        """The relation paths, every path of length n + 1, as one read-only (paths, n + 1) array of arrow indices.
+
+        Row order is by start vertex, then walk order.
+        """
         return self._relation_arrows
 
     def wrap(self, v: int) -> int:
@@ -202,32 +156,9 @@ class BoundQuiverAlgebra:
         return (v - 1) % self.quiver.vertex_count + 1
 
     def __repr__(self) -> str:
-        if self.is_selfinjective_nakayama:
-            return f"NakayamaAlgebra(t={self.t}, n={self.n}, p={self.field.p})"
-        return (
-            f"BoundQuiverAlgebra(vertices={self.quiver.vertex_count}, "
-            f"nilpotency={self.nilpotency}, dim={self.dimension})"
-        )
+        return f"NakayamaAlgebra(t={self.t}, n={self.n}, p={self.field.p})"
 
 
 def nakayama_algebra(t: int, n: int, field: GF | None = None) -> BoundQuiverAlgebra:
-    """The circular Nakayama algebra on t vertices with radical length n+1.
-
-    The path basis is every path of length 0..n, so the dimension is
-    t*(n+1).  The algebra is selfinjective; it is symmetric exactly when
-    n is divisible by t.
-    """
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    alg = BoundQuiverAlgebra(circular_quiver(t), nilpotency=n + 1, field=field)
-    alg.is_selfinjective_nakayama = True
-    alg.t = t
-    alg.n = n
-    alg.r = n % t
-    alg.is_symmetric = alg.r == 0
-    # Omega^2 M(i, l) = M(i+n+1, l), so Omega^{2t} fixes every non-projective
-    # module and each syzygy period divides 2t.
-    alg.period_bound = 2 * t
-    return alg
+    """The circular Nakayama algebra on t vertices with radical length n+1, of dimension t(n + 1)."""
+    return BoundQuiverAlgebra(t, n, field)

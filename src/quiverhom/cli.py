@@ -1,4 +1,4 @@
-"""Command line interface: deterministic reports over bound quiver algebras.
+"""Command line interface: deterministic reports over the circular Nakayama algebras kΓ/J^{n+1}.
 
 Commands: resolve, ext, gaps, symmetry, report, sweep.  Configuration
 comes from one JSON document (--config) with flag overrides; flags win.

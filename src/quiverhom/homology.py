@@ -23,7 +23,6 @@ from .modules import (
     LabeledProjective,
     ModuleMap,
     QuiverModule,
-    UnsupportedOperation,
     _itself,
     _memo_read,
     _step,
@@ -356,8 +355,6 @@ def stable_hom_dim(m: QuiverModule, n: QuiverModule) -> int:
     h - rank of the Hom-complex entry (M, ΩN) in degree 0, the memo entry
     `ext_dims` reads, read through σ like every other.
     """
-    if not m.algebra.is_selfinjective_nakayama:
-        raise UnsupportedOperation("stable Hom requires a selfinjective algebra")
     basis = hom_basis(m, n)
     if not basis:
         return 0
@@ -403,8 +400,6 @@ def detect_period(m: QuiverModule) -> PeriodicityWitness | None:
     find_isomorphism.
     """
     bound = m.algebra.period_bound
-    if bound is None:
-        raise UnsupportedOperation("periodicity requires a circular Nakayama algebra")
     if m.is_zero:
         return None
     res = minimal_resolution(m, bound)

@@ -28,7 +28,6 @@ from .homology import Resolution, detect_period
 from .modules import (
     ModuleMap,
     QuiverModule,
-    UnsupportedOperation,
     decompose_serial,
     is_projective,
 )
@@ -110,8 +109,6 @@ def complexity_estimate(m: QuiverModule) -> int:
     Omega-periodic (its period divides the algebra's period bound), so
     its Betti sizes are bounded and never reach 0.
     """
-    if m.algebra.period_bound is None:
-        raise UnsupportedOperation("complexity requires a circular Nakayama algebra")
     return 0 if is_projective(m) else 1
 
 

@@ -19,7 +19,7 @@ one place, on Python ints; its checked basis is kept as one read-only
 padded stack, whose views are `hom_basis`'s blocks, sliced on first read
 (`homology.ext_dims` reads its ranks off the presentation).  A module's
 content key is the small-int id its algebra interns for its exact content, with
-the ids of the content's σ-orbit beside it.  Over kΓ/J^{n+1} every
+the ids of the content's σ-orbit beside it.  Every
 content-keyed memo that σ acts on (steps, Hom stacks, Hom-complex
 ranks) is read by one reader, `_memo_read`, which probes σ^-k
 of a key by indexing that orbit row.  A cover term is built once per
@@ -38,10 +38,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, _turn
-
-
-class UnsupportedOperation(RuntimeError):
-    """Raised when an operation requires structure the algebra lacks."""
 
 
 class QuiverModule:
@@ -78,8 +74,9 @@ class QuiverModule:
             acc = self.field.matmul(arrows[step], acc)
         bad = np.flatnonzero(acc.any(axis=(1, 2)))
         if bad.size:
-            rel = self.algebra.relation_generators()[bad[0]]
-            raise ValueError(f"relation path {rel} does not act as zero")
+            rel, q = rels[bad[0]].tolist(), self.algebra.quiver
+            path = f"path({q.source(rel[0])}->{q.target(rel[-1])}, arrows={rel})"
+            raise ValueError(f"relation path {path} does not act as zero")
 
     # -- basic structure ----------------------------------------------
 
@@ -273,8 +270,6 @@ def projective(algebra: BoundQuiverAlgebra, i: int) -> QuiverModule:
 
 def uniserial(algebra: BoundQuiverAlgebra, i: int, length: int) -> QuiverModule:
     """The uniserial module with top S_i and the given composition length."""
-    if not algebra.is_selfinjective_nakayama:
-        raise UnsupportedOperation("uniserial constructor requires a circular Nakayama algebra")
     if not (1 <= length <= algebra.nilpotency):
         raise ValueError(f"length {length} outside [1,{algebra.nilpotency}]")
     dims, maps, _ = _path_basis(algebra, (i,), length)
@@ -414,12 +409,9 @@ def direct_sum(mods: list[QuiverModule]) -> tuple[QuiverModule, list[ModuleMap],
 
 
 def radical_matrix(m: QuiverModule, v: int) -> np.ndarray:
-    """Columns spanning rad(M)_v = the sum of incoming arrow images; the arrow's own matrix when only one comes in."""
-    q = m.algebra.quiver
-    cols = [m.arrow_maps[a] for a in q.arrows_into[v]]
-    if not cols:
-        return np.zeros((m.dims[v - 1], 0), dtype=np.int64)
-    return cols[0] if len(cols) == 1 else np.hstack(cols)
+    """Columns spanning rad(M)_v: the matrix of the one arrow into v."""
+    (a,) = m.algebra.quiver.arrows_into[v]
+    return m.arrow_maps[a]
 
 
 def top_dims(m: QuiverModule) -> tuple[int, ...]:
@@ -488,18 +480,17 @@ def _turned_key(algebra: BoundQuiverAlgebra, key: int, k: int) -> int:
 
 
 def _rotations(algebra: BoundQuiverAlgebra, key):
-    """(k, σ^-k of a memo key) for k = 1..t-1 over kΓ/J^{n+1}; nothing over any other algebra.
+    """(k, σ^-k of a memo key) for k = 1..t-1.
 
     A memo key is one content id or a (source, target) pair of them, and σ^-k of an id is entry
     t - k of its σ-orbit row.  The rotation σ: v -> v + 1, a -> a + 1 is an automorphism of
     kΓ/J^{n+1}, so a module and its turn by σ^k have the same syzygy chain up to σ^k and the same
     Ext dimensions against turned targets.
     """
-    if algebra.is_selfinjective_nakayama:
-        orbits, pair = algebra._orbits, isinstance(key, tuple)
-        a, b = (orbits[key[0]], orbits[key[1]]) if pair else (orbits[key], None)
-        for k in range(1, algebra.t):
-            yield k, (a[-k], b[-k]) if pair else a[-k]
+    orbits, pair = algebra._orbits, isinstance(key, tuple)
+    a, b = (orbits[key[0]], orbits[key[1]]) if pair else (orbits[key], None)
+    for k in range(1, algebra.t):
+        yield k, (a[-k], b[-k]) if pair else a[-k]
 
 
 def _memo_read(algebra: BoundQuiverAlgebra, memo: dict, key: int | tuple, turn, build, *args):
@@ -672,7 +663,7 @@ def _checked(m: QuiverModule, n: QuiverModule, stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-# -- serial structure and isomorphism (circular Nakayama family) --------
+# -- serial structure and isomorphism --------------------------------------
 
 
 @dataclass
@@ -682,11 +673,6 @@ class SerialSummand:
     top: int
     length: int
     chain: list[np.ndarray]  # chain[d] lives at vertex top+d (mod t)
-
-
-def _require_nakayama(m: QuiverModule):
-    if not m.algebra.is_selfinjective_nakayama:
-        raise UnsupportedOperation("serial decomposition and isomorphism require a circular Nakayama algebra")
 
 
 def _chain_bases(m: QuiverModule, summands: list[SerialSummand]) -> tuple[np.ndarray, ...]:
@@ -710,7 +696,6 @@ def serial_summands(m: QuiverModule) -> list[SerialSummand]:
     basis of ker T_{j,l} modulo ker T_{j,l-1} + (arrow into j)(ker T_{j-1,l+1}).
     The assembled chains are verified to form a basis.
     """
-    _require_nakayama(m)
     alg = m.algebra
     field = m.field
     t = alg.t
@@ -775,7 +760,6 @@ def find_isomorphism(m: QuiverModule, n: QuiverModule) -> ModuleMap | None:
     """An explicit isomorphism M -> N matching uniserial summands (Y X^-1 of the chain bases), or None."""
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
-    _require_nakayama(m)
     if m.dims != n.dims:
         return None
     (types_m, xs), (types_n, ys) = _serial_memo(m), _serial_memo(n)

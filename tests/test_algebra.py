@@ -1,6 +1,6 @@
 import pytest
 
-from quiverhom.algebra import circular_quiver, nakayama_algebra
+from quiverhom.algebra import BoundQuiverAlgebra, circular_quiver, nakayama_algebra
 from quiverhom.linalg import GF
 
 
@@ -44,18 +44,27 @@ def test_nakayama_metadata():
 
 
 def test_nakayama_rejects_bad_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need t >= 2, got 1$"):
         nakayama_algebra(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need n >= 1, got 0$"):
         nakayama_algebra(3, 0)
 
 
+def test_the_algebra_is_the_circular_nakayama_algebra():
+    a = BoundQuiverAlgebra(3, 2, GF(7))
+    assert repr(a) == "NakayamaAlgebra(t=3, n=2, p=7)" and repr(nakayama_algebra(3, 2)).endswith("p=101)")
+    assert (a.t, a.n, a.r, a.nilpotency, a.period_bound, a.is_symmetric) == (3, 2, 2, 3, 6, False)
+    assert a.quiver.arrows == circular_quiver(3).arrows
+
+
 def test_one_basis_path_per_vertex_and_length():
+    # The walk from v has one entry of each length 0..n + 1, and the length-L one ends at v + L (mod t).
     for t, n in [(2, 1), (3, 2), (4, 4), (5, 3)]:
         a = nakayama_algebra(t, n)
         for v in range(1, t + 1):
-            lengths = sorted(p.length for p in a.paths_from(v))
-            assert lengths == list(range(n + 1))
+            entries, levels = a.walk(v)
+            assert levels == tuple(range(n + 3))
+            assert [end for _, _, end in entries] == [(v - 1 + length) % t + 1 for length in range(n + 2)]
 
 
 def test_configurable_field():

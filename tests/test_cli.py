@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import hashlib
 import inspect
@@ -669,3 +670,32 @@ def test_readme_cli_examples_run(capsys, tmp_path, argv):
     else:
         argv += ["--out", str(tmp_path / "out")]
     assert run(argv, capsys)[0] == EXIT_OK
+
+
+def _leading_literal(comment: str):
+    """The longest prefix of a README comment that is a Python literal, as (True, value), or (False, None)."""
+    for end in range(len(comment), 0, -1):
+        try:
+            return True, ast.literal_eval(comment[:end])
+        except (ValueError, SyntaxError):
+            continue
+    return False, None
+
+
+def test_readme_library_example_runs_and_gives_the_values_in_its_comments():
+    # Each expression line of the README's Library code block states its value as the leading literal of its comment.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, []
+    for line in block.strip().splitlines():
+        code, _, comment = line.partition("  # ")
+        if not code.strip():
+            continue
+        if isinstance(ast.parse(code).body[0], ast.Expr):
+            found, want = _leading_literal(comment.strip())
+            assert found, line
+            assert eval(code, namespace) == want, line
+            checked.append(code.strip())
+        else:
+            exec(code, namespace)
+    assert len(checked) == 5, checked

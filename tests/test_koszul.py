@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import quiverhom.koszul as koszul
-from quiverhom.algebra import BoundQuiverAlgebra, Quiver, nakayama_algebra
+from quiverhom.algebra import nakayama_algebra
 from quiverhom.homology import detect_period, ext_table, minimal_resolution
 from quiverhom.koszul import build_periodicity_tower, complexity_estimate, koszul_object
 from quiverhom.modules import (
     ModuleMap,
-    UnsupportedOperation,
     decompose_serial,
     direct_sum,
     is_projective,
@@ -162,14 +161,6 @@ def test_complexity_of_projective_is_zero(a32):
     for m in [projective(a32, 2), zero_module(a32)]:
         assert complexity_estimate(m) == 0
         assert build_periodicity_tower(m) is None
-
-
-def test_complexity_unsupported_off_family():
-    alg = BoundQuiverAlgebra(Quiver(1, [(1, 1)]), nilpotency=3)
-    assert alg.period_bound is None
-    for f in (complexity_estimate, detect_period, build_periodicity_tower):
-        with pytest.raises(UnsupportedOperation):
-            f(simple(alg, 1))
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])

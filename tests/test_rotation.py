@@ -16,7 +16,7 @@ import pytest
 import quiverhom.homology as homology
 import quiverhom.koszul as koszul
 import quiverhom.modules as modules
-from quiverhom.algebra import BoundQuiverAlgebra, Quiver, circular_quiver, nakayama_algebra
+from quiverhom.algebra import BoundQuiverAlgebra, nakayama_algebra
 from quiverhom.homology import minimal_resolution, stable_hom_dim
 from quiverhom.koszul import build_periodicity_tower
 from quiverhom.linalg import GF
@@ -102,18 +102,6 @@ def test_a_content_fixed_by_a_rotation_has_a_repeating_orbit_row(t):
         row = alg._orbits[key]
         assert len(set(row)) == d and all(row[k] == row[k % d] for k in range(t)), (t, d, row)
         assert [alg._orbits[i] for i in row] == [row[k:] + row[:k] for k in range(t)]
-
-
-def test_over_any_other_algebra_a_content_id_has_a_one_entry_row_and_no_rotations():
-    for alg in (BoundQuiverAlgebra(circular_quiver(3), 3), BoundQuiverAlgebra(Quiver(3, [(1, 2), (2, 3)]), 2)):
-        mods = [simple(alg, 1), simple(alg, 2), projective(alg, 1), zero_module(alg)]
-        for m in mods:
-            key = m.content_key()
-            assert alg._orbits[key] == (key,) and alg._contents[key] == _content(m)
-            assert modules._turned_key(alg, key, 1) == key
-            assert list(modules._rotations(alg, key)) == []
-        assert list(modules._rotations(alg, (mods[0].content_key(), mods[1].content_key()))) == []
-        assert len({m.content_key() for m in mods}) == len(mods) == len(alg._contents)
 
 
 def _counting_covers(mp) -> list:

@@ -6,10 +6,10 @@ import quiverhom.cli as cli
 import quiverhom.homology as homology
 import quiverhom.modules as modules
 import quiverhom.vanishing as vanishing
-from quiverhom.algebra import BoundQuiverAlgebra, Quiver, nakayama_algebra
+from quiverhom.algebra import nakayama_algebra
 from quiverhom.homology import ExtTable, ext_table, minimal_resolution
 from quiverhom.koszul import build_periodicity_tower
-from quiverhom.modules import UnsupportedOperation, decompose_serial, projective, simple, uniserial
+from quiverhom.modules import decompose_serial, projective, simple, uniserial
 from quiverhom.vanishing import (
     FalsificationError,
     auslander_scan,
@@ -121,12 +121,6 @@ def test_short_tail_asymmetry_is_reported_and_full_period_tail_raises():
         vanishing._classify_tails(*tables((1, 0, 1, 0)))
     with pytest.raises(FalsificationError):
         vanishing._classify_tails(*tables((1, 0, 1, 0, 1)))
-
-
-def test_symmetry_scan_needs_the_period_bound():
-    alg = BoundQuiverAlgebra(Quiver(1, [(1, 1)]), nilpotency=3)
-    with pytest.raises(UnsupportedOperation, match="symmetry window"):
-        symmetry_scan(simple(alg, 1), simple(alg, 1), 4)
 
 
 def test_nakayama_report_witness_cell():
