@@ -388,17 +388,29 @@ def test_map_to_columns_are_arrow_by_arrow_products(t):
         for _ in range(4):
             picked = seeds.sample(mods[: t * (n + 1)], 3)
             mods.append(_random_basis(direct_sum(picked)[0], seeds))
-        # Modules of random arrow matrices that pass the relation check, zero-dimensional vertices included.
-        for _ in range(4 if n <= 3 else 0):
-            while True:
-                try:
-                    mods.append(QuiverModule(alg, *_random_module_data(alg, rng, rng.choice([0.2, 0.5]))))
-                    break
-                except ValueError:  # a broken relation
-                    continue
         tops = [(1, 1, 2), (t,), tuple(range(1, t + 1)), (2, t, t)]
         for target in mods:
             _map_to_agrees(LabeledProjective(alg, seeds.choice(tops)), target, rng)
+
+
+def test_map_to_on_the_branching_quiver():
+    # The name is kept from when this ran over a quiver with a branching vertex and a sink. On the
+    # cycle the paths branch only across summands: every target meets every tops pattern, repeated
+    # tops included, and the targets are projectives, a projective plus a simple, and modules of
+    # random arrow matrices that pass the relation check, zero-dimensional vertices included.
+    rng = np.random.default_rng(11)
+    for t in (2, 3, 4):
+        for n in (1, 2, 3):
+            alg = nakayama_algebra(t, n)
+            targets = [projective(alg, i) for i in range(1, t + 1)] + [direct_sum([projective(alg, 1), simple(alg, t)])[0]]
+            while len(targets) < 3 * t + 3:
+                try:
+                    targets.append(QuiverModule(alg, *_random_module_data(alg, rng, rng.choice([0.2, 0.5]))))
+                except ValueError:  # a broken relation
+                    continue
+            for target in targets:
+                for tops in [(1,), (1, 1, t), (t, 2), tuple(range(1, t + 1))]:
+                    _map_to_agrees(LabeledProjective(alg, tops), target, rng)
 
 
 def _keyed_path_basis(t, basis, tops, max_length):
